@@ -9,7 +9,6 @@ CSV/SVG emission and the validation suite.
 
 from .bounds import (
     BoundResult,
-    SearchSpec,
     hellinger_bound,
     hockey_stick_bound,
     master_bound,
@@ -73,7 +72,6 @@ __all__ = [
     "Model",
     "OracleReport",
     "RiskReference",
-    "SearchSpec",
     "SmallBallBound",
     "brute_force_divergence",
     "certify_bounds",

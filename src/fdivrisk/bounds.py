@@ -6,6 +6,10 @@ the small-ball mass at radius rho.  With a linear small-ball envelope
 L <= c * rho both parametric families reduce to maximising
 rho * (1 - C rho^t - b), which has an exact maximiser; a golden-section
 fallback covers anything else and doubles as the optimiser's oracle.
+
+The hockey-stick bound is invariant under scaling beta: E_{beta,gamma} =
+beta E_{1,gamma/beta}, so it depends only on tau = gamma / beta, and the
+parameter search runs over tau alone with beta = 1.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .numerics import golden_section_max
 
 __all__ = [
     "BoundResult",
-    "SearchSpec",
     "hellinger_bound",
     "hockey_stick_bound",
     "master_bound",
@@ -187,52 +190,20 @@ def hockey_stick_bound(
 
 
 # --------------------------------------------------------------------------
-# Parameter search (sup over p, or over beta and gamma)
+# Parameter search (sup over p, or over tau = gamma / beta)
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    """Grids and refinement budget for the parameter search.
-
-    Defaults: 33 log-spaced Hellinger orders with p - 1 in [2^-6, 7], a
-    32 x 32 hockey-stick grid with beta in [0.05, 4] and gamma in [beta, 8],
-    and 64 refinement evaluations around the best grid point.
-    """
-
-    p_excess_lo: float = 2.0**-6
-    p_max: float = 8.0
-    p_points: int = 33
-    beta_lo: float = 0.05
-    beta_hi: float = 4.0
-    beta_points: int = 32
-    gamma_hi: float = 8.0
-    gamma_points: int = 32
-    refine_budget: int = 64
-
-    def p_grid(self) -> list[float]:
-        lo = math.log(self.p_excess_lo)
-        hi = math.log(self.p_max - 1.0)
-        if self.p_points == 1:
-            return [1.0 + self.p_excess_lo]
-        step = (hi - lo) / (self.p_points - 1)
-        return [1.0 + math.exp(lo + i * step) for i in range(self.p_points)]
-
-    def beta_grid(self) -> list[float]:
-        if self.beta_points == 1:
-            return [self.beta_lo]
-        lo = math.log(self.beta_lo)
-        step = (math.log(self.beta_hi) - lo) / (self.beta_points - 1)
-        return [math.exp(lo + i * step) for i in range(self.beta_points)]
-
-    def gamma_grid(self, beta: float) -> list[float]:
-        if self.gamma_points == 1 or self.gamma_hi <= beta:
-            return [beta]
-        step = (self.gamma_hi - beta) / (self.gamma_points - 1)
-        return [beta + i * step for i in range(self.gamma_points)]
+def _log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
+    step = (math.log(hi) - math.log(lo)) / (points - 1)
+    return tuple(math.exp(math.log(lo) + i * step) for i in range(points))
 
 
-DEFAULT_SEARCH = SearchSpec()
+# Hellinger orders with p - 1 log-spaced in [2^-6, 7].
+_P_GRID = tuple(1.0 + x for x in _log_grid(2.0**-6, 7.0, 33))
+# tau in [1, 160] covers every gamma / beta with 0.05 <= beta <= gamma <= 8.
+_TAU_GRID = _log_grid(1.0, 160.0, 33)
+_REFINE_BUDGET = 64
 
 
 @lru_cache(maxsize=None)
@@ -241,101 +212,55 @@ def _cached_hellinger(model: Model, p: float) -> DivergenceValue:
 
 
 @lru_cache(maxsize=None)
-def _cached_e_value(model: Model, beta: float, gamma: float) -> DivergenceValue:
-    return e_beta_gamma_numeric(model, beta, gamma)
+def _cached_e_value(model: Model, tau: float) -> DivergenceValue:
+    return e_beta_gamma_numeric(model, 1.0, tau)
 
 
-class _BestTracker:
-    """Records the best bound seen across grid and refinement evaluations, so
-    a non-unimodal stretch cannot make refinement return less than the grid."""
+def _grid_then_golden(grid: tuple[float, ...], bound_at) -> BoundResult:
+    """Scan ``grid``, golden-section between the winner's neighbours, and
+    return the best result seen anywhere, so a non-unimodal stretch cannot
+    make refinement return less than the grid.  Points whose divergence is
+    infinite are skipped."""
+    best: BoundResult | None = None
 
-    def __init__(self):
-        self.result: BoundResult | None = None
-
-    def consider(self, result: "BoundResult | None") -> float:
-        if result is None:
+    def objective(x: float) -> float:
+        nonlocal best
+        try:
+            result = bound_at(x)
+        except DivergenceInfiniteError:
             return -math.inf
-        if self.result is None or result.value > self.result.value:
-            self.result = result
+        if best is None or result.value > best.value:
+            best = result
         return result.value
 
-
-def _optimize_hellinger(model: Model, c: float, search: SearchSpec) -> BoundResult:
-    best = _BestTracker()
-
-    def objective(p: float) -> float:
-        try:
-            div = _cached_hellinger(model, p)
-        except DivergenceInfiniteError:
-            return best.consider(None)
-        return best.consider(hellinger_bound(p, div, c))
-
-    grid = search.p_grid()
-    values = [objective(p) for p in grid]
-    best_idx = max(range(len(grid)), key=lambda i: values[i])
-    if best.result is None:
-        raise ValueError("no feasible point in the Hellinger search grid")
-    lo = grid[max(0, best_idx - 1)]
-    hi = grid[min(len(grid) - 1, best_idx + 1)]
-    golden_section_max(objective, lo, hi, tol=1e-9 * (hi - lo), max_iter=search.refine_budget)
-    return best.result
+    values = [objective(x) for x in grid]
+    if best is None:
+        raise ValueError("no feasible point in the search grid")
+    i = max(range(len(grid)), key=values.__getitem__)
+    lo = grid[max(0, i - 1)]
+    hi = grid[min(len(grid) - 1, i + 1)]
+    golden_section_max(objective, lo, hi, tol=1e-9 * (hi - lo), max_iter=_REFINE_BUDGET)
+    return best
 
 
-def _optimize_hockey_stick(model: Model, c: float, search: SearchSpec) -> BoundResult:
-    best = _BestTracker()
-
-    def objective(beta: float, gamma: float) -> float:
-        if not (beta > 0.0 and gamma >= beta):
-            return -math.inf
-        return best.consider(hockey_stick_bound(beta, gamma, _cached_e_value(model, beta, gamma), c))
-
-    best_pair = None
-    best_value = -math.inf
-    for beta in search.beta_grid():
-        for gamma in search.gamma_grid(beta):
-            value = objective(beta, gamma)
-            if value > best_value:
-                best_value = value
-                best_pair = (beta, gamma)
-    if best.result is None or best_pair is None:
-        raise ValueError("no feasible point in the hockey-stick search grid")
-
-    # Coordinate descent around the grid winner, gamma first.
-    beta, gamma = best_pair
-    per_pass = max(4, search.refine_budget // 4)
-    for _ in range(2):
-        gamma, _ = golden_section_max(
-            lambda gm: objective(beta, gm),
-            beta,
-            search.gamma_hi,
-            tol=1e-6 * max(1.0, search.gamma_hi - beta),
-            max_iter=per_pass,
-        )
-        gamma = max(gamma, beta)
-        beta, _ = golden_section_max(
-            lambda bt: objective(bt, max(gamma, bt)),
-            search.beta_lo,
-            min(gamma, search.beta_hi),
-            tol=1e-6,
-            max_iter=per_pass,
-        )
-    return best.result
-
-
-def optimize_parameters(
-    model: Model, family: str, search: SearchSpec = DEFAULT_SEARCH
-) -> BoundResult:
+def optimize_parameters(model: Model, family: str) -> BoundResult:
     """Best bound over a parametric family: grid scan plus local refinement.
 
-    ``family`` is "hellinger" (sup over the order p) or "hockey_stick" (sup
-    over beta and gamma with gamma >= beta).  The inner rho maximisation is
-    always exact; divergence values are cached per (model, parameters), so
-    repeated sweeps do not re-run quadratures.
+    ``family`` is "hellinger" (sup over the order p) or "hockey_stick".  The
+    hockey-stick bound depends on (beta, gamma) only through tau = gamma /
+    beta, since E_{beta,gamma} = beta E_{1,tau} makes (beta - E)^2 / (4 gamma
+    beta c) equal (1 - E_{1,tau})^2 / (4 tau c); so the search runs over tau
+    with beta = 1.  The inner rho maximisation is always exact; divergence
+    values are cached per (model, parameter) within a process.
     """
     c = model.small_ball_coefficient().coefficient
     key = family.replace("-", "_")
     if key == "hellinger":
-        return _optimize_hellinger(model, c, search)
+        return _grid_then_golden(
+            _P_GRID, lambda p: hellinger_bound(p, _cached_hellinger(model, p), c)
+        )
     if key == "hockey_stick":
-        return _optimize_hockey_stick(model, c, search)
+        return _grid_then_golden(
+            _TAU_GRID, lambda tau: hockey_stick_bound(1.0, tau, _cached_e_value(model, tau), c)
+        )
     raise ValueError(f"unknown bound family {family!r}")

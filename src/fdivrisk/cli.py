@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import (
     BoundResult,
@@ -24,7 +24,14 @@ from .bounds import (
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
 from .models import DEFAULT_SAMPLES, DEFAULT_SEED, BernoulliModel, GaussianModel, Model
 from .svg import render_line_plot
-from .validation import certification_suite, generator_label, risk_report
+from .validation import (
+    FIXED_BETA,
+    FIXED_GAMMA,
+    certification_suite,
+    default_order,
+    generator_label,
+    risk_report,
+)
 
 __all__ = ["main", "RiskCurve", "RiskCurveRow", "SweepConfig"]
 
@@ -34,14 +41,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 FAMILIES = ("hellinger", "hockey_stick")
-FIXED_BETA = 0.75
-FIXED_GAMMA = 2.2
 CSV_HEADER = "n,hellinger_bound,hockey_stick_bound,oracle_risk,oracle_stderr"
-
-
-def default_order(model: Model) -> float:
-    """Fixed-mode Hellinger order: 2 for the coin-flip model, 3/2 Gaussian."""
-    return 2.0 if isinstance(model, BernoulliModel) else 1.5
 
 
 # --------------------------------------------------------------------------
@@ -127,7 +127,11 @@ def build_model(kind: str, n: int, sigma_w_sq: float, sigma_sq: float) -> Model:
     raise ValueError(f"unknown model {kind!r}")
 
 
-def _family_bound(model: Model, family: str, config: SweepConfig) -> BoundResult:
+def _family_bound(
+    model: Model, family: str, config: "SweepConfig | argparse.Namespace"
+) -> BoundResult:
+    """One bound from the family parameters (p, beta, gamma, optimize) of a
+    sweep config or of the parsed ``bound`` arguments."""
     if config.optimize:
         return optimize_parameters(model, family)
     coeff = model.small_ball_coefficient()
@@ -187,6 +191,16 @@ _OPTIONS: dict[str, tuple] = {
     "csv": (str, "write CSV output to this path"),
     "svg": (str, "write an SVG plot to this path"),
 }
+# Values of options that neither the flags nor the config file set.
+_DEFAULTS = {
+    "model": "bernoulli",
+    "sigma_w_sq": GaussianModel.sigma_w_sq,
+    "sigma_sq": GaussianModel.sigma_sq,
+    "beta": FIXED_BETA,
+    "gamma": FIXED_GAMMA,
+    "samples": DEFAULT_SAMPLES,
+    "seed": DEFAULT_SEED,
+}
 _BOOL_OPTIONS = {
     "optimize": "optimise over family parameters instead of fixed values",
     "oracle": "add Monte-Carlo / exact risk columns",
@@ -226,10 +240,10 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    values = parse_config_file(args.config)
+def _resolve_options(args: argparse.Namespace) -> None:
+    """Fill options left unset by the flags from the config file, then from
+    the defaults."""
+    values = parse_config_file(args.config) if args.config else {}
     for key, raw in values.items():
         if key == "family":
             if args.family is None:
@@ -243,7 +257,9 @@ def _merge_config(args: argparse.Namespace) -> None:
             raise ValueError(f"unknown config key {key!r}")
         if getattr(args, key) is None:
             setattr(args, key, _OPTIONS[key][0](raw))
-    return
+    for key, value in _DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _parse_n_range(args: argparse.Namespace, default: tuple[int, int]) -> tuple[int, int]:
@@ -272,19 +288,19 @@ def _families(args: argparse.Namespace, default: tuple[str, ...] = FAMILIES) -> 
 def _sweep_config(args: argparse.Namespace, families: tuple[str, ...]) -> SweepConfig:
     n_lo, n_hi = _parse_n_range(args, (1, 50))
     return SweepConfig(
-        model=args.model or "bernoulli",
+        model=args.model,
         n_lo=n_lo,
         n_hi=n_hi,
         families=families,
-        sigma_w_sq=args.sigma_w_sq if args.sigma_w_sq is not None else 1.0,
-        sigma_sq=args.sigma_sq if args.sigma_sq is not None else 2.0,
+        sigma_w_sq=args.sigma_w_sq,
+        sigma_sq=args.sigma_sq,
         p=args.p,
-        beta=args.beta if args.beta is not None else FIXED_BETA,
-        gamma=args.gamma if args.gamma is not None else FIXED_GAMMA,
+        beta=args.beta,
+        gamma=args.gamma,
         optimize=bool(args.optimize),
         oracle=bool(args.oracle),
-        samples=args.samples if args.samples is not None else DEFAULT_SAMPLES,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        samples=args.samples,
+        seed=args.seed,
     )
 
 
@@ -300,31 +316,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if family == "hellinger" and args.p is not None and not args.p > 1.0:
         raise ValueError("p must exceed 1")
     if family == "hockey_stick":
-        beta = args.beta if args.beta is not None else FIXED_BETA
-        gamma = args.gamma if args.gamma is not None else FIXED_GAMMA
-        if not beta > 0.0:
+        if not args.beta > 0.0:
             raise ValueError("beta must be positive")
-        if not gamma >= beta:
+        if not args.gamma >= args.beta:
             raise ValueError("gamma must be at least beta")
     if args.n is None:
         raise ValueError("--n is required for a single bound")
-    model = build_model(
-        args.model or "bernoulli",
-        args.n,
-        args.sigma_w_sq if args.sigma_w_sq is not None else 1.0,
-        args.sigma_sq if args.sigma_sq is not None else 2.0,
-    )
-    if args.optimize:
-        result = optimize_parameters(model, family)
-    else:
-        coeff = model.small_ball_coefficient()
-        if family == "hellinger":
-            p = args.p if args.p is not None else default_order(model)
-            result = hellinger_bound(p, hellinger_divergence(model, p), coeff)
-        else:
-            result = hockey_stick_bound(
-                beta, gamma, e_beta_gamma_numeric(model, beta, gamma), coeff
-            )
+    model = build_model(args.model, args.n, args.sigma_w_sq, args.sigma_sq)
+    result = _family_bound(model, family, args)
 
     rows = [
         ("bound", format(result.value, ".17g")),
@@ -365,31 +364,21 @@ def cmd_sweep(args: argparse.Namespace, *, all_families: bool = False) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_n_range(args, (1, 20))
-    template = build_model(
-        args.model or "bernoulli",
-        n_lo,
-        args.sigma_w_sq if args.sigma_w_sq is not None else 1.0,
-        args.sigma_sq if args.sigma_sq is not None else 2.0,
-    )
+    template = build_model(args.model, n_lo, args.sigma_w_sq, args.sigma_sq)
     reports = certification_suite(
         template,
         range(n_lo, n_hi + 1),
-        beta=args.beta if args.beta is not None else FIXED_BETA,
-        gamma=args.gamma if args.gamma is not None else FIXED_GAMMA,
+        beta=args.beta,
+        gamma=args.gamma,
         p=args.p,
-        samples=args.samples if args.samples is not None else DEFAULT_SAMPLES,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        samples=args.samples,
+        seed=args.seed,
         optimize=bool(args.optimize),
     )
     if args.self_test_negate and reports:
         first = reports[0]
-        reports[0] = type(first)(
-            quantity=first.quantity + " [negated for self-test]",
-            analytic=first.analytic,
-            oracle=first.oracle,
-            oracle_std_err=first.oracle_std_err,
-            passed=not first.passed,
-            tolerance_used=first.tolerance_used,
+        reports[0] = replace(
+            first, quantity=first.quantity + " [negated for self-test]", passed=not first.passed
         )
     width = max(len(r.quantity) for r in reports)
     for r in reports:
@@ -429,7 +418,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _resolve_options(args)
         if args.command == "bound":
             return cmd_bound(args)
         if args.command == "sweep":

@@ -129,8 +129,8 @@ class BernoulliModel:
         return RiskReference(mean, std_err, "monte_carlo")
 
     def simulate_risk(self, estimator: str, samples: int, seed: int) -> tuple[float, float]:
-        if samples < 1:
-            raise ValueError("samples must be positive")
+        if samples < 2:
+            raise ValueError("samples must be at least 2 (the standard error needs two)")
         if estimator == "posterior_median":
             table = np.array(_beta_median_table(self.n))
         elif estimator == "posterior_mean":
@@ -208,8 +208,8 @@ class GaussianModel:
         return RiskReference(math.sqrt(2.0 / math.pi) * math.sqrt(self.posterior_var), 0.0, "exact")
 
     def simulate_risk(self, estimator: str, samples: int, seed: int) -> tuple[float, float]:
-        if samples < 1:
-            raise ValueError("samples must be positive")
+        if samples < 2:
+            raise ValueError("samples must be at least 2 (the standard error needs two)")
         if estimator not in ("posterior_median", "posterior_mean"):
             raise ValueError(f"unknown estimator {estimator!r}")
         # The posterior is Gaussian, so its median and mean coincide.

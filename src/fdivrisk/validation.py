@@ -44,6 +44,15 @@ __all__ = [
 
 _MC_CHUNK = 1_000_000
 
+# Fixed-mode family parameters, shared by the certification suite and the CLI.
+FIXED_BETA = 0.75
+FIXED_GAMMA = 2.2
+
+
+def default_order(model: Model) -> float:
+    """Fixed-mode Hellinger order: 2 for the coin-flip model, 3/2 Gaussian."""
+    return 2.0 if isinstance(model, BernoulliModel) else 1.5
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -304,12 +313,11 @@ def certification_suite(
     ns: "list[int] | range",
     *,
     p: float | None = None,
-    beta: float = 0.75,
-    gamma: float = 2.2,
+    beta: float = FIXED_BETA,
+    gamma: float = FIXED_GAMMA,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     optimize: bool = False,
-    search=None,
 ) -> list[OracleReport]:
     """Certify closed forms against brute force and every bound against the
     risk oracle, for each sample count in ``ns``.
@@ -321,7 +329,7 @@ def certification_suite(
     if not ns:
         raise ValueError("empty n range")
     if p is None:
-        p = 2.0 if isinstance(template, BernoulliModel) else 1.5
+        p = default_order(template)
     reports: list[OracleReport] = []
 
     smallest = replace(template, n=ns[0])
@@ -356,9 +364,8 @@ def certification_suite(
             hockey_stick_bound(beta, gamma, e_beta_gamma_numeric(model, beta, gamma), coeff),
         ]
         if optimize:
-            kwargs = {} if search is None else {"search": search}
-            results.append(optimize_parameters(model, "hellinger", **kwargs))
-            results.append(optimize_parameters(model, "hockey_stick", **kwargs))
+            results.append(optimize_parameters(model, "hellinger"))
+            results.append(optimize_parameters(model, "hockey_stick"))
         risk = risk_report(model, samples, seed + n)
         reports.extend(certify_bounds(model, results, risk))
     return reports

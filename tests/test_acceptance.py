@@ -17,7 +17,6 @@ from decimal import Decimal, getcontext
 import pytest
 
 from fdivrisk.bounds import (
-    SearchSpec,
     hellinger_bound,
     hockey_stick_bound,
     optimize_parameters,
@@ -40,11 +39,6 @@ from fdivrisk.numerics import log_comb
 from fdivrisk.validation import monte_carlo_divergence, risk_report
 
 SEED = 20250811
-
-# Soundness is independent of how hard the parameter search tries, so the
-# optimized-parameter bounds in criterion 5 use a lighter grid than the
-# engine default to keep the whole criterion inside its runtime budget.
-ACCEPTANCE_SEARCH = SearchSpec(p_points=17, beta_points=12, gamma_points=12, refine_budget=32)
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -182,8 +176,8 @@ def test_criterion_5_soundness_against_risk_oracle():
                 hockey_stick_bound(
                     0.75, 2.2, e_beta_gamma_numeric(model, 0.75, 2.2), coeff
                 ),
-                optimize_parameters(model, "hellinger", ACCEPTANCE_SEARCH),
-                optimize_parameters(model, "hockey_stick", ACCEPTANCE_SEARCH),
+                optimize_parameters(model, "hellinger"),
+                optimize_parameters(model, "hockey_stick"),
             ]
             risk = risk_report(model, samples=10**6, seed=SEED + n)
             ceiling = risk.oracle + 3.0 * risk.oracle_std_err

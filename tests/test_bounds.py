@@ -6,7 +6,6 @@ import random
 import pytest
 
 from fdivrisk.bounds import (
-    SearchSpec,
     hellinger_bound,
     hockey_stick_bound,
     master_bound,
@@ -147,6 +146,21 @@ class TestHockeyStickBound:
         )
         assert composed == pytest.approx(result.value, rel=1e-12)
 
+    @pytest.mark.parametrize("model_cls", [BernoulliModel, GaussianModel])
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    def test_depends_on_beta_only_through_tau(self, model_cls, n):
+        # E_{beta,gamma} = beta E_{1,gamma/beta}, so the bound is a function
+        # of tau = gamma / beta alone.
+        model = model_cls(n)
+        coeff = model.small_ball_coefficient()
+        for beta, gamma in ((0.75, 2.2), (0.3, 0.88), (3.0, 8.8)):
+            tau = gamma / beta
+            e_scaled = e_beta_gamma_numeric(model, beta, gamma)
+            scaled = hockey_stick_bound(beta, gamma, e_scaled, coeff)
+            unit = hockey_stick_bound(1.0, tau, e_beta_gamma_numeric(model, 1.0, tau), coeff)
+            assert scaled.value == pytest.approx(unit.value, rel=1e-12)
+            assert scaled.rho_star == pytest.approx(unit.rho_star, rel=1e-12)
+
     def test_quadratic_form_constant(self):
         # (beta - E)^2 / (4 gamma beta c) for the linear envelope.
         value = hockey_stick_bound(0.75, 2.2, 0.1, 2.0).value
@@ -170,7 +184,7 @@ class TestOptimizeParameters:
             assert best.value >= fixed - 1e-10
 
     def test_dominates_unit_beta_family(self):
-        # beta = 1 restricted search is a subset of the full one.
+        # The tau search must dominate every tau it could have picked.
         model = BernoulliModel(5)
         best = optimize_parameters(model, "hockey_stick")
         for gamma in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
@@ -180,15 +194,8 @@ class TestOptimizeParameters:
             assert best.value >= restricted - 1e-10
 
     def test_hellinger_maximiser_location_and_stability(self):
-        model = BernoulliModel(10)
-        search = SearchSpec()
-        best = optimize_parameters(model, "hellinger", search)
+        best = optimize_parameters(BernoulliModel(10), "hellinger")
         assert 1.2 <= best.generator.p <= 5.0
-        doubled = SearchSpec(
-            p_points=2 * search.p_points - 1, refine_budget=2 * search.refine_budget
-        )
-        best_doubled = optimize_parameters(model, "hellinger", doubled)
-        assert best_doubled.value == pytest.approx(best.value, rel=1e-4)
 
     def test_hellinger_matches_dense_grid_oracle(self):
         model = BernoulliModel(10)
@@ -198,6 +205,17 @@ class TestOptimizeParameters:
             for p in (1.0 + (8.0 - 1.0) * i / 10**4 for i in range(1, 10**4 + 1))
         )
         assert best.value >= dense - 1e-6
+        assert best.value == pytest.approx(dense, rel=1e-4)
+
+    @pytest.mark.parametrize("model", [BernoulliModel(10), GaussianModel(5)])
+    def test_hockey_stick_matches_dense_tau_oracle(self, model):
+        best = optimize_parameters(model, "hockey_stick")
+        coeff = model.small_ball_coefficient()
+        dense = max(
+            hockey_stick_bound(1.0, tau, e_beta_gamma_numeric(model, 1.0, tau), coeff).value
+            for tau in (160.0 ** (i / 1200) for i in range(1201))
+        )
+        assert best.value >= dense - 1e-10
         assert best.value == pytest.approx(dense, rel=1e-4)
 
     def test_gaussian_search_skips_divergent_orders(self):

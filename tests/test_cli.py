@@ -167,6 +167,17 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--n-range", "5..2")
         assert code == EXIT_USAGE
 
+    def test_single_oracle_sample_is_usage_error(self, capsys):
+        # A standard error needs two samples; one must not print nan.
+        code, out, err = run(
+            capsys,
+            "sweep",
+            *["--model", "bernoulli", "--n-range", "1..2", "--oracle", "--samples", "1"],
+        )
+        assert code == EXIT_USAGE
+        assert "nan" not in out
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_compare_fills_both_families(self, capsys):
         code, out, _ = run(capsys, "compare", "--model", "bernoulli", "--n-range", "1..2")
         assert code == EXIT_OK
