@@ -4,7 +4,8 @@ Subcommands: ``bound`` (one bound, printed), ``sweep`` (CSV/SVG risk curves
 over a range of sample counts), ``compare`` (sweep with every family), and
 ``validate`` (oracle certification, exit 0 only if everything passes).
 
-Exit codes: 0 success, 1 validation failure, 2 argument error, 3 I/O error.
+Exit codes: 0 success, 1 validation failure, 2 argument error or numerical
+failure (an ``ArithmeticError`` such as an overflow), 3 I/O error.
 All randomness flows from ``--seed`` (fixed default, never wall clock), so
 identical invocations produce byte-identical output.
 """
@@ -309,6 +310,10 @@ def _sweep_config(args: argparse.Namespace, families: tuple[str, ...]) -> SweepC
 # --------------------------------------------------------------------------
 
 
+# Options that only a sweep uses, which a single bound would silently drop.
+_SWEEP_ONLY = ("oracle", "svg", "n_range")
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     family = _families(args, ("hellinger",))[0]
     # Validate family parameters before anything else so bad parameters are
@@ -320,6 +325,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
             raise ValueError("beta must be positive")
         if not args.gamma >= args.beta:
             raise ValueError("gamma must be at least beta")
+    ignored = ["--" + name.replace("_", "-") for name in _SWEEP_ONLY if getattr(args, name)]
+    if ignored:
+        raise ValueError(f"bound does not take {', '.join(ignored)}")
     if args.n is None:
         raise ValueError("--n is required for a single bound")
     model = build_model(args.model, args.n, args.sigma_w_sq, args.sigma_sq)
@@ -428,6 +436,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return cmd_validate(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """f-mutual-information values between the parameter and the observations.
 
-Closed forms where they exist (Hellinger family on both models), and a
-kink-aware quadrature engine for the hockey-stick family and for generic
-cross-validation of the closed forms.
+Closed forms where they exist: the Hellinger family on both models, and the
+coin-flip hockey-stick family as a closed form (incomplete-beta sum) over
+Hamming weights.  A kink-aware quadrature engine covers the Gaussian
+hockey-stick family and the generic cross-validation of the closed forms.
 
 Value convention: Hellinger-family results are stored "scaled" as
 (p-1) * H_p + 1, which is exactly what the bound formulas consume; the raw
@@ -13,16 +14,17 @@ are the raw E_{beta,gamma} value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .generators import Generator, Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model
 from .numerics import (
     adaptive_quadrature,
-    bisect_root,
     log_comb,
     norm_cdf,
     norm_pdf,
+    regularized_incomplete_beta,
 )
 
 __all__ = [
@@ -50,8 +52,10 @@ class DivergenceInfiniteError(ValueError):
 class DivergenceValue:
     """A computed f-mutual-information value with provenance.
 
-    ``error_estimate`` is an absolute bound for quadrature results, a
-    standard error for Monte-Carlo results, and zero for closed forms.
+    ``error_estimate`` is an absolute bound on the numerical error of
+    quadrature and closed-form results, and a standard error for Monte-Carlo
+    results.  The Hellinger closed forms report zero: they do not bound
+    their rounding.
     """
 
     value: float
@@ -173,42 +177,15 @@ def combinatorial_identity_check(n: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Quadrature engine: coin-flip model (1-D per Hamming weight)
+# Coin-flip model: kink roots and the closed-form hockey-stick sum
 # --------------------------------------------------------------------------
 
-_BERNOULLI_REL_TOL = 1e-10
 _KINK_TOL = 1e-13
-
-
-def _bernoulli_kink_interval(model: BernoulliModel, k: int, log_tau: float):
-    """Interval where the density ratio exceeds tau for Hamming weight k.
-
-    The kernel w^k (1-w)^(n-k) is unimodal with peak at w = k/n, so the
-    level set is a single interval; each endpoint is bracketed on one side
-    of the peak and located by bisection.  Returns None when the ratio never
-    reaches tau.
-    """
-    n = model.n
-    mode = k / n
-    logc = math.log(n + 1.0) + log_comb(n, k)
-
-    def excess(w: float) -> float:
-        if w <= 0.0:
-            return (logc if k == 0 else -math.inf) - log_tau
-        if w >= 1.0:
-            return (logc if k == n else -math.inf) - log_tau
-        v = logc
-        if k:
-            v += k * math.log(w)
-        if k < n:
-            v += (n - k) * math.log1p(-w)
-        return v - log_tau
-
-    if excess(mode) <= 0.0:
-        return None
-    lo = 0.0 if k == 0 else bisect_root(excess, 0.0, mode, tol=_KINK_TOL)
-    hi = 1.0 if k == n else bisect_root(excess, mode, 1.0, tol=_KINK_TOL)
-    return lo, hi
+_KINK_MAX_ITER = 128
+_EPS = sys.float_info.epsilon
+# Relative error of the incomplete-beta continued fraction: its 1e-16
+# convergence test plus a few roundings in each of at most 500 Lentz steps.
+_BETACF_REL_ERR = 1e-12
 
 
 def _bernoulli_log_kernel(model: BernoulliModel, k: int):
@@ -226,27 +203,130 @@ def _bernoulli_log_kernel(model: BernoulliModel, k: int):
     return log_ratio
 
 
+def _kink_root(excess, slope, inside: float, outside: float, start: float) -> float:
+    """Root of the concave ``excess``, positive at ``inside`` (the mode) and
+    negative at ``outside``, by Newton's method kept inside the bracket.
+
+    A step that leaves the bracket is replaced by a bisection step.  Stops
+    once a Newton step or the bracket is no longer than ``_KINK_TOL``.
+    """
+    x = start
+    for _ in range(_KINK_MAX_ITER):
+        lo, hi = (inside, outside) if inside < outside else (outside, inside)
+        if hi - lo <= _KINK_TOL:
+            break
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        v = excess(x)
+        if v > 0.0:
+            inside = x
+        elif v < 0.0:
+            outside = x
+        else:
+            return x
+        d = slope(x)
+        if d == 0.0:
+            continue  # x is now a bracket end, so the next pass bisects
+        step = v / d
+        x -= step
+        if abs(step) <= _KINK_TOL and lo <= x <= hi:
+            return x
+    return 0.5 * (inside + outside)
+
+
+def _bernoulli_kink_interval(model: BernoulliModel, k: int, log_tau: float):
+    """Interval where the density ratio exceeds tau for Hamming weight k.
+
+    The log-kernel k log w + (n-k) log(1-w) is concave with its peak at the
+    mode w = k/n, so the level set is a single interval.  Each end is found
+    by safeguarded Newton, started where the Gaussian approximation of the
+    kernel around the mode crosses the level.  Returns None when the ratio
+    never exceeds tau.
+    """
+    n = model.n
+    mode = k / n
+    log_ratio = _bernoulli_log_kernel(model, k)
+
+    def excess(w: float) -> float:
+        return log_ratio(w) - log_tau
+
+    def slope(w: float) -> float:
+        return k / w - (n - k) / (1.0 - w)
+
+    peak = excess(mode)
+    if peak <= 0.0:
+        return None
+    half_width = math.sqrt(2.0 * peak * mode * (1.0 - mode) / n)
+    lo = 0.0 if k == 0 else _kink_root(excess, slope, mode, 0.0, mode - half_width)
+    hi = 1.0 if k == n else _kink_root(excess, slope, mode, 1.0, mode + half_width)
+    return lo, hi
+
+
+def _log_beta_kernel_size(a: float, b: float, x: float) -> float:
+    """Sum of the magnitudes of the terms of log(x^a (1-x)^b / B(a, b)) for
+    0 < x < 1.
+
+    Each term is rounded to within two ulps, so 4 eps times this size bounds
+    the absolute rounding error of the log-density, which grows like n log n.
+    """
+    return (
+        math.lgamma(a + b)
+        + abs(math.lgamma(a))
+        + abs(math.lgamma(b))
+        - a * math.log(x)
+        - b * math.log1p(-x)
+    )
+
+
 def _e_beta_gamma_bernoulli(model: BernoulliModel, beta: float, gamma: float) -> DivergenceValue:
+    """E_{beta,gamma} as a finite sum over Hamming weights.
+
+    For weight k the density ratio is the Beta(k+1, n-k+1) density, so its
+    term beta*ratio - gamma integrates over the kink interval [lo, hi] to
+    beta (I_hi - I_lo) - gamma (hi - lo), with I the regularized incomplete
+    beta function.  Weights k and n-k mirror each other (w <-> 1-w), so only
+    k <= n/2 is evaluated and the rest counted twice.
+
+    The error bound covers the rounding of the incomplete-beta front factor
+    and of the continued fraction, and the kink roots: the integrand vanishes
+    at a root, so a root off by d moves the term by at most about
+    gamma * |slope| * d^2, slope being the log-ratio's derivative there.
+    """
     n = model.n
     log_tau = math.log(gamma) - math.log(beta)
     values = []
     errors = []
-    for k in range(n + 1):
+    for k in range(n // 2 + 1):
         interval = _bernoulli_kink_interval(model, k, log_tau)
         if interval is None:
             continue
-        log_ratio = _bernoulli_log_kernel(model, k)
-
-        def integrand(w: float) -> float:
-            return beta * math.exp(log_ratio(w)) - gamma
-
-        val, err = adaptive_quadrature(
-            integrand, interval[0], interval[1], rel_tol=_BERNOULLI_REL_TOL, abs_tol=1e-16
-        )
-        values.append(val)
-        errors.append(err)
+        a = k + 1.0
+        b = n - k + 1.0
+        term = -gamma * (interval[1] - interval[0])
+        err = _EPS * (beta + gamma)
+        for sign, w in zip((-1.0, 1.0), interval):
+            i_w = regularized_incomplete_beta(a, b, w)
+            term += sign * beta * i_w
+            if w in (0.0, 1.0):
+                continue  # an exact end: I_0 = 0 and I_1 = 1
+            size = _log_beta_kernel_size(a, b, w)
+            tail = min(i_w, 1.0 - i_w)
+            err += beta * (tail * (4.0 * _EPS * size + _BETACF_REL_ERR) + _EPS)
+            slope = max(abs(k / w - (n - k) / (1.0 - w)), _EPS)
+            root_err = _KINK_TOL + 4.0 * _EPS * (size + abs(log_tau)) / slope
+            err += gamma * slope * root_err * root_err
+        weight = 1.0 if 2 * k == n else 2.0
+        values.append(weight * term)
+        errors.append(weight * err)
     scale = 1.0 / (n + 1.0)
-    return DivergenceValue(scale * math.fsum(values), "quadrature", scale * math.fsum(errors))
+    return DivergenceValue(scale * math.fsum(values), "closed_form", scale * math.fsum(errors))
+
+
+# --------------------------------------------------------------------------
+# Generic quadrature: coin-flip model (1-D per Hamming weight)
+# --------------------------------------------------------------------------
+
+_BERNOULLI_REL_TOL = 1e-10
 
 
 def _f_mi_bernoulli(model: BernoulliModel, g: Generator) -> tuple[float, float]:
@@ -450,9 +530,10 @@ def _f_mi_gaussian_hellinger(model: GaussianModel, g: Hellinger) -> tuple[float,
 def e_beta_gamma_numeric(model: Model, beta: float, gamma: float) -> DivergenceValue:
     """E_{beta,gamma} mutual information between the parameter and the data.
 
-    Coin-flip model: exact finite sum over Hamming weights of 1-D integrals
-    split at the kink roots.  Gaussian model: outer quadrature over w with
-    the per-slice x-interval handled in closed form.
+    Coin-flip model: closed form (incomplete-beta sum) over Hamming weights,
+    between the kink roots of each weight's density ratio.  Gaussian model:
+    outer quadrature over w with the per-slice x-interval handled in closed
+    form.
     """
     if not beta > 0.0:
         raise ValueError("beta must be positive")

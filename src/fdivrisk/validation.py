@@ -346,10 +346,12 @@ def certification_suite(
             floor,
         )
     )
+    engine = e_beta_gamma_numeric(smallest, beta, gamma)
+    method = engine.method.replace("_", "-")
     reports.append(
         _relative_report(
-            f"{_model_label(smallest)}: quadrature {generator_label(HockeyStick(beta, gamma))} vs brute force",
-            e_beta_gamma_numeric(smallest, beta, gamma).value,
+            f"{_model_label(smallest)}: {method} {generator_label(HockeyStick(beta, gamma))} vs brute force",
+            engine.value,
             brute_force_divergence(smallest, HockeyStick(beta, gamma), points),
             max(rel, 1e-4),
             max(floor, 1e-6),

@@ -62,6 +62,28 @@ class TestBoundCommand:
         value = float(out.splitlines()[0].split()[-1])
         assert value == pytest.approx(5.0 * 0.75**2 / 66.0, rel=1e-10)
 
+    def test_overflow_is_one_line_usage_error(self, capsys):
+        # The order-300 Hellinger value at n = 2000 overflows a float.
+        code, out, err = run(capsys, "bound", "--model", "bernoulli", "--n", "2000", "--p", "300")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_sweep_only_options_rejected(self, capsys, tmp_path):
+        svg = tmp_path / "out.svg"
+        code, out, err = run(
+            capsys, "bound", "--n", "5", "--oracle", "--svg", str(svg), "--n-range", "1..3"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: bound does not take --oracle, --svg, --n-range\n"
+        assert not svg.exists()
+        # A bad family parameter is still reported first.
+        code, _, err = run(capsys, "bound", "--n", "5", "--p", "0.5", "--oracle")
+        assert code == EXIT_USAGE
+        assert "p must exceed 1" in err
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound", "--model", "bernoulli")
         assert code == EXIT_USAGE

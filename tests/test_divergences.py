@@ -137,7 +137,7 @@ class TestHockeyStickNumeric:
         # E_{1,1} at n = 1: both weight classes contribute 1/4 each, halved.
         value = e_beta_gamma_numeric(BernoulliModel(1), 1.0, 1.0)
         assert value.value == pytest.approx(0.25, abs=1e-12)
-        assert value.method == "quadrature"
+        assert value.method == "closed_form"
 
     def test_total_variation_n1_riemann_oracle(self):
         # Dense midpoint sum of max(0, ratio - 1) over the product measure.
@@ -191,6 +191,17 @@ class TestHockeyStickNumeric:
         with pytest.raises(ValueError):
             e_beta_gamma_numeric(BernoulliModel(2), 2.0, 1.0)
 
+    # E_{0.75,2.2} computed independently with scipy: kink roots by
+    # scipy.optimize.brentq (rtol 8.9e-16) and each Hamming-weight term as
+    # 0.75 (betainc(a, b, hi) - betainc(a, b, lo)) - 2.2 (hi - lo), summed with
+    # math.fsum.  At n = 1000 an mpmath evaluation (30 digits) agrees to 1e-16.
+    @pytest.mark.parametrize(
+        "n, reference", [(1000, 0.6103152230147991), (10000, 0.6984930435865926)]
+    )
+    def test_bernoulli_error_estimate_bounds_reference(self, n, reference):
+        value = e_beta_gamma_numeric(BernoulliModel(n), 0.75, 2.2)
+        assert abs(value.value - reference) <= value.error_estimate <= 1e-10
+
     def test_non_negative(self):
         for n in (1, 5, 20):
             value = e_beta_gamma_numeric(BernoulliModel(n), 0.75, 2.2).value
@@ -207,11 +218,14 @@ class TestGenericEngine:
                 assert quad == pytest.approx(closed, rel=1e-8)
 
     def test_bernoulli_hockey_stick_matches_specialised_path(self):
-        for n in (2, 7):
+        # Both parities of n, so the even-n middle weight (counted once) is
+        # covered, and tau from total variation up to the search's top end.
+        for n in (1, 2, 7, 50, 200):
             model = BernoulliModel(n)
-            fast = e_beta_gamma_numeric(model, 0.75, 2.2).value
-            generic = f_mi_numeric(model, HockeyStick(0.75, 2.2)).value
-            assert generic == pytest.approx(fast, abs=1e-11, rel=1e-8)
+            for tau in (1.0, 1.5, 2.9333, 10.0, 40.0, 160.0):
+                fast = e_beta_gamma_numeric(model, 1.0, tau).value
+                generic = f_mi_numeric(model, HockeyStick(1.0, tau)).value
+                assert abs(fast - generic) <= 1e-11, (n, tau)
 
     def test_hockey_stick_beta_scaling(self):
         # E_{b,b} = b * E_{1,1}: the integrand scales linearly.
