@@ -2,7 +2,9 @@
 
 Closed forms where they exist: the Hellinger family on both models, and the
 coin-flip hockey-stick family as a closed form (incomplete-beta sum) over
-Hamming weights.  A kink-aware quadrature engine covers the Gaussian
+Hamming weights.  That sum runs one weight at a time in pure Python below
+``_ARRAY_MIN_WEIGHTS`` weights k <= n/2 (n < 126), and in numpy blocks of
+weights from there on.  A kink-aware quadrature engine covers the Gaussian
 hockey-stick family and the generic cross-validation of the closed forms.
 
 Value convention: Hellinger-family results are stored "scaled" as
@@ -17,9 +19,12 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .generators import Generator, Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model
 from .numerics import (
+    _beta_cont_frac_array,
     adaptive_quadrature,
     log_comb,
     norm_cdf,
@@ -278,20 +283,11 @@ def _log_beta_kernel_size(a: float, b: float, x: float) -> float:
     )
 
 
-def _e_beta_gamma_bernoulli(model: BernoulliModel, beta: float, gamma: float) -> DivergenceValue:
-    """E_{beta,gamma} as a finite sum over Hamming weights.
-
-    For weight k the density ratio is the Beta(k+1, n-k+1) density, so its
-    term beta*ratio - gamma integrates over the kink interval [lo, hi] to
-    beta (I_hi - I_lo) - gamma (hi - lo), with I the regularized incomplete
-    beta function.  Weights k and n-k mirror each other (w <-> 1-w), so only
-    k <= n/2 is evaluated and the rest counted twice.
-
-    The error bound covers the rounding of the incomplete-beta front factor
-    and of the continued fraction, and the kink roots: the integrand vanishes
-    at a root, so a root off by d moves the term by at most about
-    gamma * |slope| * d^2, slope being the log-ratio's derivative there.
-    """
+def _bernoulli_terms_scalar(
+    model: BernoulliModel, beta: float, gamma: float
+) -> tuple[list, list]:
+    """Per-weight terms of E_{beta,gamma} and their error bounds, one weight
+    at a time (see :func:`_e_beta_gamma_bernoulli`)."""
     n = model.n
     log_tau = math.log(gamma) - math.log(beta)
     values = []
@@ -318,6 +314,166 @@ def _e_beta_gamma_bernoulli(model: BernoulliModel, beta: float, gamma: float) ->
         weight = 1.0 if 2 * k == n else 2.0
         values.append(weight * term)
         errors.append(weight * err)
+    return values, errors
+
+
+# Hamming weights (k <= n/2) from which the kernel switches to numpy blocks,
+# so n >= 126.  Measured over the parameter search's tau grid, the two paths
+# break even near 51 weights; below that the arrays' fixed cost of a few
+# hundred numpy calls exceeds the scalar loop's work.
+_ARRAY_MIN_WEIGHTS = 64
+# Weights per numpy block: bounds the size of the temporaries.
+_ARRAY_BLOCK = 1024
+
+
+def _kink_roots_array(excess, slope, inside, outside, x) -> np.ndarray:
+    """:func:`_kink_root` over arrays, element by element.
+
+    Each element stops under the scalar rules and keeps the value it stopped
+    at.  ``excess`` and ``slope`` map an array of abscissae to arrays.  Works
+    in place on ``inside``, ``outside`` and ``x``.
+    """
+    root = x.copy()
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(_KINK_MAX_ITER):
+        lo = np.minimum(inside, outside)
+        hi = np.maximum(inside, outside)
+        narrow = ~done & (hi - lo <= _KINK_TOL)
+        np.copyto(root, 0.5 * (inside + outside), where=narrow)
+        done |= narrow
+        if done.all():
+            return root
+        np.copyto(x, 0.5 * (lo + hi), where=~((lo < x) & (x < hi)))
+        v = excess(x)
+        live = ~done
+        np.copyto(inside, x, where=live & (v > 0.0))
+        np.copyto(outside, x, where=live & (v < 0.0))
+        hit = live & (v == 0.0)
+        np.copyto(root, x, where=hit)
+        done |= hit
+        d = slope(x)
+        step = v / d
+        moving = ~done & (d != 0.0)
+        x_next = x - step
+        converged = moving & (np.abs(step) <= _KINK_TOL) & (lo <= x_next) & (x_next <= hi)
+        np.copyto(root, x_next, where=converged)
+        done |= converged
+        np.copyto(x, x_next, where=moving)
+    np.copyto(root, 0.5 * (inside + outside), where=~done)
+    return root
+
+
+def _bernoulli_terms_array(
+    model: BernoulliModel, beta: float, gamma: float
+) -> tuple[list, list]:
+    """:func:`_bernoulli_terms_scalar` over blocks of weights in numpy.
+
+    Each weight takes the scalar path's steps in the same order (peak test,
+    Newton kink roots, incomplete-beta ends, error bound), so the two agree
+    to within the libm and numpy rounding of log, log1p and exp.
+    """
+    n = model.n
+    log_tau = math.log(gamma) - math.log(beta)
+    # lgam[i] = lgamma(i + 1): log-factorials, and lgamma of the Beta shapes.
+    lgam = np.fromiter(map(math.lgamma, range(1, n + 3)), float, n + 2)
+    log_np1 = math.log(n + 1.0)
+    weights = n // 2 + 1
+    values: list = []
+    errors: list = []
+    with np.errstate(all="ignore"):  # settled and exact ends may hit log(0)
+        for first in range(0, weights, _ARRAY_BLOCK):
+            ks = np.arange(first, min(first + _ARRAY_BLOCK, weights))
+            k = ks.astype(float)
+            rest = n - k
+            logc = log_np1 + (lgam[n] - lgam[ks] - lgam[n - ks])
+            mode = k / n
+            log_mode = np.log(mode, out=np.zeros_like(mode), where=ks > 0)
+            peak = logc + k * log_mode + rest * np.log1p(-mode) - log_tau
+            keep = peak > 0.0
+            if not keep.any():
+                continue
+            ks, k, rest, logc, mode, peak = (v[keep] for v in (ks, k, rest, logc, mode, peak))
+
+            # Lower roots in the first half, upper roots in the second.
+            k2 = np.concatenate((k, k))
+            rest2 = np.concatenate((rest, rest))
+            logc2 = np.concatenate((logc, logc))
+
+            def excess(w):
+                return logc2 + k2 * np.log(w) + rest2 * np.log1p(-w) - log_tau
+
+            def slope(w):
+                return k2 / w - rest2 / (1.0 - w)
+
+            size = len(k)
+            half_width = np.sqrt(2.0 * peak * mode * (1.0 - mode) / n)
+            # Weight 0 peaks at w = 0: its lower bracket [0, 0] is already
+            # closed, so that root comes out as exactly 0.
+            inside = np.concatenate((mode, mode))
+            outside = np.concatenate((np.zeros(size), np.ones(size)))
+            start = np.concatenate((mode - half_width, mode + half_width))
+            w = _kink_roots_array(excess, slope, inside, outside, start)
+
+            # Regularized incomplete beta I_w(a, b) at every end, from the
+            # continued fraction on whichever side converges.
+            a = k2 + 1.0
+            b = rest2 + 1.0
+            lg_a = np.concatenate((lgam[ks], lgam[ks]))
+            lg_b = np.concatenate((lgam[n - ks], lgam[n - ks]))
+            log_w = np.log(w)
+            log_1mw = np.log1p(-w)
+            exact = (w == 0.0) | (w == 1.0)
+            inner = ~exact
+            front = np.exp(lgam[n + 1] - lg_a - lg_b + a * log_w + b * log_1mw)
+            flip = ~(w < (a + 1.0) / (a + b + 2.0))
+            cf_a = np.where(flip, b, a)
+            cf_b = np.where(flip, a, b)
+            cf_x = np.where(flip, 1.0 - w, w)
+            frac = np.zeros_like(w)
+            frac[inner] = _beta_cont_frac_array(cf_a[inner], cf_b[inner], cf_x[inner])
+            i_w = np.where(flip, 1.0 - front * frac / b, front * frac / a)
+            i_w = np.where(exact, w, i_w)
+
+            kernel_size = lgam[n + 1] + np.abs(lg_a) + np.abs(lg_b) - a * log_w - b * log_1mw
+            tail = np.minimum(i_w, 1.0 - i_w)
+            cf_err = beta * (tail * (4.0 * _EPS * kernel_size + _BETACF_REL_ERR) + _EPS)
+            ratio_slope = np.maximum(np.abs(slope(w)), _EPS)
+            root_err = _KINK_TOL + 4.0 * _EPS * (kernel_size + abs(log_tau)) / ratio_slope
+            root_err = gamma * ratio_slope * root_err * root_err
+            cf_err = np.where(exact, 0.0, cf_err)
+            root_err = np.where(exact, 0.0, root_err)
+
+            lo, hi = w[:size], w[size:]
+            term = -gamma * (hi - lo) + -beta * i_w[:size] + beta * i_w[size:]
+            err = _EPS * (beta + gamma) + cf_err[:size] + root_err[:size]
+            err = err + cf_err[size:] + root_err[size:]
+            weight = np.where(2 * ks == n, 1.0, 2.0)
+            values.extend((weight * term).tolist())
+            errors.extend((weight * err).tolist())
+    return values, errors
+
+
+def _e_beta_gamma_bernoulli(model: BernoulliModel, beta: float, gamma: float) -> DivergenceValue:
+    """E_{beta,gamma} as a finite sum over Hamming weights.
+
+    For weight k the density ratio is the Beta(k+1, n-k+1) density, so its
+    term beta*ratio - gamma integrates over the kink interval [lo, hi] to
+    beta (I_hi - I_lo) - gamma (hi - lo), with I the regularized incomplete
+    beta function.  Weights k and n-k mirror each other (w <-> 1-w), so only
+    k <= n/2 is evaluated and the rest counted twice.  From
+    ``_ARRAY_MIN_WEIGHTS`` such weights on, they are evaluated in numpy
+    blocks; below it, one at a time.
+
+    The error bound covers the rounding of the incomplete-beta front factor
+    and of the continued fraction, and the kink roots: the integrand vanishes
+    at a root, so a root off by d moves the term by at most about
+    gamma * |slope| * d^2, slope being the log-ratio's derivative there.
+    """
+    n = model.n
+    if n // 2 + 1 >= _ARRAY_MIN_WEIGHTS:
+        values, errors = _bernoulli_terms_array(model, beta, gamma)
+    else:
+        values, errors = _bernoulli_terms_scalar(model, beta, gamma)
     scale = 1.0 / (n + 1.0)
     return DivergenceValue(scale * math.fsum(values), "closed_form", scale * math.fsum(errors))
 
@@ -531,7 +687,9 @@ def e_beta_gamma_numeric(model: Model, beta: float, gamma: float) -> DivergenceV
     """E_{beta,gamma} mutual information between the parameter and the data.
 
     Coin-flip model: closed form (incomplete-beta sum) over Hamming weights,
-    between the kink roots of each weight's density ratio.  Gaussian model:
+    between the kink roots of each weight's density ratio; evaluated one
+    weight at a time for n < 126, and in numpy blocks of weights from
+    n = 126 on.  Gaussian model:
     outer quadrature over w with the per-slice x-interval handled in closed
     form.
     """

@@ -1,14 +1,17 @@
 """Scalar numerical kernels: nested quadrature, root finding, special functions.
 
 Deterministic pure-Python building blocks shared by the divergence and bound
-engines.  The vectorised Monte-Carlo oracles live in
-:mod:`fdivrisk.validation`.
+engines, plus a numpy form of the incomplete-beta continued fraction for the
+coin-flip hockey-stick kernel at large n.  The vectorised Monte-Carlo oracles
+live in :mod:`fdivrisk.validation`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+
+import numpy as np
 
 __all__ = [
     "QuadratureError",
@@ -282,6 +285,57 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
         if abs(delta - 1.0) < _BETACF_EPS:
             return h
     raise ArithmeticError(f"incomplete-beta continued fraction stalled (a={a}, b={b}, x={x})")
+
+
+def _clamp_tiny(v: np.ndarray) -> None:
+    np.copyto(v, _BETACF_FPMIN, where=np.abs(v) < _BETACF_FPMIN)
+
+
+def _beta_cont_frac_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`_beta_cont_frac` over arrays, element by element.
+
+    Every element takes the same floating-point steps as the scalar loop and
+    keeps its value from the step at which it converged.  Raises the same
+    ``ArithmeticError`` if any element has not converged after
+    ``_BETACF_MAX_ITER`` steps.
+    """
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    _clamp_tiny(d)
+    d = 1.0 / d
+    h = d.copy()
+    out = np.empty_like(x)
+    pending = np.ones(x.shape, dtype=bool)
+    for m in range(1, _BETACF_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        _clamp_tiny(d)
+        c = 1.0 + aa / c
+        _clamp_tiny(c)
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        _clamp_tiny(d)
+        c = 1.0 + aa / c
+        _clamp_tiny(c)
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) < _BETACF_EPS
+        done &= pending
+        np.copyto(out, h, where=done)
+        pending &= ~done
+        if not pending.any():
+            return out
+    i = int(np.argmax(pending))
+    raise ArithmeticError(
+        f"incomplete-beta continued fraction stalled (a={a[i]}, b={b[i]}, x={x[i]})"
+    )
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+from fdivrisk import numerics
 from fdivrisk.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -69,6 +71,16 @@ class TestBoundCommand:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_continued_fraction_stall_is_one_line_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
+        code, out, err = run(
+            capsys, "bound", "--model", "bernoulli", "--n", "400", "--family", "hockey-stick"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "continued fraction stalled" in err
 
     def test_sweep_only_options_rejected(self, capsys, tmp_path):
         svg = tmp_path / "out.svg"
@@ -205,6 +217,17 @@ class TestSweepCommand:
         assert code == EXIT_OK
         cells = out.splitlines()[1].split(",")
         assert cells[1] != "" and cells[2] != ""
+
+
+class TestGoldenOutput:
+    # Fixed-parameter output, which draws no random numbers: refactors and
+    # speed-ups must leave it byte-identical to the stored files.
+    @pytest.mark.parametrize("model", ["bernoulli", "gaussian"])
+    def test_compare_matches_golden_file(self, capsys, model):
+        golden = Path(__file__).parent / "golden" / f"compare_{model}.csv"
+        code, out, _ = run(capsys, "compare", "--model", model, "--n-range", "1..50")
+        assert code == EXIT_OK
+        assert out.encode() == golden.read_bytes()
 
 
 class TestConfigFile:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fdivrisk import divergences, numerics
 from fdivrisk.divergences import (
     DivergenceInfiniteError,
     DivergenceValue,
@@ -206,6 +207,35 @@ class TestHockeyStickNumeric:
         for n in (1, 5, 20):
             value = e_beta_gamma_numeric(BernoulliModel(n), 0.75, 2.2).value
             assert value >= -1e-12
+
+
+class TestBernoulliArrayPath:
+    # Odd and even n on both sides of the size at which the kernel switches
+    # from one weight at a time to numpy blocks.
+    NS = (6, 7, 124, 125, 126, 127, 400, 401)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_agrees_with_scalar_path(self, n):
+        crossover = divergences._ARRAY_MIN_WEIGHTS
+        assert min(self.NS) // 2 + 1 < crossover <= max(self.NS) // 2 + 1
+        model = BernoulliModel(n)
+        # The last two tau sit just inside and outside the k = 0 peak n + 1.
+        for tau in (1.0, 1.5, 2.9333, 40.0, 160.0, n + 1.0 - 1e-9, n + 1.0 + 1e-9):
+            values, errors = divergences._bernoulli_terms_scalar(model, 1.0, tau)
+            array_values, array_errors = divergences._bernoulli_terms_array(model, 1.0, tau)
+            assert len(array_values) == len(values), tau
+            scalar_sum = math.fsum(values)
+            array_sum = math.fsum(array_values)
+            tolerance = math.fsum(errors) + math.fsum(array_errors)
+            assert abs(array_sum - scalar_sum) <= tolerance, (tau, array_sum, scalar_sum)
+            expected = array_sum if n // 2 + 1 >= crossover else scalar_sum
+            value = e_beta_gamma_numeric(model, 1.0, tau).value
+            assert value == (1.0 / (n + 1.0)) * expected, tau
+
+    def test_continued_fraction_stall_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError, match="continued fraction stalled"):
+            e_beta_gamma_numeric(BernoulliModel(400), 0.75, 2.2)
 
 
 class TestGenericEngine:

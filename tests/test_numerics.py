@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fdivrisk.numerics import (
     QuadratureError,
+    _beta_cont_frac,
+    _beta_cont_frac_array,
     adaptive_quadrature,
     beta_median,
     bisect_root,
@@ -116,6 +119,16 @@ class TestSpecialFunctions:
             regularized_incomplete_beta(-1.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, 2.0, 1.5)
+
+    def test_continued_fraction_array_matches_scalar(self):
+        # Only +, -, *, / and abs: every element must match the scalar loop
+        # bit for bit, whatever step it converges at.
+        rng = np.random.default_rng(5)
+        a = np.concatenate(([1.0, 2.0, 5001.0], rng.uniform(1.0, 3000.0, 200)))
+        b = np.concatenate(([1.0, 9000.0, 5001.0], rng.uniform(1.0, 3000.0, 200)))
+        x = (a + 1.0) / (a + b + 2.0) * np.concatenate(([0.5, 1e-6, 0.999], rng.random(200)))
+        expected = [_beta_cont_frac(*args) for args in zip(a.tolist(), b.tolist(), x.tolist())]
+        assert _beta_cont_frac_array(a, b, x).tolist() == expected
 
     def test_beta_median_known_values(self):
         # Beta(1, 2) has CDF 1 - (1-x)^2, so the median is 1 - sqrt(1/2);

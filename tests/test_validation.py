@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from fdivrisk import validation
 from fdivrisk.bounds import hellinger_bound, hockey_stick_bound
 from fdivrisk.divergences import chi_squared_bernoulli, e_beta_gamma_numeric
 from fdivrisk.generators import Hellinger, HockeyStick
@@ -116,11 +117,15 @@ class TestRiskOracles:
         report = monte_carlo_risk(model, "posterior_mean", 10**5, seed=6)
         assert report.oracle <= model.risk_upper_bound() + 3.0 * report.oracle_std_err
 
-    def test_risk_report_dispatch(self):
+    def test_risk_report_dispatch(self, monkeypatch):
         exact = risk_report(GaussianModel(2, 1.0, 2.0))
         assert exact.oracle_std_err == 0.0 and exact.passed
+        # The Monte-Carlo report needs no exact enumeration: nothing reads it.
+        monkeypatch.setattr(validation, "exact_bernoulli_risk", None)
         stochastic = risk_report(BernoulliModel(2), samples=10**5, seed=9)
         assert stochastic.oracle_std_err > 0.0
+        simulated = BernoulliModel(2).simulate_risk("posterior_median", 10**5, 9)
+        assert (stochastic.oracle, stochastic.oracle_std_err) == simulated
 
 
 class TestCertifyBounds:
