@@ -4,8 +4,9 @@ Subcommands: ``bound`` (one bound, printed), ``sweep`` (CSV/SVG risk curves
 over a range of sample counts), ``compare`` (sweep with every family), and
 ``validate`` (oracle certification, exit 0 only if everything passes).
 
-Exit codes: 0 success, 1 validation failure, 2 argument error or numerical
-failure (an ``ArithmeticError`` such as an overflow), 3 I/O error.
+Exit codes: 0 success, 1 validation failure, 2 argument error, numerical
+failure (an ``ArithmeticError`` such as an overflow) or running out of memory
+(such as a ``--samples`` too large to hold), 3 I/O error.
 All randomness flows from ``--seed`` (fixed default, never wall clock), so
 identical invocations produce byte-identical output.
 """
@@ -31,7 +32,7 @@ from .validation import (
     certification_suite,
     default_order,
     generator_label,
-    risk_report,
+    risk_reports,
 )
 
 __all__ = ["main", "RiskCurve", "RiskCurveRow", "SweepConfig"]
@@ -145,19 +146,27 @@ def _family_bound(
 
 
 def compute_risk_curve(config: SweepConfig) -> RiskCurve:
+    """Bounds and, with ``config.oracle``, the risk oracle for each n.
+
+    The oracle columns come from ``risk_reports``: worker threads draw them
+    while this thread computes the bounds.
+    """
+    models = [
+        build_model(config.model, n, config.sigma_w_sq, config.sigma_sq)
+        for n in range(config.n_lo, config.n_hi + 1)
+    ]
+    reports = risk_reports(models, config.samples, config.seed) if config.oracle else None
     rows = []
-    for n in range(config.n_lo, config.n_hi + 1):
-        model = build_model(config.model, n, config.sigma_w_sq, config.sigma_sq)
+    for model in models:
         hellinger = hockey = risk = stderr = None
         if "hellinger" in config.families:
             hellinger = _family_bound(model, "hellinger", config).value
         if "hockey_stick" in config.families:
             hockey = _family_bound(model, "hockey_stick", config).value
-        if config.oracle:
-            report = risk_report(model, config.samples, config.seed + n)
-            risk = report.oracle
-            stderr = report.oracle_std_err
-        rows.append(RiskCurveRow(n, hellinger, hockey, risk, stderr))
+        if reports is not None:
+            report = next(reports)
+            risk, stderr = report.oracle, report.oracle_std_err
+        rows.append(RiskCurveRow(model.n, hellinger, hockey, risk, stderr))
     return RiskCurve(tuple(rows))
 
 
@@ -439,6 +448,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -31,6 +31,8 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 10**6
+# Hamming weights drawn per rng.binomial call in BernoulliModel.simulate_risk.
+_BINOMIAL_BLOCK = 65_536
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -129,6 +131,14 @@ class BernoulliModel:
         return RiskReference(mean, std_err, "monte_carlo")
 
     def simulate_risk(self, estimator: str, samples: int, seed: int) -> tuple[float, float]:
+        """Monte-Carlo risk of ``estimator`` and its standard error.
+
+        Draws ``samples`` (bias, Hamming weight) pairs from the Philox stream
+        of ``seed``.  The call holds one array of ``samples`` floats and, at
+        its peak (the standard deviation), one more: about 16 bytes per
+        sample.  Its result depends only on the arguments, so calls for
+        different seeds may run on different threads.
+        """
         if samples < 2:
             raise ValueError("samples must be at least 2 (the standard error needs two)")
         if estimator == "posterior_median":
@@ -138,9 +148,15 @@ class BernoulliModel:
         else:
             raise ValueError(f"unknown estimator {estimator!r}")
         rng = make_rng(seed)
-        w = rng.random(samples)
-        k = rng.binomial(self.n, w)
-        err = np.abs(w - table[k])
+        err = rng.random(samples)
+        # Draw the Hamming weights a block at a time and overwrite each block
+        # of biases with its errors, so the call holds one sample-sized array.
+        # Binomial draws take the stream element by element, so the values
+        # equal those of a single rng.binomial(self.n, err) call.
+        for start in range(0, samples, _BINOMIAL_BLOCK):
+            block = err[start : start + _BINOMIAL_BLOCK]
+            block -= table[rng.binomial(self.n, block)]
+            np.abs(block, out=block)
         return float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples))
 
 

@@ -36,7 +36,7 @@ from fdivrisk.divergences import (
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
 from fdivrisk.numerics import log_comb
-from fdivrisk.validation import monte_carlo_divergence, risk_report
+from fdivrisk.validation import monte_carlo_divergence, risk_reports
 
 SEED = 20250811
 
@@ -167,23 +167,22 @@ def test_criterion_4_hockey_stick_instances():
 def test_criterion_5_soundness_against_risk_oracle():
     start = time.time()
     failures = []
-    for n in range(1, 51):
-        for model in (BernoulliModel(n), GaussianModel(n, 1.0, 2.0)):
-            coeff = model.small_ball_coefficient()
-            p = 2.0 if isinstance(model, BernoulliModel) else 1.5
-            results = [
-                hellinger_bound(p, hellinger_divergence(model, p), coeff),
-                hockey_stick_bound(
-                    0.75, 2.2, e_beta_gamma_numeric(model, 0.75, 2.2), coeff
-                ),
-                optimize_parameters(model, "hellinger"),
-                optimize_parameters(model, "hockey_stick"),
-            ]
-            risk = risk_report(model, samples=10**6, seed=SEED + n)
-            ceiling = risk.oracle + 3.0 * risk.oracle_std_err
-            for result in results:
-                if result.value > ceiling:
-                    failures.append((model, result.generator, result.value, ceiling))
+    models = [m for n in range(1, 51) for m in (BernoulliModel(n), GaussianModel(n, 1.0, 2.0))]
+    # The oracle of model m draws with seed SEED + m.n, on worker threads
+    # while this thread runs the parameter searches.
+    for model, risk in zip(models, risk_reports(models, samples=10**6, seed=SEED)):
+        coeff = model.small_ball_coefficient()
+        p = 2.0 if isinstance(model, BernoulliModel) else 1.5
+        results = [
+            hellinger_bound(p, hellinger_divergence(model, p), coeff),
+            hockey_stick_bound(0.75, 2.2, e_beta_gamma_numeric(model, 0.75, 2.2), coeff),
+            optimize_parameters(model, "hellinger"),
+            optimize_parameters(model, "hockey_stick"),
+        ]
+        ceiling = risk.oracle + 3.0 * risk.oracle_std_err
+        for result in results:
+            if result.value > ceiling:
+                failures.append((model, result.generator, result.value, ceiling))
     elapsed = time.time() - start
     ok = not failures and elapsed < 120.0
     report(5, ok, f"{len(failures)} violations over 400 bounds, {elapsed:.1f}s")

@@ -17,6 +17,7 @@ from fdivrisk.cli import (
     main,
     risk_curve_csv,
 )
+from fdivrisk.models import BernoulliModel
 
 
 def run(capsys, *argv):
@@ -200,6 +201,16 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--n-range", "5..2")
         assert code == EXIT_USAGE
+
+    def test_out_of_memory_is_one_line_usage_error(self, capsys, monkeypatch):
+        def simulate_risk(model, estimator, samples, seed):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(BernoulliModel, "simulate_risk", simulate_risk)
+        code, out, err = run(capsys, "sweep", "--n-range", "1..3", "--oracle")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
 
     def test_single_oracle_sample_is_usage_error(self, capsys):
         # A standard error needs two samples; one must not print nan.

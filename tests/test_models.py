@@ -87,6 +87,30 @@ class TestBernoulliModel:
         assert a.std_err > 0.0
 
 
+class TestBernoulliSimulatedRisk:
+    """The blocked Monte-Carlo risk equals the one-shot formula bit for bit."""
+
+    # n = 61 and 200 reach numpy's BTPE branch (n * min(w, 1 - w) > 30).
+    @pytest.mark.parametrize("n", [1, 7, 50, 61, 200])
+    @pytest.mark.parametrize("samples", [2, 65_535, 65_536, 65_537, 10**6 + 3])
+    @pytest.mark.parametrize("seed", [1729, 4])
+    def test_matches_one_shot_formula(self, n, samples, seed):
+        model = BernoulliModel(n)
+        # One draw of the whole sample, as the risk was once computed; both
+        # estimators read the same stream.
+        rng = make_rng(seed)
+        w = rng.random(samples)
+        k = rng.binomial(n, w)
+        tables = {
+            "posterior_median": np.array([model.posterior_median(j) for j in range(n + 1)]),
+            "posterior_mean": (np.arange(n + 1) + 1.0) / (n + 2.0),
+        }
+        for estimator, table in tables.items():
+            err = np.abs(w - table[k])
+            expected = (float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples)))
+            assert model.simulate_risk(estimator, samples, seed) == expected, estimator
+
+
 class TestGaussianModel:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests for the oracle module itself (the certifiers get certified here)."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -17,6 +19,7 @@ from fdivrisk.validation import (
     monte_carlo_divergence,
     monte_carlo_risk,
     risk_report,
+    risk_reports,
 )
 
 # Exact posterior-median risk at n = 1 (two-point enumeration, median
@@ -126,6 +129,58 @@ class TestRiskOracles:
         assert stochastic.oracle_std_err > 0.0
         simulated = BernoulliModel(2).simulate_risk("posterior_median", 10**5, 9)
         assert (stochastic.oracle, stochastic.oracle_std_err) == simulated
+
+
+class TestRiskReports:
+    MODELS = {
+        "bernoulli": [BernoulliModel(n) for n in range(1, 8)],
+        "gaussian": [GaussianModel(n, 1.0, 2.0) for n in range(1, 8)],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+    def test_equal_to_one_report_per_model(self, monkeypatch, workers, kind):
+        monkeypatch.setattr(validation, "_available_cpus", lambda: workers)
+        models = self.MODELS[kind]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        try:
+            reports = list(risk_reports(models, 10**5, 11))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [risk_report(m, 10**5, 11 + m.n) for m in models]
+
+    def test_empty(self):
+        assert list(risk_reports([])) == []
+
+    def test_error_at_one_n_surfaces_and_cancels_the_rest(self, monkeypatch):
+        monkeypatch.setattr(validation, "_available_cpus", lambda: 1)
+        started = []
+        workers = set()
+        release = threading.Event()
+
+        def simulate_risk(model, estimator, samples, seed):
+            started.append(model.n)
+            workers.add(threading.current_thread())
+            if model.n == 2:
+                raise ArithmeticError("no risk at n = 2")
+            if model.n > 2:
+                release.wait(10.0)
+            return 0.25, 0.01
+
+        monkeypatch.setattr(BernoulliModel, "simulate_risk", simulate_risk)
+        reports = risk_reports([BernoulliModel(n) for n in range(1, 9)], 10, 0)
+        try:
+            assert next(reports).oracle == 0.25
+            with pytest.raises(ArithmeticError, match="no risk at n = 2"):
+                next(reports)
+        finally:
+            release.set()
+        (worker,) = workers
+        worker.join(10.0)
+        assert not worker.is_alive()
+        # The one worker may have started n = 3; every later n was cancelled.
+        assert set(started) <= {1, 2, 3}
 
 
 class TestCertifyBounds:
