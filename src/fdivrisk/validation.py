@@ -5,9 +5,10 @@ code path with what they certify: dense-grid midpoint integration of the
 divergence definition, vectorised Monte Carlo under the product measure, and
 simulated estimator risks that every emitted lower bound must stay below.
 
-The risk oracles of a sweep (``risk_reports``) run one n per available CPU.
-Each n draws from its own stream, seeded with ``seed + n``, so the reports
-do not depend on the CPU count; each worker holds about 16 bytes per sample.
+The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
+on at most two threads.  Each n draws from its own stream, seeded with
+``seed + n``, so the reports do not depend on the CPU count; each worker
+holds about 16 bytes per sample.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ __all__ = [
 ]
 
 _MC_CHUNK = 1_000_000
+# Worker threads of risk_reports at most.  A Bernoulli report holds about 16
+# bytes per sample, so two workers stay below the 40 bytes per sample of the
+# one-shot draw they replaced, whatever the host's CPU count.
+_MAX_WORKERS = 2
 
 # Fixed-mode family parameters, shared by the certification suite and the CLI.
 FIXED_BETA = 0.75
@@ -267,7 +272,8 @@ def risk_report(model: Model, samples: int = DEFAULT_SAMPLES, seed: int = DEFAUL
     Callers read only ``oracle`` and ``oracle_std_err``; there is no second
     value to compare against, so ``analytic`` repeats the oracle.  The Monte
     Carlo draws come from the stream of ``seed`` alone and take about 16
-    bytes per sample; sweeps run one report per CPU through ``risk_reports``.
+    bytes per sample; sweeps run up to two reports at once through
+    ``risk_reports``.
     """
     if isinstance(model, GaussianModel):
         value, std_err, kind = model.bayes_risk_reference().value, 0.0, "exact"
@@ -284,18 +290,22 @@ def risk_report(model: Model, samples: int = DEFAULT_SAMPLES, seed: int = DEFAUL
     )
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
+def _worker_count() -> int:
+    """Oracle worker threads: one per CPU this process may run on, at most
+    ``_MAX_WORKERS``."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 def risk_reports(
     models: Iterable[Model], samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> Iterator[OracleReport]:
     """Yield ``risk_report(model, samples, seed + model.n)`` for each model,
-    in order, computed on one worker thread per available CPU.
+    in order, computed on one worker thread per available CPU, at most
+    ``_MAX_WORKERS``.
 
     Each report draws from its own seeded stream and numpy's random fills
     run without the GIL, so the reports are byte-identical for any worker
@@ -311,11 +321,9 @@ def risk_reports(
     models = list(models)
     if not models:
         return
-    pool = ThreadPoolExecutor(max_workers=min(_available_cpus(), len(models)))
+    pool = ThreadPoolExecutor(max_workers=min(_worker_count(), len(models)))
     try:
-        futures = [pool.submit(risk_report, m, samples, seed + m.n) for m in models]
-        for future in futures:
-            yield future.result()
+        yield from pool.map(lambda m: risk_report(m, samples, seed + m.n), models)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 

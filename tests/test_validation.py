@@ -1,6 +1,7 @@
 """Tests for the oracle module itself (the certifiers get certified here)."""
 
 import math
+import os
 import sys
 import threading
 
@@ -140,7 +141,7 @@ class TestRiskReports:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
     def test_equal_to_one_report_per_model(self, monkeypatch, workers, kind):
-        monkeypatch.setattr(validation, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(validation, "_worker_count", lambda: workers)
         models = self.MODELS[kind]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads as often as possible
@@ -153,8 +154,16 @@ class TestRiskReports:
     def test_empty(self):
         assert list(risk_reports([])) == []
 
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 2)])
+    def test_worker_count_is_capped(self, monkeypatch, cpus, workers):
+        # Each worker holds about 16 bytes per sample, so the pool must not
+        # grow with the host's CPU count.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert validation._worker_count() == workers
+
     def test_error_at_one_n_surfaces_and_cancels_the_rest(self, monkeypatch):
-        monkeypatch.setattr(validation, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(validation, "_worker_count", lambda: 1)
         started = []
         workers = set()
         release = threading.Event()
