@@ -1,43 +1,30 @@
 """Lower bounds on the Bayesian risk of estimation problems via f-divergences.
 
-The package computes f-mutual-information values (closed forms plus a
-kink-aware quadrature engine), turns them into risk lower bounds with exact
-rho-maximisation, and certifies every emitted number against independent
-Monte-Carlo and brute-force oracles.  See the ``fdivrisk`` CLI for sweeps,
-CSV/SVG emission and the validation suite.
+The package computes f-mutual-information values for the Hellinger and
+hockey-stick families (closed forms, and a quadrature over the prior for the
+Gaussian hockey-stick family), turns them into risk lower bounds with exact
+rho-maximisation and a parameter search, and certifies every emitted number
+against brute-force divergence grids and the Bayes risk.  See the
+``fdivrisk`` CLI for sweeps, CSV/SVG emission and the validation suite.
 """
 
 from .bounds import (
     BoundResult,
     hellinger_bound,
     hockey_stick_bound,
-    master_bound,
     optimize_parameters,
     optimize_rho_closed_form,
-    optimize_rho_golden,
 )
 from .divergences import (
     DivergenceInfiniteError,
     DivergenceValue,
-    chi_squared_bernoulli,
-    chi_squared_scaled_upper_bound,
-    combinatorial_identity_check,
     e_beta_gamma_numeric,
-    f_mi_numeric,
     hellinger_bernoulli_closed_form,
     hellinger_divergence,
     hellinger_gaussian_closed_form,
     raw_from_scaled,
-    renyi_from_hellinger,
 )
-from .generators import (
-    Generator,
-    Hellinger,
-    HockeyStick,
-    chi_squared,
-    generalized_inverse_numeric,
-    total_variation,
-)
+from .generators import Generator, Hellinger, HockeyStick
 from .models import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -52,8 +39,6 @@ from .validation import (
     brute_force_divergence,
     certify_bounds,
     exact_bernoulli_risk,
-    monte_carlo_divergence,
-    monte_carlo_risk,
 )
 
 __version__ = "0.1.0"
@@ -75,26 +60,14 @@ __all__ = [
     "SmallBallBound",
     "brute_force_divergence",
     "certify_bounds",
-    "chi_squared",
-    "chi_squared_bernoulli",
-    "chi_squared_scaled_upper_bound",
-    "combinatorial_identity_check",
     "e_beta_gamma_numeric",
     "exact_bernoulli_risk",
-    "f_mi_numeric",
-    "generalized_inverse_numeric",
     "hellinger_bernoulli_closed_form",
     "hellinger_bound",
     "hellinger_divergence",
     "hellinger_gaussian_closed_form",
     "hockey_stick_bound",
-    "master_bound",
-    "monte_carlo_divergence",
-    "monte_carlo_risk",
     "optimize_parameters",
     "optimize_rho_closed_form",
-    "optimize_rho_golden",
     "raw_from_scaled",
-    "renyi_from_hellinger",
-    "total_variation",
 ]

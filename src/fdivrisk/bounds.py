@@ -4,8 +4,9 @@ The master inequality lower-bounds the Bayes risk by
 rho * (1 - L * f^{-1}((I_f + (1 - L) f*(0)) / L)) for every rho > 0, with L
 the small-ball mass at radius rho.  With a linear small-ball envelope
 L <= c * rho both parametric families reduce to maximising
-rho * (1 - C rho^t - b), which has an exact maximiser; a golden-section
-fallback covers anything else and doubles as the optimiser's oracle.
+rho * (1 - C rho^t - b), which has an exact maximiser.  The general
+inequality itself is kept in ``tests/oracles.py``, as the reference the two
+family instantiations are checked against.
 
 The hockey-stick bound is invariant under scaling beta: E_{beta,gamma} =
 beta E_{1,gamma/beta}, so it depends only on tau = gamma / beta, and the
@@ -16,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .divergences import (
     DivergenceInfiniteError,
     DivergenceValue,
     e_beta_gamma_numeric,
     hellinger_divergence,
-    raw_from_scaled,
 )
 from .generators import Generator, Hellinger, HockeyStick
 from .models import Model, SmallBallBound
@@ -33,10 +32,8 @@ __all__ = [
     "BoundResult",
     "hellinger_bound",
     "hockey_stick_bound",
-    "master_bound",
     "optimize_parameters",
     "optimize_rho_closed_form",
-    "optimize_rho_golden",
 ]
 
 
@@ -53,7 +50,7 @@ class BoundResult:
     rho_star: float
     generator: Generator
     divergence: DivergenceValue
-    method: str  # "closed_form_rho" | "golden_section_rho"
+    method: str  # "closed_form_rho"
     vacuous: bool = False
 
 
@@ -95,55 +92,9 @@ def optimize_rho_closed_form(c: float, t: float, b: float = 0.0) -> tuple[float,
     return rho_star, value
 
 
-def optimize_rho_golden(
-    c: float, t: float, b: float = 0.0, *, tol: float = 1e-12
-) -> tuple[float, float]:
-    """Golden-section maximisation of rho (1 - c rho^t - b) on (0, rho_vacuous).
-
-    Numerical fallback for small-ball envelopes without the closed form; also
-    the independent oracle the exact maximiser is certified against.
-    """
-    if b >= 1.0:
-        return 0.0, 0.0
-    hi = ((1.0 - b) / c) ** (1.0 / t)
-    return golden_section_max(
-        lambda rho: rho * (1.0 - c * rho**t - b), 0.0, hi, tol=tol * hi, max_iter=400
-    )
-
-
 # --------------------------------------------------------------------------
-# The master bound and its two family instantiations
+# The two family instantiations of the master bound
 # --------------------------------------------------------------------------
-
-
-def master_bound(
-    g: Generator,
-    i_f: "DivergenceValue | float",
-    small_ball: float,
-    rho: float,
-) -> float:
-    """Risk lower bound at a fixed rho and small-ball mass.
-
-    ``i_f`` is interpreted in the canonical convention (scaled for the
-    Hellinger family, raw for hockey-stick).  When f*(0) <= 0 the conjugate
-    term drops out.  A negative parenthesis is clamped to 0: the underlying
-    tail inequality is then trivially true and carries no information.
-    """
-    if not 0.0 < small_ball <= 1.0:
-        raise ValueError("small-ball mass must lie in (0, 1]")
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    div = _as_divergence(i_f)
-    raw = raw_from_scaled(div, g.p) if isinstance(g, Hellinger) else div.value
-    if raw < -1e-9:
-        raise ValueError("divergence value must be non-negative")
-    raw = max(0.0, raw)
-    f_star = g.conjugate_at_zero()
-    if f_star <= 0.0:
-        arg = raw / small_ball
-    else:
-        arg = (raw + (1.0 - small_ball) * f_star) / small_ball
-    return rho * max(0.0, 1.0 - small_ball * g.generalized_inverse(arg))
 
 
 def hellinger_bound(
@@ -206,16 +157,6 @@ _TAU_GRID = _log_grid(1.0, 160.0, 33)
 _REFINE_BUDGET = 64
 
 
-@lru_cache(maxsize=None)
-def _cached_hellinger(model: Model, p: float) -> DivergenceValue:
-    return hellinger_divergence(model, p)
-
-
-@lru_cache(maxsize=None)
-def _cached_e_value(model: Model, tau: float) -> DivergenceValue:
-    return e_beta_gamma_numeric(model, 1.0, tau)
-
-
 def _grid_then_golden(grid: tuple[float, ...], bound_at) -> BoundResult:
     """Scan ``grid``, golden-section between the winner's neighbours, and
     return the best result seen anywhere, so a non-unimodal stretch cannot
@@ -250,17 +191,17 @@ def optimize_parameters(model: Model, family: str) -> BoundResult:
     hockey-stick bound depends on (beta, gamma) only through tau = gamma /
     beta, since E_{beta,gamma} = beta E_{1,tau} makes (beta - E)^2 / (4 gamma
     beta c) equal (1 - E_{1,tau})^2 / (4 tau c); so the search runs over tau
-    with beta = 1.  The inner rho maximisation is always exact; divergence
-    values are cached per (model, parameter) within a process.
+    with beta = 1.  The inner rho maximisation is always exact.
     """
     c = model.small_ball_coefficient().coefficient
     key = family.replace("-", "_")
     if key == "hellinger":
         return _grid_then_golden(
-            _P_GRID, lambda p: hellinger_bound(p, _cached_hellinger(model, p), c)
+            _P_GRID, lambda p: hellinger_bound(p, hellinger_divergence(model, p), c)
         )
     if key == "hockey_stick":
         return _grid_then_golden(
-            _TAU_GRID, lambda tau: hockey_stick_bound(1.0, tau, _cached_e_value(model, tau), c)
+            _TAU_GRID,
+            lambda tau: hockey_stick_bound(1.0, tau, e_beta_gamma_numeric(model, 1.0, tau), c),
         )
     raise ValueError(f"unknown bound family {family!r}")

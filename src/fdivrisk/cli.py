@@ -164,8 +164,7 @@ def compute_risk_curve(config: SweepConfig) -> RiskCurve:
         if "hockey_stick" in config.families:
             hockey = _family_bound(model, "hockey_stick", config).value
         if reports is not None:
-            report = next(reports)
-            risk, stderr = report.oracle, report.oracle_std_err
+            risk, stderr = next(reports)
         rows.append(RiskCurveRow(model.n, hellinger, hockey, risk, stderr))
     return RiskCurve(tuple(rows))
 

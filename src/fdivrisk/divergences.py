@@ -4,8 +4,9 @@ Closed forms where they exist: the Hellinger family on both models, and the
 coin-flip hockey-stick family as a closed form (incomplete-beta sum) over
 Hamming weights.  That sum runs one weight at a time in pure Python below
 ``_ARRAY_MIN_WEIGHTS`` weights k <= n/2 (n < 126), and in numpy blocks of
-weights from there on.  A kink-aware quadrature engine covers the Gaussian
-hockey-stick family and the generic cross-validation of the closed forms.
+weights from there on.  The Gaussian hockey-stick family is an adaptive
+quadrature over the parameter, with each slice in the sample mean in closed
+form.
 
 Value convention: Hellinger-family results are stored "scaled" as
 (p-1) * H_p + 1, which is exactly what the bound formulas consume; the raw
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import Generator, Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model
 from .numerics import (
     _beta_cont_frac_array,
@@ -35,16 +35,11 @@ from .numerics import (
 __all__ = [
     "DivergenceInfiniteError",
     "DivergenceValue",
-    "chi_squared_bernoulli",
-    "chi_squared_scaled_upper_bound",
-    "combinatorial_identity_check",
     "e_beta_gamma_numeric",
-    "f_mi_numeric",
     "hellinger_bernoulli_closed_form",
     "hellinger_divergence",
     "hellinger_gaussian_closed_form",
     "raw_from_scaled",
-    "renyi_from_hellinger",
 ]
 
 
@@ -60,7 +55,9 @@ class DivergenceValue:
     ``error_estimate`` is an absolute bound on the numerical error of
     quadrature and closed-form results, and a standard error for Monte-Carlo
     results.  The Hellinger closed forms report zero: they do not bound
-    their rounding.
+    their rounding.  A value or error estimate that is not finite (an
+    overflow, or a ``nan`` from cancellation) raises ``FloatingPointError``,
+    so no bound is ever built on one.
     """
 
     value: float
@@ -68,6 +65,11 @@ class DivergenceValue:
     error_estimate: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.error_estimate)):
+            raise FloatingPointError(
+                f"{self.method} divergence is not finite: value {self.value}, "
+                f"error estimate {self.error_estimate}"
+            )
         if self.method not in ("closed_form", "quadrature", "monte_carlo"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.error_estimate < 0.0:
@@ -110,30 +112,11 @@ def hellinger_bernoulli_closed_form(model: BernoulliModel, p: float) -> Divergen
     return DivergenceValue(math.exp(top) * total, "closed_form")
 
 
-def chi_squared_bernoulli(model: BernoulliModel) -> DivergenceValue:
-    """Scaled chi-squared information chi^2 + 1 = (n+1)/(2n+1) * 4^n / C(2n,n)."""
-    n = model.n
-    log_value = (
-        math.log(n + 1.0)
-        - math.log(2.0 * n + 1.0)
-        + n * math.log(4.0)
-        - (math.lgamma(2 * n + 1.0) - 2.0 * math.lgamma(n + 1.0))
-    )
-    return DivergenceValue(math.exp(log_value), "closed_form")
-
-
-def chi_squared_scaled_upper_bound(n: int) -> float:
-    """Envelope 16*sqrt(pi*n)/21 dominating chi^2 + 1 for every n >= 1."""
-    return 16.0 * math.sqrt(math.pi * n) / 21.0
-
-
-def hellinger_gaussian_closed_form(
-    sigma_w_sq: float, sigma_sq: float, p: float, d: int = 1
-) -> DivergenceValue:
+def hellinger_gaussian_closed_form(sigma_w_sq: float, sigma_sq: float, p: float) -> DivergenceValue:
     """Scaled order-p Hellinger information for a Gaussian prior observed in
-    d-dimensional Gaussian noise.
+    Gaussian noise.
 
-    (p-1) H_p + 1 = ((1 + r)^p / (1 + (2-p) p r))^(d/2) with r the
+    (p-1) H_p + 1 = ((1 + r)^p / (1 + (2-p) p r))^(1/2) with r the
     prior-to-noise variance ratio.  Callers handle n samples by substituting
     the sufficient-statistic noise variance sigma_sq / n.
     """
@@ -141,44 +124,20 @@ def hellinger_gaussian_closed_form(
         raise ValueError("p must exceed 1")
     if not (sigma_w_sq > 0.0 and sigma_sq > 0.0):
         raise ValueError("variances must be strictly positive")
-    if not (isinstance(d, int) and d >= 1):
-        raise ValueError("d must be a positive integer")
     r = sigma_w_sq / sigma_sq
     denom = 1.0 + (2.0 - p) * p * r
     if denom <= 0.0:
         raise DivergenceInfiniteError(
             f"order-{p} Hellinger information is infinite at variance ratio {r}"
         )
-    return DivergenceValue(((1.0 + r) ** p / denom) ** (0.5 * d), "closed_form")
+    return DivergenceValue(((1.0 + r) ** p / denom) ** 0.5, "closed_form")
 
 
 def hellinger_divergence(model: Model, p: float) -> DivergenceValue:
     """Scaled Hellinger information of the model at order p, via closed form."""
     if isinstance(model, BernoulliModel):
         return hellinger_bernoulli_closed_form(model, p)
-    return hellinger_gaussian_closed_form(model.sigma_w_sq, model.noise_var, p, 1)
-
-
-def renyi_from_hellinger(scaled: "DivergenceValue | float", p: float) -> float:
-    """Renyi divergence of order alpha = p from the scaled Hellinger value.
-
-    D_alpha = log((p-1) H_p + 1) / (alpha - 1); the exponential-form bound
-    built on it reproduces the Hellinger-form bound exactly.
-    """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
-    value = scaled.value if isinstance(scaled, DivergenceValue) else float(scaled)
-    if not value > 0.0:
-        raise ValueError("scaled divergence must be positive")
-    return math.log(value) / (p - 1.0)
-
-
-def combinatorial_identity_check(n: int) -> bool:
-    """Exact big-integer check of sum_k C(2k,k) C(2(n-k),n-k) = 4^n."""
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError("n must be a non-negative integer")
-    total = sum(math.comb(2 * k, k) * math.comb(2 * (n - k), n - k) for k in range(n + 1))
-    return total == 4**n
+    return hellinger_gaussian_closed_form(model.sigma_w_sq, model.noise_var, p)
 
 
 # --------------------------------------------------------------------------
@@ -191,21 +150,6 @@ _EPS = sys.float_info.epsilon
 # Relative error of the incomplete-beta continued fraction: its 1e-16
 # convergence test plus a few roundings in each of at most 500 Lentz steps.
 _BETACF_REL_ERR = 1e-12
-
-
-def _bernoulli_log_kernel(model: BernoulliModel, k: int):
-    n = model.n
-    logc = math.log(n + 1.0) + log_comb(n, k)
-
-    def log_ratio(w: float) -> float:
-        v = logc
-        if k:
-            v += k * math.log(w)
-        if k < n:
-            v += (n - k) * math.log1p(-w)
-        return v
-
-    return log_ratio
 
 
 def _kink_root(excess, slope, inside: float, outside: float, start: float) -> float:
@@ -250,10 +194,15 @@ def _bernoulli_kink_interval(model: BernoulliModel, k: int, log_tau: float):
     """
     n = model.n
     mode = k / n
-    log_ratio = _bernoulli_log_kernel(model, k)
+    logc = math.log(n + 1.0) + log_comb(n, k)
 
     def excess(w: float) -> float:
-        return log_ratio(w) - log_tau
+        v = logc
+        if k:
+            v += k * math.log(w)
+        if k < n:
+            v += (n - k) * math.log1p(-w)
+        return v - log_tau
 
     def slope(w: float) -> float:
         return k / w - (n - k) / (1.0 - w)
@@ -479,103 +428,46 @@ def _e_beta_gamma_bernoulli(model: BernoulliModel, beta: float, gamma: float) ->
 
 
 # --------------------------------------------------------------------------
-# Generic quadrature: coin-flip model (1-D per Hamming weight)
+# Gaussian model: quadrature over w, each slice in the sample mean in closed form
 # --------------------------------------------------------------------------
 
-_BERNOULLI_REL_TOL = 1e-10
-
-
-def _f_mi_bernoulli(model: BernoulliModel, g: Generator) -> tuple[float, float]:
-    n = model.n
-    values = []
-    errors = []
-    for k in range(n + 1):
-        breakpoints: tuple[float, ...] = ()
-        if isinstance(g, HockeyStick):
-            interval = _bernoulli_kink_interval(model, k, math.log(g.gamma / g.beta))
-            if interval is not None:
-                breakpoints = tuple(r for r in interval if 0.0 < r < 1.0)
-        log_ratio = _bernoulli_log_kernel(model, k)
-
-        def integrand(w: float) -> float:
-            return g.evaluate(math.exp(log_ratio(w)))
-
-        val, err = adaptive_quadrature(
-            integrand,
-            0.0,
-            1.0,
-            rel_tol=_BERNOULLI_REL_TOL,
-            abs_tol=1e-14,
-            breakpoints=breakpoints,
-        )
-        values.append(val)
-        errors.append(err)
-    scale = 1.0 / (n + 1.0)
-    return scale * math.fsum(values), scale * math.fsum(errors)
-
-
-# --------------------------------------------------------------------------
-# Quadrature engine: Gaussian model (iterated over w and the sample mean)
-# --------------------------------------------------------------------------
-
-_GAUSSIAN_OUTER_REL_TOL = 1e-8
-_GAUSSIAN_INNER_REL_TOL = 1e-10
+_GAUSSIAN_REL_TOL = 1e-8
 _GAUSSIAN_BOX_SD = 8.0
-
-
-def _gaussian_slice_bounds(model: GaussianModel, log_tau: float):
-    """Per-slice support of {density ratio > tau} in the sample-mean variable.
-
-    For fixed w the log-ratio is a downward parabola in x, so the level set
-    is an interval whose endpoints solve a quadratic; it is non-empty exactly
-    when |w| >= w_min.  Returns (w_min, slice) where slice(w) yields
-    (x_lo, x_hi) or None.
-    """
-    s2 = model.noise_var
-    m2 = model.marginal_var
-    sw2 = model.sigma_w_sq
-    # Threshold for the x-quadratic: -(x-w)^2/(2 s2) + x^2/(2 m2) > mu.
-    mu = log_tau - 0.5 * math.log(m2 / s2)
-    w_min = math.sqrt(2.0 * sw2 * mu) if mu > 0.0 else 0.0
-    a = 0.5 / m2 - 0.5 / s2  # < 0 since the noise variance is the smaller one
-
-    def bounds(w: float):
-        vertex = w * w / (2.0 * sw2) - mu
-        if vertex <= 0.0:
-            return None
-        b = w / s2
-        c = -w * w / (2.0 * s2) - mu
-        disc = b * b - 4.0 * a * c
-        sq = math.sqrt(disc)
-        q = -0.5 * (b + math.copysign(sq, b))
-        if q == 0.0:
-            return None
-        r1 = q / a
-        r2 = c / q
-        return (r1, r2) if r1 <= r2 else (r2, r1)
-
-    return w_min, bounds
 
 
 def _e_beta_gamma_gaussian(model: GaussianModel, beta: float, gamma: float) -> DivergenceValue:
     """E_{beta,gamma} between the parameter and the sample mean.
 
-    Outer adaptive quadrature over w (split where the positive region first
-    appears); for fixed w the inner x-integral of beta*joint - gamma*product
-    over the root interval is a difference of Gaussian CDFs, evaluated
-    exactly.  Both factors are even in (w, x), so only w >= 0 is integrated.
+    For fixed w the log-ratio is a downward parabola in x, so the set where
+    the density ratio exceeds gamma / beta is an interval whose ends solve a
+    quadratic; it is non-empty exactly when |w| >= w_min.  Over it the inner
+    x-integral of beta*joint - gamma*product is a difference of Gaussian
+    CDFs, evaluated exactly, and an outer adaptive quadrature integrates over
+    w from w_min.  Both factors are even in (w, x), so only w >= 0 is
+    integrated.
     """
-    s = math.sqrt(model.noise_var)
-    m = math.sqrt(model.marginal_var)
-    sw = math.sqrt(model.sigma_w_sq)
+    s2 = model.noise_var
+    m2 = model.marginal_var
     sw2 = model.sigma_w_sq
-    w_min, slice_bounds = _gaussian_slice_bounds(model, math.log(gamma / beta))
+    s = math.sqrt(s2)
+    m = math.sqrt(m2)
+    sw = math.sqrt(sw2)
+    # Threshold for the x-quadratic: -(x-w)^2/(2 s2) + x^2/(2 m2) > mu.
+    mu = math.log(gamma / beta) - 0.5 * math.log(m2 / s2)
+    w_min = math.sqrt(2.0 * sw2 * mu) if mu > 0.0 else 0.0
+    a = 0.5 / m2 - 0.5 / s2  # < 0 since the noise variance is the smaller one
 
     def outer(w: float) -> float:
-        b = slice_bounds(w)
-        if b is None:
+        if w * w / (2.0 * sw2) - mu <= 0.0:
             return 0.0
-        x_lo, x_hi = b
+        b = w / s2
+        c = -w * w / (2.0 * s2) - mu
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        if q == 0.0:
+            return 0.0
+        r1 = q / a
+        r2 = c / q
+        x_lo, x_hi = (r1, r2) if r1 <= r2 else (r2, r1)
         inner = beta * (norm_cdf((x_hi - w) / s) - norm_cdf((x_lo - w) / s)) - gamma * (
             norm_cdf(x_hi / m) - norm_cdf(x_lo / m)
         )
@@ -587,95 +479,8 @@ def _e_beta_gamma_gaussian(model: GaussianModel, beta: float, gamma: float) -> D
     tail = 2.0 * beta * (1.0 - norm_cdf(max(w_min, w_hi) / sw))
     if w_min >= w_hi:
         return DivergenceValue(0.0, "quadrature", tail)
-    val, err = adaptive_quadrature(
-        outer, w_min, w_hi, rel_tol=_GAUSSIAN_OUTER_REL_TOL, abs_tol=1e-18
-    )
+    val, err = adaptive_quadrature(outer, w_min, w_hi, rel_tol=_GAUSSIAN_REL_TOL, abs_tol=1e-18)
     return DivergenceValue(2.0 * val, "quadrature", 2.0 * err + tail)
-
-
-def _f_mi_gaussian_hockey(model: GaussianModel, g: HockeyStick) -> tuple[float, float]:
-    s2 = model.noise_var
-    m2 = model.marginal_var
-    sw = math.sqrt(model.sigma_w_sq)
-    sw2 = model.sigma_w_sq
-    w_min, slice_bounds = _gaussian_slice_bounds(model, math.log(g.gamma / g.beta))
-
-    def inner(w: float) -> float:
-        b = slice_bounds(w)
-        if b is None:
-            return 0.0
-        val, _ = adaptive_quadrature(
-            lambda x: norm_pdf(x, 0.0, m2) * g.evaluate(model.density_ratio(w, x)),
-            b[0],
-            b[1],
-            rel_tol=_GAUSSIAN_INNER_REL_TOL,
-            abs_tol=1e-17,
-        )
-        return val
-
-    w_hi = _GAUSSIAN_BOX_SD * sw
-    tail = 2.0 * g.beta * (1.0 - norm_cdf(max(w_min, w_hi) / sw))
-    if w_min >= w_hi:
-        return 0.0, tail
-    val, err = adaptive_quadrature(
-        lambda w: norm_pdf(w, 0.0, sw2) * inner(w),
-        w_min,
-        w_hi,
-        rel_tol=_GAUSSIAN_OUTER_REL_TOL,
-        abs_tol=1e-18,
-    )
-    return 2.0 * val, 2.0 * err + tail
-
-
-def _f_mi_gaussian_hellinger(model: GaussianModel, g: Hellinger) -> tuple[float, float]:
-    """Iterated quadrature of f_p(density ratio) against the product law.
-
-    The inner x-integrand is a Gaussian bump around a w-dependent centre, so
-    the inner window tracks that centre.  The outer window starts at +-8
-    prior standard deviations and doubles until the edge integrand is
-    negligible; unbounded growth (or float overflow) means the defining
-    integral diverges.
-    """
-    p = g.p
-    s2 = model.noise_var
-    m2 = model.marginal_var
-    m = math.sqrt(m2)
-    sw = math.sqrt(model.sigma_w_sq)
-    sw2 = model.sigma_w_sq
-    curv = (p - 1.0) / (2.0 * m2) - p / (2.0 * s2)  # x^2 coefficient; always < 0
-
-    def inner(w: float) -> float:
-        centre = (p * w / s2) / (-2.0 * curv)
-        width = math.sqrt(-0.5 / curv)
-        lo = min(-_GAUSSIAN_BOX_SD * m, centre - 10.0 * width)
-        hi = max(_GAUSSIAN_BOX_SD * m, centre + 10.0 * width)
-        val, _ = adaptive_quadrature(
-            lambda x: norm_pdf(x, 0.0, m2) * g.evaluate(model.density_ratio(w, x)),
-            lo,
-            hi,
-            rel_tol=_GAUSSIAN_INNER_REL_TOL,
-            abs_tol=1e-15,
-        )
-        return val
-
-    def outer(w: float) -> float:
-        return norm_pdf(w, 0.0, sw2) * inner(w)
-
-    try:
-        scale = max(abs(outer(0.0)), abs(outer(sw)), 1e-300)
-        half_width = _GAUSSIAN_BOX_SD * sw
-        for _ in range(5):
-            if abs(outer(half_width)) <= 1e-10 * scale:
-                val, err = adaptive_quadrature(
-                    outer, 0.0, half_width, rel_tol=_GAUSSIAN_OUTER_REL_TOL, abs_tol=1e-16
-                )
-                return 2.0 * val, 2.0 * err
-            half_width *= 2.0
-    except OverflowError:
-        pass
-    raise DivergenceInfiniteError(
-        f"order-{p} Hellinger integrand keeps growing; the divergence is infinite"
-    )
 
 
 # --------------------------------------------------------------------------
@@ -689,9 +494,8 @@ def e_beta_gamma_numeric(model: Model, beta: float, gamma: float) -> DivergenceV
     Coin-flip model: closed form (incomplete-beta sum) over Hamming weights,
     between the kink roots of each weight's density ratio; evaluated one
     weight at a time for n < 126, and in numpy blocks of weights from
-    n = 126 on.  Gaussian model:
-    outer quadrature over w with the per-slice x-interval handled in closed
-    form.
+    n = 126 on.  Gaussian model: outer quadrature over w with the per-slice
+    x-interval handled in closed form.
     """
     if not beta > 0.0:
         raise ValueError("beta must be positive")
@@ -700,21 +504,3 @@ def e_beta_gamma_numeric(model: Model, beta: float, gamma: float) -> DivergenceV
     if isinstance(model, BernoulliModel):
         return _e_beta_gamma_bernoulli(model, beta, gamma)
     return _e_beta_gamma_gaussian(model, beta, gamma)
-
-
-def f_mi_numeric(model: Model, g: Generator) -> DivergenceValue:
-    """Generic quadrature of the f-mutual information for any generator.
-
-    Exists to cross-validate the closed forms and the specialised
-    hockey-stick path; returns the canonical (scaled for Hellinger, raw for
-    hockey-stick) value.
-    """
-    if isinstance(model, BernoulliModel):
-        raw, err = _f_mi_bernoulli(model, g)
-    elif isinstance(g, HockeyStick):
-        raw, err = _f_mi_gaussian_hockey(model, g)
-    else:
-        raw, err = _f_mi_gaussian_hellinger(model, g)
-    if isinstance(g, Hellinger):
-        return DivergenceValue((g.p - 1.0) * raw + 1.0, "quadrature", (g.p - 1.0) * err)
-    return DivergenceValue(raw, "quadrature", err)

@@ -1,9 +1,11 @@
 """Convex generators of the two f-divergence families driving the bounds.
 
 A generator is an increasing convex function f on [0, inf) with f(1) = 0.
-The bound engine only ever needs three things from it: pointwise evaluation,
-the convex conjugate at zero f*(0) = sup_{x>=0} -f(x), and the generalized
-inverse f^{-1}(y) = inf{t >= 0 : f(t) > y}.
+These types only name a family member and check its parameters: the
+divergence kernels and the family bounds use each family's closed forms
+directly.  Pointwise evaluation, the conjugate at zero and the generalized
+inverse, which only the general master inequality needs, are kept in
+``tests/oracles.py`` as functions of the generator.
 """
 
 from __future__ import annotations
@@ -11,14 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-__all__ = [
-    "Generator",
-    "Hellinger",
-    "HockeyStick",
-    "chi_squared",
-    "generalized_inverse_numeric",
-    "total_variation",
-]
+__all__ = ["Generator", "Hellinger", "HockeyStick"]
 
 
 @dataclass(frozen=True)
@@ -34,21 +29,6 @@ class Hellinger:
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError("p must exceed 1")
-
-    def evaluate(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("generator argument must be non-negative")
-        return (t**self.p - 1.0) / (self.p - 1.0)
-
-    def conjugate_at_zero(self) -> float:
-        # sup_{x>=0} -f(x) is attained at x = 0.
-        return 1.0 / (self.p - 1.0)
-
-    def generalized_inverse(self, y: float) -> float:
-        base = (self.p - 1.0) * y + 1.0
-        if base < 0.0:
-            raise ValueError(f"y={y} below the range of the generator")
-        return base ** (1.0 / self.p)
 
 
 @dataclass(frozen=True)
@@ -68,61 +48,5 @@ class HockeyStick:
         if not self.gamma >= self.beta:
             raise ValueError("gamma must be at least beta")
 
-    def evaluate(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("generator argument must be non-negative")
-        return max(0.0, self.beta * t - self.gamma)
-
-    def conjugate_at_zero(self) -> float:
-        return 0.0
-
-    def generalized_inverse(self, y: float) -> float:
-        if y < 0.0:
-            raise ValueError(f"y={y} below the range of the generator")
-        return (y + self.gamma) / self.beta
-
 
 Generator = Union[Hellinger, HockeyStick]
-
-
-def chi_squared() -> Hellinger:
-    """The chi-squared generator, i.e. the Hellinger family at p = 2."""
-    return Hellinger(2.0)
-
-
-def total_variation() -> HockeyStick:
-    """Total variation as the hockey-stick case beta = gamma = 1.
-
-    E_{1,1}(P||Q) integrates max(0, p - q), which equals the half-L1
-    total-variation distance; the bound engine consumes this scaling.
-    """
-    return HockeyStick(1.0, 1.0)
-
-
-def generalized_inverse_numeric(generator, y: float, *, abs_tol: float = 1e-14) -> float:
-    """Monotone fallback for inf{t >= 0 : f(t) > y}: interval doubling, then
-    bisection to ``abs_tol``.
-
-    Exists so the bound engine stays generator-agnostic when a future kind
-    has no closed-form inverse; the closed forms above are tested against it.
-    """
-    f = generator.evaluate
-    if f(0.0) > y:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) > y:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(f"y={y} not exceeded by the generator on [0, 2^200]")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    # Bisection on the predicate f(t) > y; the set is an open ray, so the
-    # upper endpoint converges to its infimum.
-    while hi - lo > abs_tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > y:
-            hi = mid
-        else:
-            lo = mid
-    return hi

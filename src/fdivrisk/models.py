@@ -4,7 +4,8 @@ Both use absolute-error loss |w - w_hat|.  Each model exposes the joint-vs-
 product density ratio over a sufficient statistic (Hamming weight for the
 coin-flip setting, sample mean for the Gaussian one) so divergence integrals
 stay low-dimensional for any sample count, plus a linear small-ball envelope
-and a reference Bayes risk used to certify every emitted bound.
+and the Bayes risk (simulated for the coin flips, exact for the Gaussian
+model) that every emitted bound is certified against.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ DEFAULT_SAMPLES = 10**6
 _BINOMIAL_BLOCK = 65_536
 
 
-def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-based RNG (Philox) keyed by ``seed`` and an optional stream id.
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based RNG (Philox) keyed by ``seed``.
 
-    Distinct stream ids give statistically independent, individually
-    reproducible streams, so concurrent sweeps stay deterministic.
+    Distinct seeds give statistically independent, individually reproducible
+    streams, so a sweep that seeds each n with its own value stays
+    deterministic when the n's run concurrently.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class RiskReference:
 
     value: float
     std_err: float
-    method: str  # "exact" | "monte_carlo"
+    method: str  # "exact"
 
 
 @lru_cache(maxsize=None)
@@ -121,14 +123,6 @@ class BernoulliModel:
 
     def posterior_mean(self, k: int) -> float:
         return (k + 1.0) / (self.n + 2.0)
-
-    def bayes_risk_reference(
-        self, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-    ) -> RiskReference:
-        """Monte-Carlo risk of the posterior-median estimator (Bayes-optimal
-        for absolute loss), reported with its standard error."""
-        mean, std_err = self.simulate_risk("posterior_median", samples, seed)
-        return RiskReference(mean, std_err, "monte_carlo")
 
     def simulate_risk(self, estimator: str, samples: int, seed: int) -> tuple[float, float]:
         """Monte-Carlo risk of ``estimator`` and its standard error.

@@ -2,8 +2,7 @@
 
 Deterministic pure-Python building blocks shared by the divergence and bound
 engines, plus a numpy form of the incomplete-beta continued fraction for the
-coin-flip hockey-stick kernel at large n.  The vectorised Monte-Carlo oracles
-live in :mod:`fdivrisk.validation`.
+coin-flip hockey-stick kernel at large n.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""Independent oracles that certify the analytic machinery.
+"""The oracles ``validate`` and ``--oracle`` run, and the bound certification.
 
-Three kinds of cross-checks, deliberately unsophisticated so they share no
+Two kinds of cross-checks, deliberately unsophisticated so they share no
 code path with what they certify: dense-grid midpoint integration of the
-divergence definition, vectorised Monte Carlo under the product measure, and
-simulated estimator risks that every emitted lower bound must stay below.
+divergence definition, and estimator risks (simulated for the coin flips,
+exact for the Gaussian model) that every emitted lower bound must stay
+below.  Exact enumeration of the coin-flip risk is kept as the reference the
+simulation is checked against.
 
 The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
 on at most two threads.  Each n draws from its own stream, seeded with
@@ -21,11 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import BoundResult, hellinger_bound, hockey_stick_bound, optimize_parameters
-from .divergences import (
-    DivergenceValue,
-    e_beta_gamma_numeric,
-    hellinger_divergence,
-)
+from .divergences import e_beta_gamma_numeric, hellinger_divergence
 from .generators import Generator, Hellinger, HockeyStick
 from .models import (
     DEFAULT_SAMPLES,
@@ -33,7 +31,6 @@ from .models import (
     BernoulliModel,
     GaussianModel,
     Model,
-    make_rng,
 )
 from .numerics import adaptive_quadrature
 
@@ -44,13 +41,10 @@ __all__ = [
     "certify_bounds",
     "exact_bernoulli_risk",
     "generator_label",
-    "monte_carlo_divergence",
-    "monte_carlo_risk",
     "risk_report",
     "risk_reports",
 ]
 
-_MC_CHUNK = 1_000_000
 # Worker threads of risk_reports at most.  A Bernoulli report holds about 16
 # bytes per sample, so two workers stay below the 40 bytes per sample of the
 # one-shot draw they replaced, whatever the host's CPU count.
@@ -78,7 +72,6 @@ class OracleReport:
     quantity: str
     analytic: float
     oracle: float
-    oracle_std_err: float
     passed: bool
     tolerance_used: float
 
@@ -107,7 +100,7 @@ def _canonical(g: Generator, raw: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Dense-grid and Monte-Carlo divergence oracles
+# Dense-grid divergence oracle
 # --------------------------------------------------------------------------
 
 
@@ -156,54 +149,6 @@ def brute_force_divergence(model: Model, g: Generator, grid_points: int = 10**6)
     return _canonical(g, total * dw * dx)
 
 
-def monte_carlo_divergence(
-    model: Model, g: Generator, samples: int = 10**7, seed: int = DEFAULT_SEED
-) -> DivergenceValue:
-    """Monte-Carlo estimate of the f-mutual information under the product
-    measure, with its standard error; bit-for-bit reproducible per seed."""
-    if samples < 10**4:
-        raise ValueError("samples must be at least 10^4")
-    rng = make_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    if isinstance(model, BernoulliModel):
-        n = model.n
-        log_comb_tab = np.array(
-            [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in range(n + 1)]
-        )
-        while done < samples:
-            size = min(_MC_CHUNK, samples - done)
-            w = rng.random(size)
-            # Under the product of the marginals the Hamming weight is
-            # uniform on 0..n, independent of the bias draw.
-            k = rng.integers(0, n + 1, size)
-            log_ratio = math.log(n + 1.0) + log_comb_tab[k] + k * np.log(w) + (n - k) * np.log1p(-w)
-            vals = _apply_generator(g, np.exp(log_ratio))
-            total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
-            done += size
-    else:
-        sw = math.sqrt(model.sigma_w_sq)
-        m2 = model.marginal_var
-        s2 = model.noise_var
-        while done < samples:
-            size = min(_MC_CHUNK, samples - done)
-            w = rng.normal(0.0, sw, size)
-            x = rng.normal(0.0, math.sqrt(m2), size)
-            log_ratio = 0.5 * math.log(m2 / s2) - 0.5 * (x - w) ** 2 / s2 + 0.5 * x**2 / m2
-            vals = _apply_generator(g, np.exp(log_ratio))
-            total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
-            done += size
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    std_err = math.sqrt(var / samples)
-    if isinstance(g, Hellinger):
-        return DivergenceValue(_canonical(g, mean), "monte_carlo", (g.p - 1.0) * std_err)
-    return DivergenceValue(mean, "monte_carlo", std_err)
-
-
 # --------------------------------------------------------------------------
 # Risk oracles
 # --------------------------------------------------------------------------
@@ -237,57 +182,19 @@ def exact_bernoulli_risk(model: BernoulliModel, estimator: str = "posterior_medi
     return math.fsum(terms) / (n + 1.0)
 
 
-def monte_carlo_risk(
-    model: Model,
-    estimator: str = "posterior_median",
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> OracleReport:
-    """Simulated estimator risk compared against the exact reference.
+def risk_report(
+    model: Model, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
+) -> tuple[float, float]:
+    """Reference risk and its standard error: exact for Gaussian, Monte
+    Carlo (posterior median) otherwise.
 
-    The reference is the Hamming-weight enumeration for the coin-flip model
-    and the closed-form posterior risk for the Gaussian one (where posterior
-    mean and median coincide).
-    """
-    oracle, std_err = model.simulate_risk(estimator, samples, seed)
-    if isinstance(model, BernoulliModel):
-        analytic = exact_bernoulli_risk(model, estimator)
-    else:
-        analytic = model.bayes_risk_reference().value
-    tolerance = 3.0 * std_err
-    return OracleReport(
-        quantity=f"risk[{_model_label(model)}]/{estimator}",
-        analytic=analytic,
-        oracle=oracle,
-        oracle_std_err=std_err,
-        passed=abs(analytic - oracle) <= tolerance,
-        tolerance_used=tolerance,
-    )
-
-
-def risk_report(model: Model, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> OracleReport:
-    """Reference risk in report form: exact for Gaussian, Monte Carlo
-    (posterior median) otherwise.
-
-    Callers read only ``oracle`` and ``oracle_std_err``; there is no second
-    value to compare against, so ``analytic`` repeats the oracle.  The Monte
-    Carlo draws come from the stream of ``seed`` alone and take about 16
-    bytes per sample; sweeps run up to two reports at once through
+    The Monte Carlo draws come from the stream of ``seed`` alone and take
+    about 16 bytes per sample; sweeps run up to two reports at once through
     ``risk_reports``.
     """
     if isinstance(model, GaussianModel):
-        value, std_err, kind = model.bayes_risk_reference().value, 0.0, "exact"
-    else:
-        value, std_err = model.simulate_risk("posterior_median", samples, seed)
-        kind = "posterior_median"
-    return OracleReport(
-        quantity=f"risk[{_model_label(model)}]/{kind}",
-        analytic=value,
-        oracle=value,
-        oracle_std_err=std_err,
-        passed=True,
-        tolerance_used=0.0,
-    )
+        return model.bayes_risk_reference().value, 0.0
+    return model.simulate_risk("posterior_median", samples, seed)
 
 
 def _worker_count() -> int:
@@ -302,7 +209,7 @@ def _worker_count() -> int:
 
 def risk_reports(
     models: Iterable[Model], samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> Iterator[OracleReport]:
+) -> Iterator[tuple[float, float]]:
     """Yield ``risk_report(model, samples, seed + model.n)`` for each model,
     in order, computed on one worker thread per available CPU, at most
     ``_MAX_WORKERS``.
@@ -329,26 +236,25 @@ def risk_reports(
 
 
 def certify_bounds(
-    model: Model, bound_results: list[BoundResult], risk: OracleReport
+    model: Model, bound_results: list[BoundResult], risk: tuple[float, float]
 ) -> list[OracleReport]:
     """One-sided soundness reports: every lower bound must not exceed the
-    oracle risk plus three of its standard errors."""
+    oracle risk plus three of its standard errors; ``risk`` is the
+    ``(value, std_err)`` pair of :func:`risk_report`."""
     if not bound_results:
         raise ValueError("no bounds to certify")
-    reports = []
-    slack = 3.0 * risk.oracle_std_err
-    for result in bound_results:
-        reports.append(
-            OracleReport(
-                quantity=f"{_model_label(model)}: {generator_label(result.generator)} <= risk",
-                analytic=result.value,
-                oracle=risk.oracle,
-                oracle_std_err=risk.oracle_std_err,
-                passed=result.value <= risk.oracle + slack,
-                tolerance_used=slack,
-            )
+    value, std_err = risk
+    slack = 3.0 * std_err
+    return [
+        OracleReport(
+            quantity=f"{_model_label(model)}: {generator_label(result.generator)} <= risk",
+            analytic=result.value,
+            oracle=value,
+            passed=result.value <= value + slack,
+            tolerance_used=slack,
         )
-    return reports
+        for result in bound_results
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -362,7 +268,6 @@ def _relative_report(quantity: str, analytic: float, oracle: float, rel_tol: flo
         quantity=quantity,
         analytic=analytic,
         oracle=oracle,
-        oracle_std_err=0.0,
         passed=abs(analytic - oracle) <= tolerance,
         tolerance_used=tolerance,
     )

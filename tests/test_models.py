@@ -76,16 +76,6 @@ class TestBernoulliModel:
         assert model.posterior_median(0) == pytest.approx(1.0 - 0.5 ** (1.0 / 6.0), abs=1e-10)
         assert model.posterior_median(5) == pytest.approx(0.5 ** (1.0 / 6.0), abs=1e-10)
 
-    def test_risk_reference_reproducible(self):
-        model = BernoulliModel(7)
-        a = model.bayes_risk_reference(samples=10**5, seed=123)
-        b = model.bayes_risk_reference(samples=10**5, seed=123)
-        c = model.bayes_risk_reference(samples=10**5, seed=124)
-        assert a == b
-        assert a != c
-        assert a.method == "monte_carlo"
-        assert a.std_err > 0.0
-
 
 class TestBernoulliSimulatedRisk:
     """The blocked Monte-Carlo risk equals the one-shot formula bit for bit."""

@@ -1,15 +1,15 @@
 """Tests for the oracle module itself (the certifiers get certified here)."""
 
-import math
 import os
 import sys
 import threading
 
 import pytest
+from oracles import chi_squared_bernoulli, monte_carlo_divergence
 
 from fdivrisk import validation
 from fdivrisk.bounds import hellinger_bound, hockey_stick_bound
-from fdivrisk.divergences import chi_squared_bernoulli, e_beta_gamma_numeric
+from fdivrisk.divergences import e_beta_gamma_numeric
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
 from fdivrisk.validation import (
@@ -17,8 +17,6 @@ from fdivrisk.validation import (
     certification_suite,
     certify_bounds,
     exact_bernoulli_risk,
-    monte_carlo_divergence,
-    monte_carlo_risk,
     risk_report,
     risk_reports,
 )
@@ -103,33 +101,21 @@ class TestRiskOracles:
             assert median_risk <= mean_risk + 1e-12
 
     def test_monte_carlo_risk_bernoulli(self):
-        report = monte_carlo_risk(BernoulliModel(1), "posterior_median", 10**6, seed=3)
-        assert report.passed
-        assert report.analytic == pytest.approx(RISK_N1, abs=1e-9)
-        assert abs(report.oracle - report.analytic) <= report.tolerance_used
-
-    def test_monte_carlo_risk_gaussian(self):
-        model = GaussianModel(2, 1.0, 2.0)
-        report = monte_carlo_risk(model, "posterior_mean", 10**6, seed=4)
-        assert report.passed
-        assert report.analytic == pytest.approx(
-            math.sqrt(2.0 / math.pi) * math.sqrt(0.5), rel=1e-12
-        )
+        model = BernoulliModel(1)
+        mean, std_err = model.simulate_risk("posterior_median", 10**6, 3)
+        assert abs(mean - exact_bernoulli_risk(model)) <= 3.0 * std_err
 
     def test_gaussian_simulated_risk_below_l2_upper_bound(self):
         model = GaussianModel(3, 1.0, 2.0)
-        report = monte_carlo_risk(model, "posterior_mean", 10**5, seed=6)
-        assert report.oracle <= model.risk_upper_bound() + 3.0 * report.oracle_std_err
+        mean, std_err = model.simulate_risk("posterior_mean", 10**5, 6)
+        assert mean <= model.risk_upper_bound() + 3.0 * std_err
 
-    def test_risk_report_dispatch(self, monkeypatch):
-        exact = risk_report(GaussianModel(2, 1.0, 2.0))
-        assert exact.oracle_std_err == 0.0 and exact.passed
-        # The Monte-Carlo report needs no exact enumeration: nothing reads it.
-        monkeypatch.setattr(validation, "exact_bernoulli_risk", None)
+    def test_risk_report_dispatch(self):
+        model = GaussianModel(2, 1.0, 2.0)
+        assert risk_report(model) == (model.bayes_risk_reference().value, 0.0)
         stochastic = risk_report(BernoulliModel(2), samples=10**5, seed=9)
-        assert stochastic.oracle_std_err > 0.0
-        simulated = BernoulliModel(2).simulate_risk("posterior_median", 10**5, 9)
-        assert (stochastic.oracle, stochastic.oracle_std_err) == simulated
+        assert stochastic[1] > 0.0
+        assert stochastic == BernoulliModel(2).simulate_risk("posterior_median", 10**5, 9)
 
 
 class TestRiskReports:
@@ -180,7 +166,7 @@ class TestRiskReports:
         monkeypatch.setattr(BernoulliModel, "simulate_risk", simulate_risk)
         reports = risk_reports([BernoulliModel(n) for n in range(1, 9)], 10, 0)
         try:
-            assert next(reports).oracle == 0.25
+            assert next(reports) == (0.25, 0.01)
             with pytest.raises(ArithmeticError, match="no risk at n = 2"):
                 next(reports)
         finally:
@@ -217,7 +203,7 @@ class TestCertifyBounds:
         good = certify_bounds(model, [inflated], risk)[0]
         # Manually inflate: a bound above the risk must be flagged.
         fake = type(inflated)(
-            value=risk.oracle * 2.0 + 1.0,
+            value=risk[0] * 2.0 + 1.0,
             rho_star=inflated.rho_star,
             generator=inflated.generator,
             divergence=inflated.divergence,
