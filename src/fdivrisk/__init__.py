@@ -22,7 +22,6 @@ from .divergences import (
     hellinger_bernoulli_closed_form,
     hellinger_divergence,
     hellinger_gaussian_closed_form,
-    raw_from_scaled,
 )
 from .generators import Generator, Hellinger, HockeyStick
 from .models import (
@@ -69,5 +68,4 @@ __all__ = [
     "hockey_stick_bound",
     "optimize_parameters",
     "optimize_rho_closed_form",
-    "raw_from_scaled",
 ]

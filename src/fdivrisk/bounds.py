@@ -50,7 +50,6 @@ class BoundResult:
     rho_star: float
     generator: Generator
     divergence: DivergenceValue
-    method: str  # "closed_form_rho"
     vacuous: bool = False
 
 
@@ -114,7 +113,7 @@ def hellinger_bound(
     t = (p - 1.0) / p
     scaled = max(1.0, div.value)
     rho_star, value = optimize_rho_closed_form(c**t * scaled ** (1.0 / p), t)
-    return BoundResult(value, rho_star, generator, div, "closed_form_rho")
+    return BoundResult(value, rho_star, generator, div)
 
 
 def hockey_stick_bound(
@@ -135,9 +134,9 @@ def hockey_stick_bound(
     c = _coefficient(small_ball_coeff)
     e = max(0.0, div.value)
     if e >= beta:
-        return BoundResult(0.0, 0.0, generator, div, "closed_form_rho", vacuous=True)
+        return BoundResult(0.0, 0.0, generator, div, vacuous=True)
     rho_star, value = optimize_rho_closed_form(gamma * c / beta, 1.0, e / beta)
-    return BoundResult(value, rho_star, generator, div, "closed_form_rho")
+    return BoundResult(value, rho_star, generator, div)
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .bounds import (
     optimize_parameters,
 )
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
+from .generators import Hellinger, HockeyStick
 from .models import DEFAULT_SAMPLES, DEFAULT_SEED, BernoulliModel, GaussianModel, Model
 from .svg import render_line_plot
 from .validation import (
@@ -72,9 +73,6 @@ class SweepConfig:
             raise ValueError("n range must be non-empty and start at 1 or above")
         if not self.families:
             raise ValueError("at least one bound family is required")
-        for family in self.families:
-            if family not in FAMILIES:
-                raise ValueError(f"unknown bound family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -215,6 +213,11 @@ _BOOL_OPTIONS = {
     "oracle": "add Monte-Carlo / exact risk columns",
     "self_test_negate": "flip one certification to verify failures are caught",
 }
+# Config-file spellings of the boolean options.
+_BOOL_VALUES = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -259,8 +262,12 @@ def _resolve_options(args: argparse.Namespace) -> None:
                 args.family = [f.strip() for f in raw.split(",") if f.strip()]
             continue
         if key in _BOOL_OPTIONS:
+            if raw.lower() not in _BOOL_VALUES:
+                raise ValueError(
+                    f"config key {key!r} takes 1/true/yes/on or 0/false/no/off, not {raw!r}"
+                )
             if getattr(args, key) is None:
-                setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
+                setattr(args, key, _BOOL_VALUES[raw.lower()])
             continue
         if key not in _OPTIONS:
             raise ValueError(f"unknown config key {key!r}")
@@ -284,11 +291,15 @@ def _parse_n_range(args: argparse.Namespace, default: tuple[int, int]) -> tuple[
 
 
 def _families(args: argparse.Namespace, default: tuple[str, ...] = FAMILIES) -> tuple[str, ...]:
+    """The requested bound families, canonical and without repeats; the one
+    check of family names, for flags and config-file values alike."""
     if not args.family:
         return default
     seen = []
     for name in args.family:
         canonical = name.replace("-", "_")
+        if canonical not in FAMILIES:
+            raise ValueError(f"unknown bound family {canonical!r}")
         if canonical not in seen:
             seen.append(canonical)
     return tuple(seen)
@@ -323,16 +334,16 @@ _SWEEP_ONLY = ("oracle", "svg", "n_range")
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    family = _families(args, ("hellinger",))[0]
+    families = _families(args, ("hellinger",))
+    if len(families) > 1:
+        raise ValueError(f"bound takes one family, got {', '.join(families)}")
+    family = families[0]
     # Validate family parameters before anything else so bad parameters are
     # reported even when the model flags are absent.
-    if family == "hellinger" and args.p is not None and not args.p > 1.0:
-        raise ValueError("p must exceed 1")
+    if family == "hellinger" and args.p is not None:
+        Hellinger(args.p)
     if family == "hockey_stick":
-        if not args.beta > 0.0:
-            raise ValueError("beta must be positive")
-        if not args.gamma >= args.beta:
-            raise ValueError("gamma must be at least beta")
+        HockeyStick(args.beta, args.gamma)
     ignored = ["--" + name.replace("_", "-") for name in _SWEEP_ONLY if getattr(args, name)]
     if ignored:
         raise ValueError(f"bound does not take {', '.join(ignored)}")
@@ -346,7 +357,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         ("rho_star", format(result.rho_star, ".17g")),
         ("divergence", f"{result.divergence.value:.17g} ({result.divergence.method})"),
         ("parameters", generator_label(result.generator)),
-        ("method", result.method + (" [vacuous]" if result.vacuous else "")),
+        ("method", "closed_form_rho" + (" [vacuous]" if result.vacuous else "")),
     ]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:

@@ -10,8 +10,9 @@ form.
 
 Value convention: Hellinger-family results are stored "scaled" as
 (p-1) * H_p + 1, which is exactly what the bound formulas consume; the raw
-divergence is recovered with :func:`raw_from_scaled`.  Hockey-stick results
-are the raw E_{beta,gamma} value.
+divergence is (scaled - 1) / (p - 1).  Hockey-stick results are the raw
+E_{beta,gamma} value.  Family parameters are checked by constructing the
+generator (``Hellinger(p)`` or ``HockeyStick(beta, gamma)``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model
 from .numerics import (
     _beta_cont_frac_array,
@@ -39,7 +41,6 @@ __all__ = [
     "hellinger_bernoulli_closed_form",
     "hellinger_divergence",
     "hellinger_gaussian_closed_form",
-    "raw_from_scaled",
 ]
 
 
@@ -76,12 +77,6 @@ class DivergenceValue:
             raise ValueError("error estimate must be non-negative")
 
 
-def raw_from_scaled(scaled: "DivergenceValue | float", p: float) -> float:
-    """Recover the raw Hellinger divergence H_p from the scaled (p-1)H_p + 1."""
-    value = scaled.value if isinstance(scaled, DivergenceValue) else float(scaled)
-    return (value - 1.0) / (p - 1.0)
-
-
 # --------------------------------------------------------------------------
 # Closed forms
 # --------------------------------------------------------------------------
@@ -91,12 +86,12 @@ def hellinger_bernoulli_closed_form(model: BernoulliModel, p: float) -> Divergen
     """Scaled order-p Hellinger information between the coin bias and n flips.
 
     (p-1) H_p + 1 = (n+1)^(p-1) * sum_k C(n,k)^p * G(kp+1) G((n-k)p+1) / G(np+2)
-    with G the gamma function.  Evaluated through log-gamma and summed
-    largest-terms-first in compensated arithmetic: the k-terms span many
-    orders of magnitude once n grows.
+    with G the gamma function.  Evaluated through log-gamma, with each term
+    scaled by the largest, and summed by ``math.fsum``: the k-terms span many
+    orders of magnitude once n grows, and the exactly rounded sum does not
+    depend on their order.
     """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    Hellinger(p)  # checks the order
     n = model.n
     log_np1 = math.log(n + 1.0)
     log_terms = [
@@ -108,7 +103,7 @@ def hellinger_bernoulli_closed_form(model: BernoulliModel, p: float) -> Divergen
         for k in range(n + 1)
     ]
     top = max(log_terms)
-    total = math.fsum(sorted((math.exp(t - top) for t in log_terms), reverse=True))
+    total = math.fsum(math.exp(t - top) for t in log_terms)
     return DivergenceValue(math.exp(top) * total, "closed_form")
 
 
@@ -120,8 +115,7 @@ def hellinger_gaussian_closed_form(sigma_w_sq: float, sigma_sq: float, p: float)
     prior-to-noise variance ratio.  Callers handle n samples by substituting
     the sufficient-statistic noise variance sigma_sq / n.
     """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    Hellinger(p)  # checks the order
     if not (sigma_w_sq > 0.0 and sigma_sq > 0.0):
         raise ValueError("variances must be strictly positive")
     r = sigma_w_sq / sigma_sq
@@ -497,10 +491,7 @@ def e_beta_gamma_numeric(model: Model, beta: float, gamma: float) -> DivergenceV
     n = 126 on.  Gaussian model: outer quadrature over w with the per-slice
     x-interval handled in closed form.
     """
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    if not gamma >= beta:
-        raise ValueError("gamma must be at least beta")
+    HockeyStick(beta, gamma)  # checks beta and gamma
     if isinstance(model, BernoulliModel):
         return _e_beta_gamma_bernoulli(model, beta, gamma)
     return _e_beta_gamma_gaussian(model, beta, gamma)

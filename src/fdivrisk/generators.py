@@ -1,7 +1,8 @@
 """Convex generators of the two f-divergence families driving the bounds.
 
 A generator is an increasing convex function f on [0, inf) with f(1) = 0.
-These types only name a family member and check its parameters: the
+These types only name a family member and check its parameters; every
+other check of p, beta or gamma in the package constructs one of them.  The
 divergence kernels and the family bounds use each family's closed forms
 directly.  Pointwise evaluation, the conjugate at zero and the generalized
 inverse, which only the general master inequality needs, are kept in

@@ -1,11 +1,13 @@
 """The two estimation settings the bound engine targets.
 
-Both use absolute-error loss |w - w_hat|.  Each model exposes the joint-vs-
-product density ratio over a sufficient statistic (Hamming weight for the
-coin-flip setting, sample mean for the Gaussian one) so divergence integrals
-stay low-dimensional for any sample count, plus a linear small-ball envelope
-and the Bayes risk (simulated for the coin flips, exact for the Gaussian
-model) that every emitted bound is certified against.
+Both use absolute-error loss |w - w_hat|, which the posterior median
+minimises.  Each model works over a sufficient statistic (Hamming weight for
+the coin-flip setting, sample mean for the Gaussian one) so divergences stay
+low-dimensional for any sample count.  Each gives a linear small-ball
+envelope and the simulated risk of the posterior median, which every emitted
+bound is certified against; the Gaussian model also gives that risk exactly,
+and the coin-flip posterior density feeds the exact enumeration in
+``validation``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import beta_median, log_comb, log_norm_pdf, norm_pdf
+from .numerics import beta_median, log_comb
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -59,11 +61,9 @@ class SmallBallBound:
 
 @dataclass(frozen=True)
 class RiskReference:
-    """Reference Bayes risk; ``std_err`` is zero when the value is exact."""
+    """Exact reference Bayes risk."""
 
     value: float
-    std_err: float
-    method: str  # "exact"
 
 
 @lru_cache(maxsize=None)
@@ -112,20 +112,11 @@ class BernoulliModel:
         """(n+1) C(n,k) w^k (1-w)^(n-k): the posterior density of W given k."""
         return math.exp(self.log_density_ratio(w, k))
 
-    def marginal_mass(self, k: int) -> float:
-        """P(K = k) under the prior-marginal law: uniform, 1/(n+1)."""
-        if not 0 <= k <= self.n:
-            raise ValueError(f"k must lie in 0..{self.n}")
-        return 1.0 / (self.n + 1)
-
     def posterior_median(self, k: int) -> float:
         return _beta_median_table(self.n)[k]
 
-    def posterior_mean(self, k: int) -> float:
-        return (k + 1.0) / (self.n + 2.0)
-
-    def simulate_risk(self, estimator: str, samples: int, seed: int) -> tuple[float, float]:
-        """Monte-Carlo risk of ``estimator`` and its standard error.
+    def simulate_risk(self, samples: int, seed: int) -> tuple[float, float]:
+        """Monte-Carlo risk of the posterior median and its standard error.
 
         Draws ``samples`` (bias, Hamming weight) pairs from the Philox stream
         of ``seed``.  The call holds one array of ``samples`` floats and, at
@@ -135,12 +126,7 @@ class BernoulliModel:
         """
         if samples < 2:
             raise ValueError("samples must be at least 2 (the standard error needs two)")
-        if estimator == "posterior_median":
-            table = np.array(_beta_median_table(self.n))
-        elif estimator == "posterior_mean":
-            table = (np.arange(self.n + 1) + 1.0) / (self.n + 2.0)
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
+        table = np.array(_beta_median_table(self.n))
         rng = make_rng(seed)
         err = rng.random(samples)
         # Draw the Hamming weights a block at a time and overwrite each block
@@ -190,39 +176,20 @@ class GaussianModel:
         # Peak prior density times interval length.
         return SmallBallBound(2.0 / math.sqrt(2.0 * math.pi * self.sigma_w_sq))
 
-    def log_density_ratio(self, w: float, xbar: float) -> float:
-        """log of d P_{W,Xbar} / d(P_W x P_Xbar) at (w, xbar)."""
-        return log_norm_pdf(xbar, w, self.noise_var) - log_norm_pdf(xbar, 0.0, self.marginal_var)
-
-    def density_ratio(self, w: float, xbar: float) -> float:
-        return math.exp(self.log_density_ratio(w, xbar))
-
-    def marginal_mass(self, xbar: float) -> float:
-        """Density of x_bar under the prior-marginal law."""
-        return norm_pdf(xbar, 0.0, self.marginal_var)
-
-    def posterior_mean(self, xbar: float) -> float:
-        return xbar * self.sigma_w_sq / self.marginal_var
-
-    def risk_upper_bound(self) -> float:
-        """L2 risk of the posterior mean: an upper bound on the Bayes risk."""
-        return math.sqrt(self.posterior_var)
-
     def bayes_risk_reference(self) -> RiskReference:
         """Exact Bayes risk under absolute loss.
 
-        The posterior is Gaussian, so the posterior mean is the Bayes
-        estimator and the risk is the mean absolute deviation
-        sqrt(2/pi) * posterior standard deviation.
+        The posterior is Gaussian, so its median is its mean and the risk
+        is the mean absolute deviation sqrt(2/pi) * posterior standard
+        deviation.
         """
-        return RiskReference(math.sqrt(2.0 / math.pi) * math.sqrt(self.posterior_var), 0.0, "exact")
+        return RiskReference(math.sqrt(2.0 / math.pi) * math.sqrt(self.posterior_var))
 
-    def simulate_risk(self, estimator: str, samples: int, seed: int) -> tuple[float, float]:
+    def simulate_risk(self, samples: int, seed: int) -> tuple[float, float]:
+        """Monte-Carlo risk of the posterior median and its standard error."""
         if samples < 2:
             raise ValueError("samples must be at least 2 (the standard error needs two)")
-        if estimator not in ("posterior_median", "posterior_mean"):
-            raise ValueError(f"unknown estimator {estimator!r}")
-        # The posterior is Gaussian, so its median and mean coincide.
+        # The posterior is Gaussian, so its median is its mean.
         rng = make_rng(seed)
         w = rng.normal(0.0, math.sqrt(self.sigma_w_sq), samples)
         xbar = w + rng.normal(0.0, math.sqrt(self.noise_var), samples)

@@ -19,7 +19,6 @@ __all__ = [
     "bisect_root",
     "golden_section_max",
     "log_comb",
-    "log_norm_pdf",
     "norm_cdf",
     "norm_pdf",
     "regularized_incomplete_beta",
@@ -235,13 +234,9 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def log_norm_pdf(x: float, mean: float, var: float) -> float:
-    d = x - mean
-    return -0.5 * (math.log(2.0 * math.pi * var) + d * d / var)
-
-
 def norm_pdf(x: float, mean: float, var: float) -> float:
-    return math.exp(log_norm_pdf(x, mean, var))
+    d = x - mean
+    return math.exp(-0.5 * (math.log(2.0 * math.pi * var) + d * d / var))
 
 
 _BETACF_MAX_ITER = 500

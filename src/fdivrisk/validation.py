@@ -2,10 +2,10 @@
 
 Two kinds of cross-checks, deliberately unsophisticated so they share no
 code path with what they certify: dense-grid midpoint integration of the
-divergence definition, and estimator risks (simulated for the coin flips,
-exact for the Gaussian model) that every emitted lower bound must stay
-below.  Exact enumeration of the coin-flip risk is kept as the reference the
-simulation is checked against.
+divergence definition, and the Bayes risk, the risk of the posterior median
+(simulated for the coin flips, exact for the Gaussian model), that every
+emitted lower bound must stay below.  Exact enumeration of the coin-flip
+risk is kept as the reference the simulation is checked against.
 
 The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
 on at most two threads.  Each n draws from its own stream, seeded with
@@ -154,29 +154,25 @@ def brute_force_divergence(model: Model, g: Generator, grid_points: int = 10**6)
 # --------------------------------------------------------------------------
 
 
-def exact_bernoulli_risk(model: BernoulliModel, estimator: str = "posterior_median") -> float:
-    """Exact estimator risk by enumeration over Hamming weights.
+def exact_bernoulli_risk(model: BernoulliModel) -> float:
+    """Exact Bayes risk (of the posterior median) by enumeration over
+    Hamming weights.
 
     Per weight k the posterior is Beta(k+1, n-k+1); the conditional risk is a
-    1-D integral of |w - estimate| against it, split at the estimate where
-    the integrand kinks.
+    1-D integral of |w - median| against it, split at the median where the
+    integrand kinks.
     """
     n = model.n
     terms = []
     for k in range(n + 1):
-        if estimator == "posterior_median":
-            est = model.posterior_median(k)
-        elif estimator == "posterior_mean":
-            est = model.posterior_mean(k)
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
+        median = model.posterior_median(k)
         val, _ = adaptive_quadrature(
-            lambda w, _k=k, _e=est: abs(w - _e) * model.density_ratio(w, _k),
+            lambda w, _k=k, _m=median: abs(w - _m) * model.density_ratio(w, _k),
             0.0,
             1.0,
             rel_tol=1e-11,
             abs_tol=1e-15,
-            breakpoints=(est,),
+            breakpoints=(median,),
         )
         terms.append(val)
     return math.fsum(terms) / (n + 1.0)
@@ -185,8 +181,8 @@ def exact_bernoulli_risk(model: BernoulliModel, estimator: str = "posterior_medi
 def risk_report(
     model: Model, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> tuple[float, float]:
-    """Reference risk and its standard error: exact for Gaussian, Monte
-    Carlo (posterior median) otherwise.
+    """Bayes risk and its standard error: exact for the Gaussian model,
+    the Monte-Carlo risk of the posterior median for the coin flips.
 
     The Monte Carlo draws come from the stream of ``seed`` alone and take
     about 16 bytes per sample; sweeps run up to two reports at once through
@@ -194,7 +190,7 @@ def risk_report(
     """
     if isinstance(model, GaussianModel):
         return model.bayes_risk_reference().value, 0.0
-    return model.simulate_risk("posterior_median", samples, seed)
+    return model.simulate_risk(samples, seed)
 
 
 def _worker_count() -> int:

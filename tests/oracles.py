@@ -10,7 +10,9 @@ or states an identity of the paper that the package's closed forms rest on:
 - ``monte_carlo_divergence``: the same under the product measure by Monte
   Carlo;
 - the chi-squared closed form of the coin-flip model, its envelope, the
-  central-binomial identity and the Renyi re-parametrisation.
+  central-binomial identity and the Renyi re-parametrisation;
+- the Gaussian model's joint-vs-product density ratio, which only the
+  generic quadrature needs.
 
 The oracles share no code path with what they certify: the quadrature finds
 its own kink breakpoints by bisection and imports nothing private from
@@ -132,6 +134,22 @@ def renyi_from_hellinger(scaled: "DivergenceValue | float", p: float) -> float:
 
 
 # --------------------------------------------------------------------------
+# Gaussian density ratio
+# --------------------------------------------------------------------------
+
+
+def gaussian_log_density_ratio(model: GaussianModel, w: float, xbar: float) -> float:
+    """log of d P_{W,Xbar} / d(P_W x P_Xbar) at (w, xbar)."""
+    s2 = model.noise_var
+    m2 = model.marginal_var
+    return 0.5 * math.log(m2 / s2) - 0.5 * (xbar - w) ** 2 / s2 + 0.5 * xbar**2 / m2
+
+
+def gaussian_density_ratio(model: GaussianModel, w: float, xbar: float) -> float:
+    return math.exp(gaussian_log_density_ratio(model, w, xbar))
+
+
+# --------------------------------------------------------------------------
 # Generic quadrature of the f-mutual information
 # --------------------------------------------------------------------------
 
@@ -193,7 +211,7 @@ def _f_mi_gaussian_hockey(model: GaussianModel, g: HockeyStick) -> tuple[float, 
         return w * m2 / sw2
 
     def peak_excess(w: float) -> float:
-        return model.log_density_ratio(w, peak_x(w)) - log_tau
+        return gaussian_log_density_ratio(model, w, peak_x(w)) - log_tau
 
     def inner(w: float) -> float:
         """Integral over the sample means where the ratio exceeds tau."""
@@ -202,14 +220,14 @@ def _f_mi_gaussian_hockey(model: GaussianModel, g: HockeyStick) -> tuple[float, 
         centre = peak_x(w)
 
         def excess(x: float) -> float:
-            return model.log_density_ratio(w, x) - log_tau
+            return gaussian_log_density_ratio(model, w, x) - log_tau
 
         reach = math.sqrt(model.noise_var)
         while excess(centre - reach) >= 0.0 or excess(centre + reach) >= 0.0:
             reach *= 2.0
         x_lo, x_hi = _level_crossings(excess, centre - reach, centre, centre + reach)
         val, _ = adaptive_quadrature(
-            lambda x: norm_pdf(x, 0.0, m2) * evaluate(g, model.density_ratio(w, x)),
+            lambda x: norm_pdf(x, 0.0, m2) * evaluate(g, gaussian_density_ratio(model, w, x)),
             x_lo,
             x_hi,
             rel_tol=_GAUSSIAN_INNER_REL_TOL,
@@ -261,7 +279,7 @@ def _f_mi_gaussian_hellinger(model: GaussianModel, g: Hellinger) -> tuple[float,
         lo = min(-_GAUSSIAN_BOX_SD * m, centre - 10.0 * width)
         hi = max(_GAUSSIAN_BOX_SD * m, centre + 10.0 * width)
         val, _ = adaptive_quadrature(
-            lambda x: norm_pdf(x, 0.0, m2) * evaluate(g, model.density_ratio(w, x)),
+            lambda x: norm_pdf(x, 0.0, m2) * evaluate(g, gaussian_density_ratio(model, w, x)),
             lo,
             hi,
             rel_tol=_GAUSSIAN_INNER_REL_TOL,

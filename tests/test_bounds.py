@@ -79,7 +79,6 @@ class TestHellingerBound:
         result = hellinger_bound(2.0, 1.0, 2.0)
         assert result.value == pytest.approx(2.0 / 27.0, rel=1e-13)
         assert result.rho_star == pytest.approx(2.0 / 9.0, rel=1e-13)
-        assert result.method == "closed_form_rho"
         assert not result.vacuous
 
     def test_agrees_with_master_bound_at_rho_star(self):

@@ -115,6 +115,39 @@ class TestBoundCommand:
         assert code == EXIT_USAGE
         assert "p must exceed 1" in err
 
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    def test_unknown_config_family_is_usage_error(self, capsys, tmp_path, command):
+        # argparse checks --family flags; a config-file family gets the same
+        # check, so no command prints bounds of some other family.
+        config = tmp_path / "bad.cfg"
+        config.write_text("family = foo\n")
+        csv = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, command, "--n", "5", "--config", str(config), "--csv", str(csv)
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: unknown bound family 'foo'\n"
+        assert not csv.exists()
+
+    def test_more_than_one_family_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "bound", "--n", "5", "--family", "hellinger", "--family", "hockey-stick"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: bound takes one family, got hellinger, hockey_stick\n"
+        config = tmp_path / "two.cfg"
+        config.write_text("family = hockey-stick, hellinger\n")
+        code, out, err = run(capsys, "bound", "--n", "5", "--config", str(config))
+        assert code == EXIT_USAGE
+        assert err == "error: bound takes one family, got hockey_stick, hellinger\n"
+        # A repeated family is one family.
+        code, _, _ = run(
+            capsys, "bound", "--n", "5", "--family", "hellinger", "--family", "hellinger"
+        )
+        assert code == EXIT_OK
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound", "--model", "bernoulli")
         assert code == EXIT_USAGE
@@ -223,7 +256,7 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
 
     def test_out_of_memory_is_one_line_usage_error(self, capsys, monkeypatch):
-        def simulate_risk(model, estimator, samples, seed):
+        def simulate_risk(model, samples, seed):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
         monkeypatch.setattr(BernoulliModel, "simulate_risk", simulate_risk)
@@ -293,6 +326,25 @@ class TestConfigFile:
         code, _, err = run(capsys, "sweep", "--config", str(config))
         assert code == EXIT_USAGE
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize("value", ["true", "Yes", "0", "OFF"])
+    def test_boolean_spellings(self, capsys, tmp_path, value):
+        config = tmp_path / "bool.cfg"
+        config.write_text(f"oracle = {value}\nsamples = 1000\n")
+        code, out, _ = run(capsys, "sweep", "--n-range", "1..2", "--config", str(config))
+        assert code == EXIT_OK
+        on = value.lower() in ("1", "true", "yes", "on")
+        assert out.splitlines()[1].endswith(",") != on
+
+    def test_bad_boolean_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "bool.cfg"
+        config.write_text("oracle = maybe\n")
+        code, out, err = run(capsys, "sweep", "--n-range", "1..2", "--config", str(config))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: config key 'oracle' takes 1/true/yes/on or 0/false/no/off, not 'maybe'\n"
+        )
 
     def test_missing_config_file_is_io_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--config", "/nonexistent/file.cfg")

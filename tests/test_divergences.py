@@ -23,7 +23,6 @@ from fdivrisk.divergences import (
     hellinger_bernoulli_closed_form,
     hellinger_divergence,
     hellinger_gaussian_closed_form,
-    raw_from_scaled,
 )
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
@@ -332,7 +331,3 @@ class TestDivergenceValue:
     def test_non_finite_rejected(self, value, error):
         with pytest.raises(ArithmeticError, match="not finite"):
             DivergenceValue(value, "quadrature", error)
-
-    def test_raw_from_scaled(self):
-        assert raw_from_scaled(4.0 / 3.0, 2.0) == pytest.approx(1.0 / 3.0)
-        assert raw_from_scaled(DivergenceValue(1.0, "closed_form"), 3.0) == 0.0

