@@ -19,9 +19,7 @@ from .divergences import (
     DivergenceInfiniteError,
     DivergenceValue,
     e_beta_gamma_numeric,
-    hellinger_bernoulli_closed_form,
     hellinger_divergence,
-    hellinger_gaussian_closed_form,
 )
 from .generators import Generator, Hellinger, HockeyStick
 from .models import (
@@ -31,7 +29,6 @@ from .models import (
     GaussianModel,
     Model,
     RiskReference,
-    SmallBallBound,
 )
 from .validation import (
     OracleReport,
@@ -56,15 +53,12 @@ __all__ = [
     "Model",
     "OracleReport",
     "RiskReference",
-    "SmallBallBound",
     "brute_force_divergence",
     "certify_bounds",
     "e_beta_gamma_numeric",
     "exact_bernoulli_risk",
-    "hellinger_bernoulli_closed_form",
     "hellinger_bound",
     "hellinger_divergence",
-    "hellinger_gaussian_closed_form",
     "hockey_stick_bound",
     "optimize_parameters",
     "optimize_rho_closed_form",

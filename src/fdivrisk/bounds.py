@@ -11,6 +11,9 @@ family instantiations are checked against.
 The hockey-stick bound is invariant under scaling beta: E_{beta,gamma} =
 beta E_{1,gamma/beta}, so it depends only on tau = gamma / beta, and the
 parameter search runs over tau alone with beta = 1.
+
+``family_bound`` is the one bound every CLI command and the certification
+suite compute: the fixed-parameter bound of a family, or its searched one.
 """
 
 from __future__ import annotations
@@ -25,16 +28,23 @@ from .divergences import (
     hellinger_divergence,
 )
 from .generators import Generator, Hellinger, HockeyStick
-from .models import Model, SmallBallBound
+from .models import BernoulliModel, Model
 from .numerics import golden_section_max
 
 __all__ = [
     "BoundResult",
+    "FAMILIES",
+    "FIXED_BETA",
+    "FIXED_GAMMA",
+    "default_order",
+    "family_bound",
     "hellinger_bound",
     "hockey_stick_bound",
     "optimize_parameters",
     "optimize_rho_closed_form",
 ]
+
+FAMILIES = ("hellinger", "hockey_stick")
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,8 @@ def _as_divergence(value: "DivergenceValue | float") -> DivergenceValue:
     return DivergenceValue(float(value), "closed_form")
 
 
-def _coefficient(small_ball: "SmallBallBound | float") -> float:
-    c = small_ball.coefficient if isinstance(small_ball, SmallBallBound) else float(small_ball)
+def _coefficient(small_ball: float) -> float:
+    c = float(small_ball)
     if not c > 0.0:
         raise ValueError("small-ball coefficient must be positive")
     return c
@@ -99,7 +109,7 @@ def optimize_rho_closed_form(c: float, t: float, b: float = 0.0) -> tuple[float,
 def hellinger_bound(
     p: float,
     scaled_divergence: "DivergenceValue | float",
-    small_ball_coeff: "SmallBallBound | float",
+    small_ball_coeff: float,
 ) -> BoundResult:
     """Best-rho Hellinger bound for a linear small-ball envelope.
 
@@ -120,7 +130,7 @@ def hockey_stick_bound(
     beta: float,
     gamma: float,
     e_value: "DivergenceValue | float",
-    small_ball_coeff: "SmallBallBound | float",
+    small_ball_coeff: float,
 ) -> BoundResult:
     """Best-rho hockey-stick bound for a linear small-ball envelope.
 
@@ -183,6 +193,13 @@ def _grid_then_golden(grid: tuple[float, ...], bound_at) -> BoundResult:
     return best
 
 
+def _family_key(family: str) -> str:
+    key = family.replace("-", "_")
+    if key not in FAMILIES:
+        raise ValueError(f"unknown bound family {family!r}")
+    return key
+
+
 def optimize_parameters(model: Model, family: str) -> BoundResult:
     """Best bound over a parametric family: grid scan plus local refinement.
 
@@ -192,15 +209,43 @@ def optimize_parameters(model: Model, family: str) -> BoundResult:
     beta c) equal (1 - E_{1,tau})^2 / (4 tau c); so the search runs over tau
     with beta = 1.  The inner rho maximisation is always exact.
     """
-    c = model.small_ball_coefficient().coefficient
-    key = family.replace("-", "_")
-    if key == "hellinger":
+    c = model.small_ball_coefficient()
+    if _family_key(family) == "hellinger":
         return _grid_then_golden(
             _P_GRID, lambda p: hellinger_bound(p, hellinger_divergence(model, p), c)
         )
-    if key == "hockey_stick":
-        return _grid_then_golden(
-            _TAU_GRID,
-            lambda tau: hockey_stick_bound(1.0, tau, e_beta_gamma_numeric(model, 1.0, tau), c),
-        )
-    raise ValueError(f"unknown bound family {family!r}")
+    return _grid_then_golden(
+        _TAU_GRID,
+        lambda tau: hockey_stick_bound(1.0, tau, e_beta_gamma_numeric(model, 1.0, tau), c),
+    )
+
+
+# --------------------------------------------------------------------------
+# One bound per family, as the CLI and the certification suite compute it
+# --------------------------------------------------------------------------
+
+# Fixed-mode hockey-stick parameters.
+FIXED_BETA = 0.75
+FIXED_GAMMA = 2.2
+
+
+def default_order(model: Model) -> float:
+    """Fixed-mode Hellinger order: 2 for the coin-flip model, 3/2 Gaussian."""
+    return 2.0 if isinstance(model, BernoulliModel) else 1.5
+
+
+def family_bound(
+    model: Model, family: str, *, p: float | None, beta: float, gamma: float, optimize: bool
+) -> BoundResult:
+    """The bound of one family: with ``optimize`` the searched bound of
+    :func:`optimize_parameters`, otherwise the Hellinger bound at order ``p``
+    (``default_order(model)`` when None) or the hockey-stick bound at
+    ``(beta, gamma)``."""
+    if optimize:
+        return optimize_parameters(model, family)
+    c = model.small_ball_coefficient()
+    if _family_key(family) == "hellinger":
+        if p is None:
+            p = default_order(model)
+        return hellinger_bound(p, hellinger_divergence(model, p), c)
+    return hockey_stick_bound(beta, gamma, e_beta_gamma_numeric(model, beta, gamma), c)

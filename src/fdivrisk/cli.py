@@ -17,24 +17,11 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 
-from .bounds import (
-    BoundResult,
-    hellinger_bound,
-    hockey_stick_bound,
-    optimize_parameters,
-)
-from .divergences import e_beta_gamma_numeric, hellinger_divergence
+from .bounds import FAMILIES, FIXED_BETA, FIXED_GAMMA, family_bound
 from .generators import Hellinger, HockeyStick
 from .models import DEFAULT_SAMPLES, DEFAULT_SEED, BernoulliModel, GaussianModel, Model
 from .svg import render_line_plot
-from .validation import (
-    FIXED_BETA,
-    FIXED_GAMMA,
-    certification_suite,
-    default_order,
-    generator_label,
-    risk_reports,
-)
+from .validation import certification_suite, generator_label, risk_reports
 
 __all__ = ["main", "RiskCurve", "RiskCurveRow", "SweepConfig"]
 
@@ -43,7 +30,6 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-FAMILIES = ("hellinger", "hockey_stick")
 CSV_HEADER = "n,hellinger_bound,hockey_stick_bound,oracle_risk,oracle_stderr"
 
 
@@ -127,22 +113,6 @@ def build_model(kind: str, n: int, sigma_w_sq: float, sigma_sq: float) -> Model:
     raise ValueError(f"unknown model {kind!r}")
 
 
-def _family_bound(
-    model: Model, family: str, config: "SweepConfig | argparse.Namespace"
-) -> BoundResult:
-    """One bound from the family parameters (p, beta, gamma, optimize) of a
-    sweep config or of the parsed ``bound`` arguments."""
-    if config.optimize:
-        return optimize_parameters(model, family)
-    coeff = model.small_ball_coefficient()
-    if family == "hellinger":
-        p = config.p if config.p is not None else default_order(model)
-        return hellinger_bound(p, hellinger_divergence(model, p), coeff)
-    return hockey_stick_bound(
-        config.beta, config.gamma, e_beta_gamma_numeric(model, config.beta, config.gamma), coeff
-    )
-
-
 def compute_risk_curve(config: SweepConfig) -> RiskCurve:
     """Bounds and, with ``config.oracle``, the risk oracle for each n.
 
@@ -154,13 +124,14 @@ def compute_risk_curve(config: SweepConfig) -> RiskCurve:
         for n in range(config.n_lo, config.n_hi + 1)
     ]
     reports = risk_reports(models, config.samples, config.seed) if config.oracle else None
+    params = dict(p=config.p, beta=config.beta, gamma=config.gamma, optimize=config.optimize)
     rows = []
     for model in models:
         hellinger = hockey = risk = stderr = None
         if "hellinger" in config.families:
-            hellinger = _family_bound(model, "hellinger", config).value
+            hellinger = family_bound(model, "hellinger", **params).value
         if "hockey_stick" in config.families:
-            hockey = _family_bound(model, "hockey_stick", config).value
+            hockey = family_bound(model, "hockey_stick", **params).value
         if reports is not None:
             risk, stderr = next(reports)
         rows.append(RiskCurveRow(model.n, hellinger, hockey, risk, stderr))
@@ -213,6 +184,8 @@ _BOOL_OPTIONS = {
     "oracle": "add Monte-Carlo / exact risk columns",
     "self_test_negate": "flip one certification to verify failures are caught",
 }
+# What the coercions of _OPTIONS that can fail accept, for their messages.
+_KINDS = {int: "an integer", float: "a number"}
 # Config-file spellings of the boolean options.
 _BOOL_VALUES = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -254,7 +227,8 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def _resolve_options(args: argparse.Namespace) -> None:
     """Fill options left unset by the flags from the config file, then from
-    the defaults."""
+    the defaults.  Every config value is checked, also where a flag
+    overrides it."""
     values = parse_config_file(args.config) if args.config else {}
     for key, raw in values.items():
         if key == "family":
@@ -271,8 +245,13 @@ def _resolve_options(args: argparse.Namespace) -> None:
             continue
         if key not in _OPTIONS:
             raise ValueError(f"unknown config key {key!r}")
+        coerce = _OPTIONS[key][0]
+        try:
+            value = coerce(raw)
+        except ValueError:
+            raise ValueError(f"config key {key!r} takes {_KINDS[coerce]}, not {raw!r}") from None
         if getattr(args, key) is None:
-            setattr(args, key, _OPTIONS[key][0](raw))
+            setattr(args, key, value)
     for key, value in _DEFAULTS.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -280,11 +259,11 @@ def _resolve_options(args: argparse.Namespace) -> None:
 
 def _parse_n_range(args: argparse.Namespace, default: tuple[int, int]) -> tuple[int, int]:
     if args.n_range:
-        text = args.n_range
-        if ".." not in text:
-            raise ValueError(f"bad n range {text!r}; expected A..B")
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, _, hi = args.n_range.partition("..")
+        try:
+            return int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"bad n range {args.n_range!r}; expected A..B") from None
     if args.n is not None:
         return args.n, args.n
     return default
@@ -350,7 +329,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ValueError("--n is required for a single bound")
     model = build_model(args.model, args.n, args.sigma_w_sq, args.sigma_sq)
-    result = _family_bound(model, family, args)
+    result = family_bound(
+        model, family, p=args.p, beta=args.beta, gamma=args.gamma, optimize=bool(args.optimize)
+    )
 
     rows = [
         ("bound", format(result.value, ".17g")),

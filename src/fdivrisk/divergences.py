@@ -1,12 +1,13 @@
 """f-mutual-information values between the parameter and the observations.
 
-Closed forms where they exist: the Hellinger family on both models, and the
-coin-flip hockey-stick family as a closed form (incomplete-beta sum) over
-Hamming weights.  That sum runs one weight at a time in pure Python below
-``_ARRAY_MIN_WEIGHTS`` weights k <= n/2 (n < 126), and in numpy blocks of
-weights from there on.  The Gaussian hockey-stick family is an adaptive
-quadrature over the parameter, with each slice in the sample mean in closed
-form.
+One entry point per family: ``hellinger_divergence(model, p)`` and
+``e_beta_gamma_numeric(model, beta, gamma)``.  Closed forms where they
+exist: the Hellinger family on both models, and the coin-flip hockey-stick
+family as a closed form (incomplete-beta sum) over Hamming weights.  That
+sum runs one weight at a time in pure Python below ``_ARRAY_MIN_WEIGHTS``
+weights k <= n/2 (n < 126), and in numpy blocks of weights from there on.
+The Gaussian hockey-stick family is an adaptive quadrature over the
+parameter, with each slice in the sample mean in closed form.
 
 Value convention: Hellinger-family results are stored "scaled" as
 (p-1) * H_p + 1, which is exactly what the bound formulas consume; the raw
@@ -38,9 +39,7 @@ __all__ = [
     "DivergenceInfiniteError",
     "DivergenceValue",
     "e_beta_gamma_numeric",
-    "hellinger_bernoulli_closed_form",
     "hellinger_divergence",
-    "hellinger_gaussian_closed_form",
 ]
 
 
@@ -54,15 +53,14 @@ class DivergenceValue:
     """A computed f-mutual-information value with provenance.
 
     ``error_estimate`` is an absolute bound on the numerical error of
-    quadrature and closed-form results, and a standard error for Monte-Carlo
-    results.  The Hellinger closed forms report zero: they do not bound
-    their rounding.  A value or error estimate that is not finite (an
-    overflow, or a ``nan`` from cancellation) raises ``FloatingPointError``,
-    so no bound is ever built on one.
+    quadrature and closed-form results.  The Hellinger closed forms report
+    zero: they do not bound their rounding.  A value or error estimate that
+    is not finite (an overflow, or a ``nan`` from cancellation) raises
+    ``FloatingPointError``, so no bound is ever built on one.
     """
 
     value: float
-    method: str  # "closed_form" | "quadrature" | "monte_carlo"
+    method: str  # "closed_form" | "quadrature"
     error_estimate: float = 0.0
 
     def __post_init__(self):
@@ -71,27 +69,40 @@ class DivergenceValue:
                 f"{self.method} divergence is not finite: value {self.value}, "
                 f"error estimate {self.error_estimate}"
             )
-        if self.method not in ("closed_form", "quadrature", "monte_carlo"):
+        if self.method not in ("closed_form", "quadrature"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.error_estimate < 0.0:
             raise ValueError("error estimate must be non-negative")
 
 
 # --------------------------------------------------------------------------
-# Closed forms
+# Hellinger information, both models
 # --------------------------------------------------------------------------
 
 
-def hellinger_bernoulli_closed_form(model: BernoulliModel, p: float) -> DivergenceValue:
-    """Scaled order-p Hellinger information between the coin bias and n flips.
+def hellinger_divergence(model: Model, p: float) -> DivergenceValue:
+    """Scaled order-p Hellinger information between the parameter and the
+    data, in closed form.
 
-    (p-1) H_p + 1 = (n+1)^(p-1) * sum_k C(n,k)^p * G(kp+1) G((n-k)p+1) / G(np+2)
-    with G the gamma function.  Evaluated through log-gamma, with each term
-    scaled by the largest, and summed by ``math.fsum``: the k-terms span many
-    orders of magnitude once n grows, and the exactly rounded sum does not
-    depend on their order.
+    Coin-flip model: (p-1) H_p + 1 = (n+1)^(p-1) * sum_k C(n,k)^p *
+    G(kp+1) G((n-k)p+1) / G(np+2), with G the gamma function.  Evaluated
+    through log-gamma, with each term scaled by the largest, and summed by
+    ``math.fsum``: the k-terms span many orders of magnitude once n grows,
+    and the exactly rounded sum does not depend on their order.
+
+    Gaussian model: (p-1) H_p + 1 = ((1 + r)^p / (1 + (2-p) p r))^(1/2),
+    with r = sigma_w_sq / (sigma_sq / n) the ratio of the prior variance to
+    the noise variance of the sample mean.
     """
     Hellinger(p)  # checks the order
+    if isinstance(model, GaussianModel):
+        r = model.sigma_w_sq / model.noise_var
+        denom = 1.0 + (2.0 - p) * p * r
+        if denom <= 0.0:
+            raise DivergenceInfiniteError(
+                f"order-{p} Hellinger information is infinite at variance ratio {r}"
+            )
+        return DivergenceValue(((1.0 + r) ** p / denom) ** 0.5, "closed_form")
     n = model.n
     log_np1 = math.log(n + 1.0)
     log_terms = [
@@ -105,33 +116,6 @@ def hellinger_bernoulli_closed_form(model: BernoulliModel, p: float) -> Divergen
     top = max(log_terms)
     total = math.fsum(math.exp(t - top) for t in log_terms)
     return DivergenceValue(math.exp(top) * total, "closed_form")
-
-
-def hellinger_gaussian_closed_form(sigma_w_sq: float, sigma_sq: float, p: float) -> DivergenceValue:
-    """Scaled order-p Hellinger information for a Gaussian prior observed in
-    Gaussian noise.
-
-    (p-1) H_p + 1 = ((1 + r)^p / (1 + (2-p) p r))^(1/2) with r the
-    prior-to-noise variance ratio.  Callers handle n samples by substituting
-    the sufficient-statistic noise variance sigma_sq / n.
-    """
-    Hellinger(p)  # checks the order
-    if not (sigma_w_sq > 0.0 and sigma_sq > 0.0):
-        raise ValueError("variances must be strictly positive")
-    r = sigma_w_sq / sigma_sq
-    denom = 1.0 + (2.0 - p) * p * r
-    if denom <= 0.0:
-        raise DivergenceInfiniteError(
-            f"order-{p} Hellinger information is infinite at variance ratio {r}"
-        )
-    return DivergenceValue(((1.0 + r) ** p / denom) ** 0.5, "closed_form")
-
-
-def hellinger_divergence(model: Model, p: float) -> DivergenceValue:
-    """Scaled Hellinger information of the model at order p, via closed form."""
-    if isinstance(model, BernoulliModel):
-        return hellinger_bernoulli_closed_form(model, p)
-    return hellinger_gaussian_closed_form(model.sigma_w_sq, model.noise_var, p)
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 Both use absolute-error loss |w - w_hat|, which the posterior median
 minimises.  Each model works over a sufficient statistic (Hamming weight for
 the coin-flip setting, sample mean for the Gaussian one) so divergences stay
-low-dimensional for any sample count.  Each gives a linear small-ball
-envelope and the simulated risk of the posterior median, which every emitted
-bound is certified against; the Gaussian model also gives that risk exactly,
-and the coin-flip posterior density feeds the exact enumeration in
-``validation``.
+low-dimensional for any sample count.  Each gives the coefficient c of a
+linear small-ball envelope, P(|W - w| <= rho) <= c * rho, and the simulated
+risk of the posterior median, which every emitted bound is certified
+against; the Gaussian model also gives that risk exactly, and the coin-flip
+posterior medians feed the exact risk in ``validation``.  The coin-flip
+density ratio, which only the test oracles integrate, lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import beta_median, log_comb
+from .numerics import beta_median
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -28,7 +30,6 @@ __all__ = [
     "GaussianModel",
     "Model",
     "RiskReference",
-    "SmallBallBound",
     "make_rng",
 ]
 
@@ -49,26 +50,10 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class SmallBallBound:
-    """Linear envelope: P(|W - w| <= rho) <= coefficient * rho for all w, rho."""
-
-    coefficient: float
-
-    def __post_init__(self):
-        if not self.coefficient > 0.0:
-            raise ValueError("small-ball coefficient must be positive")
-
-
-@dataclass(frozen=True)
 class RiskReference:
     """Exact reference Bayes risk."""
 
     value: float
-
-
-@lru_cache(maxsize=None)
-def _log_comb_table(n: int) -> tuple[float, ...]:
-    return tuple(log_comb(n, k) for k in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -91,26 +76,9 @@ class BernoulliModel:
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError("n must be a positive integer")
 
-    def small_ball_coefficient(self) -> SmallBallBound:
+    def small_ball_coefficient(self) -> float:
         # Interval mass under U[0,1]: P(|W - w| <= rho) <= 2*rho.
-        return SmallBallBound(2.0)
-
-    def log_density_ratio(self, w: float, k: int) -> float:
-        """log of d P_{W,K} / d(P_W x P_K) at (w, k)."""
-        if not 0.0 <= w <= 1.0:
-            raise ValueError("w must lie in [0, 1]")
-        if not (isinstance(k, (int, np.integer)) and 0 <= k <= self.n):
-            raise ValueError(f"k must be an integer in 0..{self.n}")
-        logc = math.log(self.n + 1) + _log_comb_table(self.n)[k]
-        if w == 0.0:
-            return logc if k == 0 else -math.inf
-        if w == 1.0:
-            return logc if k == self.n else -math.inf
-        return logc + k * math.log(w) + (self.n - k) * math.log1p(-w)
-
-    def density_ratio(self, w: float, k: int) -> float:
-        """(n+1) C(n,k) w^k (1-w)^(n-k): the posterior density of W given k."""
-        return math.exp(self.log_density_ratio(w, k))
+        return 2.0
 
     def posterior_median(self, k: int) -> float:
         return _beta_median_table(self.n)[k]
@@ -157,6 +125,13 @@ class GaussianModel:
             raise ValueError("n must be a positive integer")
         if not (self.sigma_w_sq > 0.0 and self.sigma_sq > 0.0):
             raise ValueError("variances must be strictly positive")
+        # Every Gaussian information depends on the variances through the
+        # ratio r = sigma_w_sq / (sigma_sq / n), so r must exist and be finite.
+        if not (self.noise_var > 0.0 and math.isfinite(self.sigma_w_sq / self.noise_var)):
+            raise ValueError(
+                f"variance ratio sigma_w_sq / (sigma_sq / n) is not finite at "
+                f"sigma_w_sq = {self.sigma_w_sq}, sigma_sq = {self.sigma_sq}, n = {self.n}"
+            )
 
     @property
     def noise_var(self) -> float:
@@ -172,9 +147,9 @@ class GaussianModel:
     def posterior_var(self) -> float:
         return self.sigma_w_sq / (1.0 + self.n * self.sigma_w_sq / self.sigma_sq)
 
-    def small_ball_coefficient(self) -> SmallBallBound:
+    def small_ball_coefficient(self) -> float:
         # Peak prior density times interval length.
-        return SmallBallBound(2.0 / math.sqrt(2.0 * math.pi * self.sigma_w_sq))
+        return 2.0 / math.sqrt(2.0 * math.pi * self.sigma_w_sq)
 
     def bayes_risk_reference(self) -> RiskReference:
         """Exact Bayes risk under absolute loss.

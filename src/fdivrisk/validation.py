@@ -4,8 +4,9 @@ Two kinds of cross-checks, deliberately unsophisticated so they share no
 code path with what they certify: dense-grid midpoint integration of the
 divergence definition, and the Bayes risk, the risk of the posterior median
 (simulated for the coin flips, exact for the Gaussian model), that every
-emitted lower bound must stay below.  Exact enumeration of the coin-flip
-risk is kept as the reference the simulation is checked against.
+emitted lower bound must stay below.  The exact coin-flip risk, a closed
+form over Hamming weights, is kept as the reference the simulation is
+checked against.
 
 The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
 on at most two threads.  Each n draws from its own stream, seeded with
@@ -22,7 +23,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundResult, hellinger_bound, hockey_stick_bound, optimize_parameters
+from .bounds import (
+    FAMILIES,
+    FIXED_BETA,
+    FIXED_GAMMA,
+    BoundResult,
+    default_order,
+    family_bound,
+)
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
 from .generators import Generator, Hellinger, HockeyStick
 from .models import (
@@ -32,7 +40,7 @@ from .models import (
     GaussianModel,
     Model,
 )
-from .numerics import adaptive_quadrature
+from .numerics import regularized_incomplete_beta
 
 __all__ = [
     "OracleReport",
@@ -49,15 +57,6 @@ __all__ = [
 # bytes per sample, so two workers stay below the 40 bytes per sample of the
 # one-shot draw they replaced, whatever the host's CPU count.
 _MAX_WORKERS = 2
-
-# Fixed-mode family parameters, shared by the certification suite and the CLI.
-FIXED_BETA = 0.75
-FIXED_GAMMA = 2.2
-
-
-def default_order(model: Model) -> float:
-    """Fixed-mode Hellinger order: 2 for the coin-flip model, 3/2 Gaussian."""
-    return 2.0 if isinstance(model, BernoulliModel) else 1.5
 
 
 @dataclass(frozen=True)
@@ -155,26 +154,35 @@ def brute_force_divergence(model: Model, g: Generator, grid_points: int = 10**6)
 
 
 def exact_bernoulli_risk(model: BernoulliModel) -> float:
-    """Exact Bayes risk (of the posterior median) by enumeration over
-    Hamming weights.
+    """Exact Bayes risk of the posterior median, summed over Hamming weights.
 
-    Per weight k the posterior is Beta(k+1, n-k+1); the conditional risk is a
-    1-D integral of |w - median| against it, split at the median where the
-    integrand kinks.
+    Per weight k the posterior is Beta(a, b) with a = k+1, b = n-k+1, and m
+    is the median that ``simulate_risk`` uses.  Splitting |w - m| at m gives
+    the conditional risk a/(a+b) (1 - 2 I_m(a+1, b)) + m (2 I_m(a, b) - 1),
+    with I the regularized incomplete beta function.  The recurrence
+    I_m(a+1, b) = I_m(a, b) - m^a (1-m)^b / (a B(a, b)) turns it into
+    (2 I_m(a, b) - 1)(m - a/(a+b)) + 2 m^a (1-m)^b / ((a+b) B(a, b)), which
+    does not cancel where 1 - 2 I_m(a+1, b) would: its first term vanishes
+    at the exact median.  Weights are uniform on 0..n, so the risk is the
+    mean of these terms.
     """
     n = model.n
     terms = []
     for k in range(n + 1):
-        median = model.posterior_median(k)
-        val, _ = adaptive_quadrature(
-            lambda w, _k=k, _m=median: abs(w - _m) * model.density_ratio(w, _k),
-            0.0,
-            1.0,
-            rel_tol=1e-11,
-            abs_tol=1e-15,
-            breakpoints=(median,),
+        a = k + 1.0
+        b = n - k + 1.0
+        m = model.posterior_median(k)
+        log_kernel = (
+            a * math.log(m)
+            + b * math.log1p(-m)
+            + math.lgamma(a + b)
+            - math.lgamma(a)
+            - math.lgamma(b)
         )
-        terms.append(val)
+        terms.append(
+            (2.0 * regularized_incomplete_beta(a, b, m) - 1.0) * (m - a / (a + b))
+            + 2.0 * math.exp(log_kernel) / (a + b)
+        )
     return math.fsum(terms) / (n + 1.0)
 
 
@@ -321,14 +329,12 @@ def certification_suite(
 
     models = [replace(template, n=n) for n in ns]
     risks = risk_reports(models, samples, seed)
+    searches = (False, True) if optimize else (False,)
     for model in models:
-        coeff = model.small_ball_coefficient()
         results = [
-            hellinger_bound(p, hellinger_divergence(model, p), coeff),
-            hockey_stick_bound(beta, gamma, e_beta_gamma_numeric(model, beta, gamma), coeff),
+            family_bound(model, family, p=p, beta=beta, gamma=gamma, optimize=search)
+            for search in searches
+            for family in FAMILIES
         ]
-        if optimize:
-            results.append(optimize_parameters(model, "hellinger"))
-            results.append(optimize_parameters(model, "hockey_stick"))
         reports.extend(certify_bounds(model, results, next(risks)))
     return reports

@@ -8,10 +8,10 @@ or states an identity of the paper that the package's closed forms rest on:
 - ``f_mi_numeric``: the f-mutual information of any generator by adaptive
   quadrature of its definition;
 - ``monte_carlo_divergence``: the same under the product measure by Monte
-  Carlo;
+  Carlo, as a ``MonteCarloEstimate``;
 - the chi-squared closed form of the coin-flip model, its envelope, the
   central-binomial identity and the Renyi re-parametrisation;
-- the Gaussian model's joint-vs-product density ratio, which only the
+- the joint-vs-product density ratios of both models, which only the
   generic quadrature needs.
 
 The oracles share no code path with what they certify: the quadrature finds
@@ -22,13 +22,15 @@ its own kink breakpoints by bisection and imports nothing private from
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from fdivrisk.divergences import DivergenceInfiniteError, DivergenceValue
 from fdivrisk.generators import Generator, Hellinger, HockeyStick
 from fdivrisk.models import DEFAULT_SEED, BernoulliModel, GaussianModel, Model, make_rng
-from fdivrisk.numerics import adaptive_quadrature, bisect_root, norm_cdf, norm_pdf
+from fdivrisk.numerics import adaptive_quadrature, bisect_root, log_comb, norm_cdf, norm_pdf
 
 # --------------------------------------------------------------------------
 # Generator functions and the master bound
@@ -134,8 +136,33 @@ def renyi_from_hellinger(scaled: "DivergenceValue | float", p: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Gaussian density ratio
+# Density ratios
 # --------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _log_comb_table(n: int) -> tuple[float, ...]:
+    return tuple(log_comb(n, k) for k in range(n + 1))
+
+
+def bernoulli_log_density_ratio(model: BernoulliModel, w: float, k: int) -> float:
+    """log of d P_{W,K} / d(P_W x P_K) at (w, k)."""
+    n = model.n
+    if not 0.0 <= w <= 1.0:
+        raise ValueError("w must lie in [0, 1]")
+    if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
+        raise ValueError(f"k must be an integer in 0..{n}")
+    logc = math.log(n + 1) + _log_comb_table(n)[k]
+    if w == 0.0:
+        return logc if k == 0 else -math.inf
+    if w == 1.0:
+        return logc if k == n else -math.inf
+    return logc + k * math.log(w) + (n - k) * math.log1p(-w)
+
+
+def bernoulli_density_ratio(model: BernoulliModel, w: float, k: int) -> float:
+    """(n+1) C(n,k) w^k (1-w)^(n-k): the posterior density of W given k."""
+    return math.exp(bernoulli_log_density_ratio(model, w, k))
 
 
 def gaussian_log_density_ratio(model: GaussianModel, w: float, xbar: float) -> float:
@@ -180,14 +207,14 @@ def _f_mi_bernoulli(model: BernoulliModel, g: Generator) -> tuple[float, float]:
             log_tau = math.log(g.gamma / g.beta)
 
             def excess(w: float, k=k) -> float:
-                return model.log_density_ratio(w, k) - log_tau
+                return bernoulli_log_density_ratio(model, w, k) - log_tau
 
             # The log-ratio of weight k is concave, with its peak at w = k / n.
             if excess(k / n) > 0.0:
                 breakpoints = _level_crossings(excess, 0.0, k / n, 1.0)
 
         val, err = adaptive_quadrature(
-            lambda w, k=k: evaluate(g, model.density_ratio(w, k)),
+            lambda w, k=k: evaluate(g, bernoulli_density_ratio(model, w, k)),
             0.0,
             1.0,
             rel_tol=_BERNOULLI_REL_TOL,
@@ -329,9 +356,18 @@ def f_mi_numeric(model: Model, g: Generator) -> DivergenceValue:
 _MC_CHUNK = 1_000_000
 
 
+@dataclass(frozen=True)
+class MonteCarloEstimate:
+    """A Monte-Carlo divergence value, in the canonical convention, and its
+    standard error."""
+
+    value: float
+    error_estimate: float
+
+
 def monte_carlo_divergence(
     model: Model, g: Generator, samples: int = 10**7, seed: int = DEFAULT_SEED
-) -> DivergenceValue:
+) -> MonteCarloEstimate:
     """Monte-Carlo estimate of the f-mutual information under the product
     measure, with its standard error; bit-for-bit reproducible per seed."""
     if samples < 10**4:
@@ -375,5 +411,5 @@ def monte_carlo_divergence(
     var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
     std_err = math.sqrt(var / samples)
     if isinstance(g, Hellinger):
-        return DivergenceValue((g.p - 1.0) * mean + 1.0, "monte_carlo", (g.p - 1.0) * std_err)
-    return DivergenceValue(mean, "monte_carlo", std_err)
+        return MonteCarloEstimate((g.p - 1.0) * mean + 1.0, (g.p - 1.0) * std_err)
+    return MonteCarloEstimate(mean, std_err)

@@ -32,9 +32,7 @@ from fdivrisk.bounds import (
 from fdivrisk.cli import SweepConfig, compute_risk_curve, main
 from fdivrisk.divergences import (
     e_beta_gamma_numeric,
-    hellinger_bernoulli_closed_form,
     hellinger_divergence,
-    hellinger_gaussian_closed_form,
 )
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
@@ -109,14 +107,14 @@ def test_criterion_3_closed_form_vs_quadrature():
     for n in range(1, 11):
         model = BernoulliModel(n)
         for p in (1.5, 2.0, 3.0):
-            closed = hellinger_bernoulli_closed_form(model, p).value
+            closed = hellinger_divergence(model, p).value
             quad = f_mi_numeric(model, Hellinger(p)).value
             worst_bernoulli = max(worst_bernoulli, rel_err(closed, quad))
     worst_gaussian = 0.0
     for sw2, s2 in ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0)):
         model = GaussianModel(1, sw2, s2)
         for p in (1.5, 2.0):
-            closed = hellinger_gaussian_closed_form(sw2, s2, p).value
+            closed = hellinger_divergence(model, p).value
             quad = f_mi_numeric(model, Hellinger(p)).value
             worst_gaussian = max(worst_gaussian, rel_err(closed, quad))
     elapsed = time.time() - start
@@ -144,7 +142,7 @@ def test_criterion_4_hockey_stick_instances():
 
         g_model = GaussianModel(n, 1.0, 2.0)
         e_g = e_beta_gamma_numeric(g_model, beta, gamma)
-        c = g_model.small_ball_coefficient().coefficient
+        c = g_model.small_ball_coefficient()
         engine_g = hockey_stick_bound(beta, gamma, e_g, c).value
         formula_g = 5.0 * math.sqrt(2.0 * math.pi * 1.0) * (beta - e_g.value) ** 2 / 66.0
         worst = max(worst, rel_err(engine_g, formula_g))

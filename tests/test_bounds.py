@@ -6,6 +6,7 @@ import pytest
 from oracles import chi_squared_bernoulli, master_bound
 
 from fdivrisk.bounds import (
+    family_bound,
     hellinger_bound,
     hockey_stick_bound,
     optimize_parameters,
@@ -223,3 +224,30 @@ class TestOptimizeParameters:
         a = optimize_parameters(model, "hockey_stick")
         b = optimize_parameters(model, "hockey_stick")
         assert a == b
+
+
+class TestFamilyBound:
+    FIXED = {"p": None, "beta": 0.75, "gamma": 2.2}
+
+    @pytest.mark.parametrize("model", [BernoulliModel(4), GaussianModel(3)])
+    def test_fixed_parameters(self, model):
+        coeff = model.small_ball_coefficient()
+        p = 2.0 if isinstance(model, BernoulliModel) else 1.5
+        hellinger = family_bound(model, "hellinger", **self.FIXED, optimize=False)
+        assert hellinger == hellinger_bound(p, hellinger_divergence(model, p), coeff)
+        at_p = family_bound(model, "hellinger", **{**self.FIXED, "p": 1.8}, optimize=False)
+        assert at_p == hellinger_bound(1.8, hellinger_divergence(model, 1.8), coeff)
+        hockey = family_bound(model, "hockey-stick", **self.FIXED, optimize=False)
+        e = e_beta_gamma_numeric(model, 0.75, 2.2)
+        assert hockey == hockey_stick_bound(0.75, 2.2, e, coeff)
+
+    @pytest.mark.parametrize("family", ["hellinger", "hockey_stick"])
+    def test_optimize_is_the_search(self, family):
+        model = BernoulliModel(3)
+        searched = family_bound(model, family, **self.FIXED, optimize=True)
+        assert searched == optimize_parameters(model, family)
+
+    def test_unknown_family(self):
+        # The searched path is covered by test_family_name_validation.
+        with pytest.raises(ValueError, match="unknown bound family 'kullback'"):
+            family_bound(BernoulliModel(2), "kullback", **self.FIXED, optimize=False)

@@ -91,6 +91,25 @@ class TestBoundCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            # sigma_sq / n underflows to 0 although both variances are positive.
+            ("bound --model gaussian --n 2 --sigma-sq 5e-324", 2),
+            ("bound --model gaussian --n 2 --sigma-sq 5e-324 --family hockey-stick", 2),
+            # At n = 1 the variance ratio 1 / 5e-324 overflows.
+            ("sweep --model gaussian --n-range 1..2 --sigma-sq 5e-324 --oracle", 1),
+        ],
+    )
+    def test_degenerate_noise_variance_is_named(self, capsys, argv, n):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: variance ratio sigma_w_sq / (sigma_sq / n) is not finite at "
+            f"sigma_w_sq = 1.0, sigma_sq = 5e-324, n = {n}\n"
+        )
+
     def test_continued_fraction_stall_is_one_line_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
         code, out, err = run(
@@ -254,6 +273,11 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--n-range", "5..2")
         assert code == EXIT_USAGE
+        for text in ("1..x", "..3", "1..2..3"):
+            code, out, err = run(capsys, "sweep", "--model", "bernoulli", "--n-range", text)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err == f"error: bad n range {text!r}; expected A..B\n"
 
     def test_out_of_memory_is_one_line_usage_error(self, capsys, monkeypatch):
         def simulate_risk(model, samples, seed):
@@ -345,6 +369,24 @@ class TestConfigFile:
         assert err == (
             "error: config key 'oracle' takes 1/true/yes/on or 0/false/no/off, not 'maybe'\n"
         )
+
+    @pytest.mark.parametrize("flag", [[], ["--seed", "3"]])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed = abc", "config key 'seed' takes an integer, not 'abc'"),
+            ("seed = 2.5", "config key 'seed' takes an integer, not '2.5'"),
+            ("beta = x", "config key 'beta' takes a number, not 'x'"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, flag, line, message):
+        # Checked whether or not a flag overrides the key.
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        code, out, err = run(capsys, "sweep", "--n-range", "1..2", "--config", str(config), *flag)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_config_file_is_io_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--config", "/nonexistent/file.cfg")

@@ -3,8 +3,8 @@
 Code that only the tests call belongs in ``tests/oracles.py``.  The check
 matches by name: a definition counts as used when its name appears as a
 variable or an attribute anywhere in ``src/fdivrisk/`` outside its own body.
-So a method whose name another function or method shares (``density_ratio``
-of one model used, of the other not) is not caught.
+So a method whose name another function or method shares (a method of one
+model used, the same-named method of the other not) is not caught.
 """
 
 import ast

@@ -20,9 +20,7 @@ from fdivrisk.divergences import (
     DivergenceInfiniteError,
     DivergenceValue,
     e_beta_gamma_numeric,
-    hellinger_bernoulli_closed_form,
     hellinger_divergence,
-    hellinger_gaussian_closed_form,
 )
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
@@ -49,18 +47,18 @@ class TestBernoulliClosedForms:
     def test_sum_form_matches_integer_exact(self):
         for n in (1, 2, 3, 7, 15):
             expected = float(exact_bernoulli_scaled_p2(n))
-            assert hellinger_bernoulli_closed_form(BernoulliModel(n), 2.0).value == pytest.approx(
+            assert hellinger_divergence(BernoulliModel(n), 2.0).value == pytest.approx(
                 expected, rel=1e-12
             )
 
     def test_n2_p2_is_eight_fifths(self):
-        assert hellinger_bernoulli_closed_form(BernoulliModel(2), 2.0).value == pytest.approx(
+        assert hellinger_divergence(BernoulliModel(2), 2.0).value == pytest.approx(
             1.6, rel=1e-13
         )
 
     def test_sum_form_recovers_central_binomial_form(self):
         for n in range(1, 51):
-            general = hellinger_bernoulli_closed_form(BernoulliModel(n), 2.0).value
+            general = hellinger_divergence(BernoulliModel(n), 2.0).value
             special = chi_squared_bernoulli(BernoulliModel(n)).value
             assert general == pytest.approx(special, rel=1e-11)
 
@@ -70,7 +68,7 @@ class TestBernoulliClosedForms:
 
     def test_p_must_exceed_one(self):
         with pytest.raises(ValueError):
-            hellinger_bernoulli_closed_form(BernoulliModel(3), 1.0)
+            hellinger_divergence(BernoulliModel(3), 1.0)
 
     def test_metadata(self):
         value = chi_squared_bernoulli(BernoulliModel(3))
@@ -80,27 +78,29 @@ class TestBernoulliClosedForms:
 
 class TestGaussianClosedForm:
     def test_equal_variances_p_three_halves(self):
-        value = hellinger_gaussian_closed_form(1.0, 1.0, 1.5)
+        value = hellinger_divergence(GaussianModel(1, 1.0, 1.0), 1.5)
         assert value.value == pytest.approx(math.sqrt(2.0**1.5 / 1.75), rel=1e-14)
 
     def test_p_two_equal_variances(self):
         # (2 - p) p vanishes at p = 2, so the scaled value is (1 + r)^(p / 2).
-        assert hellinger_gaussian_closed_form(1.0, 1.0, 2.0).value == pytest.approx(2.0, rel=1e-14)
+        assert hellinger_divergence(GaussianModel(1, 1.0, 1.0), 2.0).value == pytest.approx(
+            2.0, rel=1e-14
+        )
 
     def test_p_close_to_one_tends_to_one(self):
-        assert hellinger_gaussian_closed_form(1.0, 2.0, 1.0 + 1e-9).value == pytest.approx(
+        assert hellinger_divergence(GaussianModel(1, 1.0, 2.0), 1.0 + 1e-9).value == pytest.approx(
             1.0, abs=1e-8
         )
 
     def test_divergent_parameters_raise(self):
         # 1 + (2 - p) p r <= 0.
         with pytest.raises(DivergenceInfiniteError):
-            hellinger_gaussian_closed_form(1.0, 1.0, 4.0)
+            hellinger_divergence(GaussianModel(1, 1.0, 1.0), 4.0)
 
     def test_model_dispatch_uses_sufficient_statistic(self):
         # n samples enter only through the noise variance of the sample mean.
         model = GaussianModel(8, 1.0, 2.0)
-        direct = hellinger_gaussian_closed_form(1.0, 2.0 / 8.0, 1.5).value
+        direct = hellinger_divergence(GaussianModel(1, 1.0, 2.0 / 8.0), 1.5).value
         assert hellinger_divergence(model, 1.5).value == pytest.approx(direct, rel=1e-15)
 
 
@@ -241,7 +241,7 @@ class TestGenericEngine:
         for n in (1, 3, 6):
             model = BernoulliModel(n)
             for p in (1.5, 2.0, 3.0):
-                closed = hellinger_bernoulli_closed_form(model, p).value
+                closed = hellinger_divergence(model, p).value
                 quad = f_mi_numeric(model, Hellinger(p)).value
                 assert quad == pytest.approx(closed, rel=1e-8)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gaussian_density_ratio
+from oracles import bernoulli_density_ratio, gaussian_density_ratio
 
 from fdivrisk.models import BernoulliModel, GaussianModel, make_rng
 from fdivrisk.numerics import adaptive_quadrature, norm_cdf, norm_pdf
@@ -19,7 +19,7 @@ class TestBernoulliModel:
             BernoulliModel(-3)
 
     def test_small_ball_coefficient(self):
-        assert BernoulliModel(10).small_ball_coefficient().coefficient == 2.0
+        assert BernoulliModel(10).small_ball_coefficient() == 2.0
 
     def test_small_ball_bound_dominates_exact_mass(self):
         # P(|W - w| <= rho) is the overlap of [w-rho, w+rho] with [0, 1].
@@ -29,20 +29,20 @@ class TestBernoulliModel:
                 assert exact <= 2.0 * rho + 1e-15
 
     def test_density_ratio_examples(self):
-        assert BernoulliModel(1).density_ratio(0.0, 0) == pytest.approx(2.0)
+        assert bernoulli_density_ratio(BernoulliModel(1), 0.0, 0) == pytest.approx(2.0)
         # Kernel maximum sits at w = k/n.
         model = BernoulliModel(6)
         for k in (1, 3, 5):
-            peak = model.density_ratio(k / 6.0, k)
+            peak = bernoulli_density_ratio(model, k / 6.0, k)
             for w in np.linspace(0.001, 0.999, 199):
-                assert model.density_ratio(float(w), k) <= peak + 1e-12
+                assert bernoulli_density_ratio(model, float(w), k) <= peak + 1e-12
 
     def test_density_ratio_domain(self):
         model = BernoulliModel(4)
         with pytest.raises(ValueError):
-            model.density_ratio(-0.1, 2)
+            bernoulli_density_ratio(model, -0.1, 2)
         with pytest.raises(ValueError):
-            model.density_ratio(0.5, 5)
+            bernoulli_density_ratio(model, 0.5, 5)
 
     def test_posterior_normalisation_by_quadrature(self):
         # The ratio at fixed k is the posterior density, so it integrates to 1
@@ -51,7 +51,7 @@ class TestBernoulliModel:
             model = BernoulliModel(n)
             for k in range(n + 1):
                 val, _ = adaptive_quadrature(
-                    lambda w, _k=k: model.density_ratio(w, _k), 0.0, 1.0, rel_tol=1e-11
+                    lambda w, _k=k: bernoulli_density_ratio(model, w, _k), 0.0, 1.0, rel_tol=1e-11
                 )
                 assert val == pytest.approx(1.0, abs=1e-10)
 
@@ -100,16 +100,25 @@ class TestGaussianModel:
         with pytest.raises(ValueError):
             GaussianModel(3, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "sigma_w_sq, sigma_sq, n",
+        [(1.0, 5e-324, 2), (1.0, 1e-300, 10**9), (1e300, 1e-300, 1), (math.inf, 1.0, 1)],
+    )
+    def test_degenerate_sufficient_statistic(self, sigma_w_sq, sigma_sq, n):
+        # sigma_sq / n underflows to 0, or sigma_w_sq / (sigma_sq / n) overflows.
+        with pytest.raises(ValueError, match="variance ratio .* is not finite"):
+            GaussianModel(n, sigma_w_sq, sigma_sq)
+
     def test_small_ball_coefficient_examples(self):
-        assert GaussianModel(10, 1.0, 1.0).small_ball_coefficient().coefficient == pytest.approx(
+        assert GaussianModel(10, 1.0, 1.0).small_ball_coefficient() == pytest.approx(
             2.0 / math.sqrt(2.0 * math.pi)
         )
         flat = GaussianModel(10, 1.0 / (2.0 * math.pi), 1.0)
-        assert flat.small_ball_coefficient().coefficient == pytest.approx(2.0)
+        assert flat.small_ball_coefficient() == pytest.approx(2.0)
 
     def test_small_ball_bound_dominates_exact_mass(self):
         model = GaussianModel(3, 1.7, 0.9)
-        c = model.small_ball_coefficient().coefficient
+        c = model.small_ball_coefficient()
         sw = math.sqrt(model.sigma_w_sq)
         for w in np.linspace(-3.0, 3.0, 13):
             for rho in (0.01, 0.1, 0.5, 2.0):

@@ -6,13 +6,14 @@ import sys
 import threading
 
 import pytest
-from oracles import chi_squared_bernoulli, monte_carlo_divergence
+from oracles import bernoulli_density_ratio, chi_squared_bernoulli, monte_carlo_divergence
 
 from fdivrisk import validation
 from fdivrisk.bounds import hellinger_bound, hockey_stick_bound
 from fdivrisk.divergences import e_beta_gamma_numeric
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
+from fdivrisk.numerics import adaptive_quadrature
 from fdivrisk.validation import (
     brute_force_divergence,
     certification_suite,
@@ -89,6 +90,26 @@ class TestMonteCarloDivergence:
 class TestRiskOracles:
     def test_exact_enumeration_n1(self):
         assert exact_bernoulli_risk(BernoulliModel(1)) == pytest.approx(RISK_N1, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 200])
+    def test_closed_form_matches_quadrature(self, n):
+        # Per weight k, integrate |w - median| against the posterior density,
+        # split at the median where the integrand kinks.
+        model = BernoulliModel(n)
+        terms = []
+        for k in range(n + 1):
+            median = model.posterior_median(k)
+            val, _ = adaptive_quadrature(
+                lambda w: abs(w - median) * bernoulli_density_ratio(model, w, k),
+                0.0,
+                1.0,
+                rel_tol=1e-11,
+                abs_tol=1e-15,
+                breakpoints=(median,),
+            )
+            terms.append(val)
+        quadrature = math.fsum(terms) / (n + 1.0)
+        assert exact_bernoulli_risk(model) == pytest.approx(quadrature, rel=1e-10)
 
     def test_enumeration_decreases_with_n(self):
         risks = [exact_bernoulli_risk(BernoulliModel(n)) for n in (1, 2, 4, 8, 16)]
