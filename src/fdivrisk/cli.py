@@ -4,6 +4,12 @@ Subcommands: ``bound`` (one bound, printed), ``sweep`` (CSV/SVG risk curves
 over a range of sample counts), ``compare`` (sweep with every family), and
 ``validate`` (oracle certification, exit 0 only if everything passes).
 
+Every option is a flag and a key of the flat config file, and ``_OPTIONS``
+says which commands read it; a command given an option it does not read,
+either way, exits 2 without computing anything.  ``sweep``, ``compare`` and
+``validate`` take their sample counts from ``--n-range A..B`` with
+``1 <= A <= B``, or from ``--n`` alone, never both.
+
 Exit codes: 0 success, 1 validation failure, 2 argument error, numerical
 failure (an ``ArithmeticError`` such as an overflow) or running out of memory
 (such as a ``--samples`` too large to hold), 3 I/O error.
@@ -15,93 +21,36 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import Any
 
-from .bounds import FAMILIES, FIXED_BETA, FIXED_GAMMA, family_bound
+from .bounds import FAMILIES, FIXED_BETA, FIXED_GAMMA, _family_key, family_bound
 from .generators import Hellinger, HockeyStick
 from .models import DEFAULT_SAMPLES, DEFAULT_SEED, BernoulliModel, GaussianModel, Model
 from .svg import render_line_plot
 from .validation import certification_suite, generator_label, risk_reports
 
-__all__ = ["main", "RiskCurve", "RiskCurveRow", "SweepConfig"]
+__all__ = ["main", "compute_risk_curve"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# A row holds n, one bound per family in FAMILIES order, then the oracle
+# risk and its standard error; None is an empty cell.
 CSV_HEADER = "n,hellinger_bound,hockey_stick_bound,oracle_risk,oracle_stderr"
 
 
 # --------------------------------------------------------------------------
-# Sweep data model
+# Risk curves
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    model: str
-    n_lo: int
-    n_hi: int
-    families: tuple[str, ...]
-    sigma_w_sq: float
-    sigma_sq: float
-    p: float | None
-    beta: float
-    gamma: float
-    optimize: bool
-    oracle: bool
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_lo > self.n_hi or self.n_lo < 1:
-            raise ValueError("n range must be non-empty and start at 1 or above")
-        if not self.families:
-            raise ValueError("at least one bound family is required")
-
-
-@dataclass(frozen=True)
-class RiskCurveRow:
-    n: int
-    hellinger: float | None
-    hockey_stick: float | None
-    oracle_risk: float | None
-    oracle_stderr: float | None
-
-
-@dataclass(frozen=True)
-class RiskCurve:
-    rows: tuple[RiskCurveRow, ...]
-
-    def __post_init__(self):
-        ns = [row.n for row in self.rows]
-        if ns != sorted(ns):
-            raise ValueError("rows must be sorted by n")
-        for row in self.rows:
-            for v in (row.hellinger, row.hockey_stick):
-                if v is not None and v < 0.0:
-                    raise ValueError("bound values must be non-negative")
-
-
-def _fmt_cell(v: float | None) -> str:
-    return "" if v is None else format(v, ".17g")
-
-
-def risk_curve_csv(curve: RiskCurve) -> str:
+def risk_curve_csv(rows: list[tuple]) -> str:
     lines = [CSV_HEADER]
-    for row in curve.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.n),
-                    _fmt_cell(row.hellinger),
-                    _fmt_cell(row.hockey_stick),
-                    _fmt_cell(row.oracle_risk),
-                    _fmt_cell(row.oracle_stderr),
-                )
-            )
-        )
+    for n, *cells in rows:
+        lines.append(",".join([str(n), *("" if v is None else format(v, ".17g") for v in cells)]))
     return "\n".join(lines) + "\n"
 
 
@@ -113,40 +62,45 @@ def build_model(kind: str, n: int, sigma_w_sq: float, sigma_sq: float) -> Model:
     raise ValueError(f"unknown model {kind!r}")
 
 
-def compute_risk_curve(config: SweepConfig) -> RiskCurve:
-    """Bounds and, with ``config.oracle``, the risk oracle for each n.
+def compute_risk_curve(
+    models: list[Model],
+    families: tuple[str, ...],
+    *,
+    p: float | None,
+    beta: float,
+    gamma: float,
+    optimize: bool,
+    oracle: bool,
+    samples: int,
+    seed: int,
+) -> list[tuple]:
+    """One row per model, in ``CSV_HEADER`` order: the bounds of
+    ``families`` and, with ``oracle``, the risk oracle.
 
     The oracle columns come from ``risk_reports``: worker threads draw them
     while this thread computes the bounds.
     """
-    models = [
-        build_model(config.model, n, config.sigma_w_sq, config.sigma_sq)
-        for n in range(config.n_lo, config.n_hi + 1)
-    ]
-    reports = risk_reports(models, config.samples, config.seed) if config.oracle else None
-    params = dict(p=config.p, beta=config.beta, gamma=config.gamma, optimize=config.optimize)
+    reports = risk_reports(models, samples, seed) if oracle else None
     rows = []
     for model in models:
-        hellinger = hockey = risk = stderr = None
-        if "hellinger" in config.families:
-            hellinger = family_bound(model, "hellinger", **params).value
-        if "hockey_stick" in config.families:
-            hockey = family_bound(model, "hockey_stick", **params).value
-        if reports is not None:
-            risk, stderr = next(reports)
-        rows.append(RiskCurveRow(model.n, hellinger, hockey, risk, stderr))
-    return RiskCurve(tuple(rows))
+        bounds = [
+            family_bound(model, family, p=p, beta=beta, gamma=gamma, optimize=optimize).value
+            if family in families
+            else None
+            for family in FAMILIES
+        ]
+        risk = next(reports) if reports is not None else (None, None)
+        rows.append((model.n, *bounds, *risk))
+    return rows
 
 
-def render_curve_svg(curve: RiskCurve, title: str) -> str:
-    xs = [row.n for row in curve.rows]
-    series: list[tuple[str, list[float | None]]] = []
-    if any(row.hellinger is not None for row in curve.rows):
-        series.append(("hellinger", [row.hellinger for row in curve.rows]))
-    if any(row.hockey_stick is not None for row in curve.rows):
-        series.append(("hockey-stick", [row.hockey_stick for row in curve.rows]))
-    if any(row.oracle_risk is not None for row in curve.rows):
-        series.append(("oracle risk", [row.oracle_risk for row in curve.rows]))
+def render_curve_svg(rows: list[tuple], title: str) -> str:
+    series = []
+    for column, label in enumerate(("hellinger", "hockey-stick", "oracle risk"), 1):
+        ys = [row[column] for row in rows]
+        if any(y is not None for y in ys):
+            series.append((label, ys))
+    xs = [row[0] for row in rows]
     return render_line_plot(xs, series, title=title, x_label="n", y_label="risk lower bound")
 
 
@@ -154,35 +108,33 @@ def render_curve_svg(curve: RiskCurve, title: str) -> str:
 # Argument handling
 # --------------------------------------------------------------------------
 
-# name -> (coercion, help); used for both flags and the flat config file.
-_OPTIONS: dict[str, tuple] = {
-    "model": (str, "estimation model: bernoulli | gaussian"),
-    "n": (int, "sample count for a single bound"),
-    "n_range": (str, "inclusive sweep range, e.g. 1..50"),
-    "sigma_w_sq": (float, "prior variance (gaussian model)"),
-    "sigma_sq": (float, "noise variance (gaussian model)"),
-    "p": (float, "Hellinger order (> 1)"),
-    "beta": (float, "hockey-stick beta (> 0)"),
-    "gamma": (float, "hockey-stick gamma (>= beta)"),
-    "samples": (int, "Monte-Carlo sample count"),
-    "seed": (int, "RNG seed (fixed default; runs are reproducible)"),
-    "csv": (str, "write CSV output to this path"),
-    "svg": (str, "write an SVG plot to this path"),
-}
-# Values of options that neither the flags nor the config file set.
-_DEFAULTS = {
-    "model": "bernoulli",
-    "sigma_w_sq": GaussianModel.sigma_w_sq,
-    "sigma_sq": GaussianModel.sigma_sq,
-    "beta": FIXED_BETA,
-    "gamma": FIXED_GAMMA,
-    "samples": DEFAULT_SAMPLES,
-    "seed": DEFAULT_SEED,
-}
-_BOOL_OPTIONS = {
-    "optimize": "optimise over family parameters instead of fixed values",
-    "oracle": "add Monte-Carlo / exact risk columns",
-    "self_test_negate": "flip one certification to verify failures are caught",
+
+_ALL = ("bound", "sweep", "compare", "validate")
+# The commands that run over a range of sample counts.
+_RANGED = ("sweep", "compare", "validate")
+# name -> (coercion, default, the commands that read it, help), for both the
+# flags and the flat config file.  The coercion is str, int or float, bool
+# for a switch, or list for a repeatable flag.  The default applies where
+# neither the flags nor the config file set the option.  The other commands
+# reject the option, and list it in this order.
+_OPTIONS: dict[str, tuple[type, Any, tuple[str, ...], str]] = {
+    "model": (str, "bernoulli", _ALL, "estimation model: bernoulli | gaussian"),
+    "n": (int, None, _ALL, "sample count; for a sweep, the same as --n-range N..N"),
+    "sigma_w_sq": (float, GaussianModel.sigma_w_sq, _ALL, "prior variance (gaussian model)"),
+    "sigma_sq": (float, GaussianModel.sigma_sq, _ALL, "noise variance (gaussian model)"),
+    "family": (list, None, ("bound", "sweep"), "hellinger | hockey-stick; repeat for several"),
+    "p": (float, None, _ALL, "Hellinger order (> 1)"),
+    "beta": (float, FIXED_BETA, _ALL, "hockey-stick beta (> 0)"),
+    "gamma": (float, FIXED_GAMMA, _ALL, "hockey-stick gamma (>= beta)"),
+    "optimize": (bool, False, _ALL, "optimise over family parameters instead of fixed values"),
+    "seed": (int, DEFAULT_SEED, _ALL, "RNG seed (fixed default; runs are reproducible)"),
+    "config": (str, None, _ALL, "flat key=value config file; flags override it"),
+    "csv": (str, None, ("bound", "sweep", "compare"), "write CSV output to this path"),
+    "oracle": (bool, False, ("sweep", "compare"), "add Monte-Carlo / exact risk columns"),
+    "samples": (int, DEFAULT_SAMPLES, _RANGED, "Monte-Carlo sample count"),
+    "svg": (str, None, ("sweep", "compare"), "write an SVG plot to this path"),
+    "n_range": (str, None, _RANGED, "inclusive sweep range, e.g. 1..50"),
+    "self_test_negate": (bool, False, ("validate",), "flip one check to show failures are caught"),
 }
 # What the coercions of _OPTIONS that can fail accept, for their messages.
 _KINDS = {int: "an integer", float: "a number"}
@@ -193,22 +145,23 @@ _BOOL_VALUES = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    for name, (coerce, help_text) in _OPTIONS.items():
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, type=coerce, default=None, help=help_text)
-    for name, help_text in _BOOL_OPTIONS.items():
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, action="store_const", const=True, default=None, help=help_text)
-    parser.add_argument(
-        "--family",
-        dest="family",
-        action="append",
-        default=None,
-        choices=["hellinger", "hockey-stick", "hockey_stick"],
-        help="bound family; repeat the flag for several",
-    )
-    parser.add_argument("--config", default=None, help="flat key=value config file; flags override it")
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """Every flag, so that an unread one gets the one-line rejection; the
+    help lists those ``command`` reads."""
+    for name, (coerce, _, commands, help_text) in _OPTIONS.items():
+        if command not in commands:
+            help_text = argparse.SUPPRESS
+        if coerce is bool:
+            kind: dict = dict(action="store_const", const=True)
+        elif coerce is list:
+            kind = dict(action="append")
+        else:
+            kind = dict(type=coerce)
+        parser.add_argument(_flag(name), dest=name, default=None, help=help_text, **kind)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -225,82 +178,94 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve_options(args: argparse.Namespace) -> None:
+def _config_value(key: str, raw: str) -> Any:
+    if key not in _OPTIONS or key == "config":
+        raise ValueError(f"unknown config key {key!r}")
+    coerce = _OPTIONS[key][0]
+    if coerce is list:
+        return [item.strip() for item in raw.split(",") if item.strip()]
+    if coerce is bool:
+        if raw.lower() not in _BOOL_VALUES:
+            raise ValueError(
+                f"config key {key!r} takes 1/true/yes/on or 0/false/no/off, not {raw!r}"
+            )
+        return _BOOL_VALUES[raw.lower()]
+    try:
+        return coerce(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r} takes {_KINDS[coerce]}, not {raw!r}") from None
+
+
+def _resolve_options(args: argparse.Namespace) -> list[str]:
     """Fill options left unset by the flags from the config file, then from
     the defaults.  Every config value is checked, also where a flag
-    overrides it."""
+    overrides it.
+
+    Returns the flags of the options given, by flag or config key, that the
+    command does not read; the defaults are filled after this check.
+    """
     values = parse_config_file(args.config) if args.config else {}
     for key, raw in values.items():
-        if key == "family":
-            if args.family is None:
-                args.family = [f.strip() for f in raw.split(",") if f.strip()]
-            continue
-        if key in _BOOL_OPTIONS:
-            if raw.lower() not in _BOOL_VALUES:
-                raise ValueError(
-                    f"config key {key!r} takes 1/true/yes/on or 0/false/no/off, not {raw!r}"
-                )
-            if getattr(args, key) is None:
-                setattr(args, key, _BOOL_VALUES[raw.lower()])
-            continue
-        if key not in _OPTIONS:
-            raise ValueError(f"unknown config key {key!r}")
-        coerce = _OPTIONS[key][0]
-        try:
-            value = coerce(raw)
-        except ValueError:
-            raise ValueError(f"config key {key!r} takes {_KINDS[coerce]}, not {raw!r}") from None
+        value = _config_value(key, raw)
         if getattr(args, key) is None:
             setattr(args, key, value)
-    for key, value in _DEFAULTS.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+    unread = [
+        _flag(name)
+        for name, (_, _, commands, _) in _OPTIONS.items()
+        if args.command not in commands and getattr(args, name) is not None
+    ]
+    for name, (_, default, _, _) in _OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    return unread
 
 
-def _parse_n_range(args: argparse.Namespace, default: tuple[int, int]) -> tuple[int, int]:
-    if args.n_range:
+def _n_range(args: argparse.Namespace, default: range) -> range:
+    """The sample counts of ``--n-range A..B``, of ``--n`` alone, or
+    ``default``; the one check of a sweep's sample counts."""
+    if args.n_range is None:
+        ns = default if args.n is None else range(args.n, args.n + 1)
+    elif args.n is not None:
+        raise ValueError("give --n or --n-range, not both")
+    else:
         lo, _, hi = args.n_range.partition("..")
         try:
-            return int(lo), int(hi)
+            ns = range(int(lo), int(hi) + 1)
         except ValueError:
             raise ValueError(f"bad n range {args.n_range!r}; expected A..B") from None
-    if args.n is not None:
-        return args.n, args.n
-    return default
+    if not ns or ns.start < 1:
+        raise ValueError("n range must be non-empty and start at 1 or above")
+    return ns
 
 
-def _families(args: argparse.Namespace, default: tuple[str, ...] = FAMILIES) -> tuple[str, ...]:
-    """The requested bound families, canonical and without repeats; the one
-    check of family names, for flags and config-file values alike."""
-    if not args.family:
+def _models(args: argparse.Namespace, default: range) -> list[Model]:
+    ns = _n_range(args, default)
+    return [build_model(args.model, n, args.sigma_w_sq, args.sigma_sq) for n in ns]
+
+
+def _families(names: list[str] | None, default: tuple[str, ...] = FAMILIES) -> tuple[str, ...]:
+    """The requested bound families, canonical and without repeats."""
+    if not names:
         return default
-    seen = []
-    for name in args.family:
-        canonical = name.replace("-", "_")
-        if canonical not in FAMILIES:
-            raise ValueError(f"unknown bound family {canonical!r}")
-        if canonical not in seen:
-            seen.append(canonical)
-    return tuple(seen)
+    return tuple(dict.fromkeys(_family_key(name) for name in names))
 
 
-def _sweep_config(args: argparse.Namespace, families: tuple[str, ...]) -> SweepConfig:
-    n_lo, n_hi = _parse_n_range(args, (1, 50))
-    return SweepConfig(
-        model=args.model,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        families=families,
-        sigma_w_sq=args.sigma_w_sq,
-        sigma_sq=args.sigma_sq,
-        p=args.p,
-        beta=args.beta,
-        gamma=args.gamma,
-        optimize=bool(args.optimize),
-        oracle=bool(args.oracle),
-        samples=args.samples,
-        seed=args.seed,
-    )
+def _bound_family(args: argparse.Namespace) -> str:
+    """The one family ``bound`` computes, with its parameters checked."""
+    families = _families(args.family, ("hellinger",))
+    if len(families) > 1:
+        raise ValueError(f"bound takes one family, got {', '.join(families)}")
+    family = families[0]
+    if family == "hellinger" and args.p is not None:
+        Hellinger(args.p)
+    if family == "hockey_stick":
+        HockeyStick(args.beta, args.gamma)
+    return family
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -308,29 +273,12 @@ def _sweep_config(args: argparse.Namespace, families: tuple[str, ...]) -> SweepC
 # --------------------------------------------------------------------------
 
 
-# Options that only a sweep uses, which a single bound would silently drop.
-_SWEEP_ONLY = ("oracle", "svg", "n_range")
-
-
-def cmd_bound(args: argparse.Namespace) -> int:
-    families = _families(args, ("hellinger",))
-    if len(families) > 1:
-        raise ValueError(f"bound takes one family, got {', '.join(families)}")
-    family = families[0]
-    # Validate family parameters before anything else so bad parameters are
-    # reported even when the model flags are absent.
-    if family == "hellinger" and args.p is not None:
-        Hellinger(args.p)
-    if family == "hockey_stick":
-        HockeyStick(args.beta, args.gamma)
-    ignored = ["--" + name.replace("_", "-") for name in _SWEEP_ONLY if getattr(args, name)]
-    if ignored:
-        raise ValueError(f"bound does not take {', '.join(ignored)}")
+def cmd_bound(args: argparse.Namespace, family: str) -> int:
     if args.n is None:
         raise ValueError("--n is required for a single bound")
     model = build_model(args.model, args.n, args.sigma_w_sq, args.sigma_sq)
     result = family_bound(
-        model, family, p=args.p, beta=args.beta, gamma=args.gamma, optimize=bool(args.optimize)
+        model, family, p=args.p, beta=args.beta, gamma=args.gamma, optimize=args.optimize
     )
 
     rows = [
@@ -344,46 +292,44 @@ def cmd_bound(args: argparse.Namespace) -> int:
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
     if args.csv:
-        n = args.n
-        hellinger = result.value if family == "hellinger" else None
-        hockey = result.value if family == "hockey_stick" else None
-        curve = RiskCurve((RiskCurveRow(n, hellinger, hockey, None, None),))
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(risk_curve_csv(curve))
+        bounds = [result.value if name == family else None for name in FAMILIES]
+        _write(args.csv, risk_curve_csv([(args.n, *bounds, None, None)]))
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace, *, all_families: bool = False) -> int:
-    families = _families(args) if not all_families else FAMILIES
-    config = _sweep_config(args, families)
-    curve = compute_risk_curve(config)
-    text = risk_curve_csv(curve)
+def cmd_sweep(args: argparse.Namespace, families: tuple[str, ...]) -> int:
+    rows = compute_risk_curve(
+        _models(args, range(1, 51)),
+        families,
+        p=args.p,
+        beta=args.beta,
+        gamma=args.gamma,
+        optimize=args.optimize,
+        oracle=args.oracle,
+        samples=args.samples,
+        seed=args.seed,
+    )
+    text = risk_curve_csv(rows)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write(args.csv, text)
     else:
         sys.stdout.write(text)
     if args.svg:
-        title = f"{config.model}: risk lower bounds vs n"
-        with open(args.svg, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_curve_svg(curve, title))
+        _write(args.svg, render_curve_svg(rows, f"{args.model}: risk lower bounds vs n"))
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    n_lo, n_hi = _parse_n_range(args, (1, 20))
-    template = build_model(args.model, n_lo, args.sigma_w_sq, args.sigma_sq)
     reports = certification_suite(
-        template,
-        range(n_lo, n_hi + 1),
+        _models(args, range(1, 21)),
         beta=args.beta,
         gamma=args.gamma,
         p=args.p,
         samples=args.samples,
         seed=args.seed,
-        optimize=bool(args.optimize),
+        optimize=args.optimize,
     )
-    if args.self_test_negate and reports:
+    if args.self_test_negate:
         first = reports[0]
         reports[0] = replace(
             first, quantity=first.quantity + " [negated for self-test]", passed=not first.passed
@@ -417,23 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", "sweep with every bound family"),
         ("validate", "certify bounds and divergences against oracles"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _resolve_options(args)
+        unread = _resolve_options(args)
+        # bound reports a bad family parameter before any option it does not read.
+        family = _bound_family(args) if args.command == "bound" else None
+        if unread:
+            raise ValueError(f"{args.command} does not take {', '.join(unread)}")
         if args.command == "bound":
-            return cmd_bound(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "compare":
-            return cmd_sweep(args, all_families=True)
-        return cmd_validate(args)
+            return cmd_bound(args, family)
+        if args.command == "validate":
+            return cmd_validate(args)
+        return cmd_sweep(args, FAMILIES if args.command == "compare" else _families(args.family))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -440,7 +440,15 @@ def _e_beta_gamma_gaussian(model: GaussianModel, beta: float, gamma: float) -> D
             return 0.0
         b = w / s2
         c = -w * w / (2.0 * s2) - mu
-        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        discriminant = b * b - 4.0 * a * c
+        # At extreme variance ratios rounding sets a to 0 (marginal_var
+        # rounds to noise_var) or cancels the discriminant below 0.
+        if discriminant < 0.0 or a == 0.0:
+            raise ArithmeticError(
+                "Gaussian hockey-stick slice quadratic lost to rounding at variance ratio "
+                f"r = sigma_w_sq / (sigma_sq / n) = {sw2 / s2}"
+            )
+        q = -0.5 * (b + math.copysign(math.sqrt(discriminant), b))
         if q == 0.0:
             return 0.0
         r1 = q / a

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,8 +278,7 @@ def _relative_report(quantity: str, analytic: float, oracle: float, rel_tol: flo
 
 
 def certification_suite(
-    template: Model,
-    ns: "list[int] | range",
+    models: list[Model],
     *,
     p: float | None = None,
     beta: float = FIXED_BETA,
@@ -288,46 +287,41 @@ def certification_suite(
     seed: int = DEFAULT_SEED,
     optimize: bool = False,
 ) -> list[OracleReport]:
-    """Certify closed forms against brute force and every bound against the
-    risk oracle, for each sample count in ``ns``.
-
-    ``template`` fixes the model family and its nuisance parameters; its
-    sample count is replaced per sweep entry.
+    """Certify closed forms against brute force at the first model, and
+    every bound against the risk oracle at each model.
     """
-    ns = list(ns)
-    if not ns:
-        raise ValueError("empty n range")
+    if not models:
+        raise ValueError("no models to certify")
+    first = models[0]
     if p is None:
-        p = default_order(template)
+        p = default_order(first)
     reports: list[OracleReport] = []
 
-    smallest = replace(template, n=ns[0])
-    if isinstance(smallest, BernoulliModel):
+    if isinstance(first, BernoulliModel):
         rel, floor, points = 1e-5, 1e-8, 10**6
     else:
         rel, floor, points = 1e-4, 1e-7, 4 * 10**6
     reports.append(
         _relative_report(
-            f"{_model_label(smallest)}: closed-form {generator_label(Hellinger(p))} vs brute force",
-            hellinger_divergence(smallest, p).value,
-            brute_force_divergence(smallest, Hellinger(p), points),
+            f"{_model_label(first)}: closed-form {generator_label(Hellinger(p))} vs brute force",
+            hellinger_divergence(first, p).value,
+            brute_force_divergence(first, Hellinger(p), points),
             rel,
             floor,
         )
     )
-    engine = e_beta_gamma_numeric(smallest, beta, gamma)
+    engine = e_beta_gamma_numeric(first, beta, gamma)
     method = engine.method.replace("_", "-")
     reports.append(
         _relative_report(
-            f"{_model_label(smallest)}: {method} {generator_label(HockeyStick(beta, gamma))} vs brute force",
+            f"{_model_label(first)}: {method} {generator_label(HockeyStick(beta, gamma))} vs brute force",
             engine.value,
-            brute_force_divergence(smallest, HockeyStick(beta, gamma), points),
+            brute_force_divergence(first, HockeyStick(beta, gamma), points),
             max(rel, 1e-4),
             max(floor, 1e-6),
         )
     )
 
-    models = [replace(template, n=n) for n in ns]
     risks = risk_reports(models, samples, seed)
     searches = (False, True) if optimize else (False,)
     for model in models:

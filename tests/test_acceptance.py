@@ -29,7 +29,7 @@ from fdivrisk.bounds import (
     optimize_parameters,
     optimize_rho_closed_form,
 )
-from fdivrisk.cli import SweepConfig, compute_risk_curve, main
+from fdivrisk.cli import compute_risk_curve, main
 from fdivrisk.divergences import (
     e_beta_gamma_numeric,
     hellinger_divergence,
@@ -283,13 +283,9 @@ def test_criterion_7_rho_optimizer_against_golden_section():
 
 
 def _figure_curve() -> tuple[list[float], list[float]]:
-    config = SweepConfig(
-        model="bernoulli",
-        n_lo=1,
-        n_hi=50,
-        families=("hellinger", "hockey_stick"),
-        sigma_w_sq=1.0,
-        sigma_sq=2.0,
+    rows = compute_risk_curve(
+        [BernoulliModel(n) for n in range(1, 51)],
+        ("hellinger", "hockey_stick"),
         p=2.0,
         beta=0.75,
         gamma=2.2,
@@ -298,10 +294,9 @@ def _figure_curve() -> tuple[list[float], list[float]]:
         samples=10**6,
         seed=SEED,
     )
-    curve = compute_risk_curve(config)
     return (
-        [row.hellinger for row in curve.rows],
-        [row.hockey_stick for row in curve.rows],
+        [row[1] for row in rows],
+        [row[2] for row in rows],
     )
 
 

@@ -12,8 +12,6 @@ from fdivrisk.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
-    RiskCurve,
-    RiskCurveRow,
     main,
     risk_curve_csv,
 )
@@ -110,6 +108,23 @@ class TestBoundCommand:
             f"sigma_w_sq = 1.0, sigma_sq = 5e-324, n = {n}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, r",
+        [
+            # The slice discriminant cancels below 0.
+            ("bound --model gaussian --n 1 --sigma-sq 1e-20 --family hockey-stick", "1e+20"),
+            # marginal_var rounds to noise_var, so the slice quadratic has no x^2 term.
+            ("bound --model gaussian --n 2 --sigma-w-sq 1e-320 --family hockey-stick", "1e-320"),
+        ],
+    )
+    def test_gaussian_hockey_stick_rounding_names_variance_ratio(self, capsys, argv, r):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: numerical failure (ArithmeticError):")
+        assert len(err.splitlines()) == 1
+        assert err.endswith(f"variance ratio r = sigma_w_sq / (sigma_sq / n) = {r}\n")
+
     def test_continued_fraction_stall_is_one_line_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
         code, out, err = run(
@@ -136,18 +151,17 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("command", ["bound", "sweep"])
     def test_unknown_config_family_is_usage_error(self, capsys, tmp_path, command):
-        # argparse checks --family flags; a config-file family gets the same
+        # A --family flag and a config-file family get the same one-line
         # check, so no command prints bounds of some other family.
         config = tmp_path / "bad.cfg"
         config.write_text("family = foo\n")
         csv = tmp_path / "out.csv"
-        code, out, err = run(
-            capsys, command, "--n", "5", "--config", str(config), "--csv", str(csv)
-        )
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == "error: unknown bound family 'foo'\n"
-        assert not csv.exists()
+        for given in (["--config", str(config)], ["--family", "foo"]):
+            code, out, err = run(capsys, command, "--n", "5", *given, "--csv", str(csv))
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err == "error: unknown bound family 'foo'\n"
+            assert not csv.exists()
 
     def test_more_than_one_family_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(
@@ -307,6 +321,52 @@ class TestSweepCommand:
         assert cells[1] != "" and cells[2] != ""
 
 
+class TestOptionTable:
+    SAME_UNREAD = "validate does not take --family, --csv, --oracle, --svg"
+
+    @pytest.mark.parametrize(
+        "argv, config, err",
+        [
+            ("validate --csv {tmp}/v.csv", "", "validate does not take --csv"),
+            ("validate --svg {tmp}/v.svg", "", "validate does not take --svg"),
+            ("validate --family hellinger", "", "validate does not take --family"),
+            ("validate --oracle", "", "validate does not take --oracle"),
+            (
+                "validate --csv {tmp}/v.csv --svg {tmp}/v.svg --family hellinger --oracle",
+                "",
+                SAME_UNREAD,
+            ),
+            ("compare --family hellinger", "", "compare does not take --family"),
+            ("sweep --self-test-negate", "", "sweep does not take --self-test-negate"),
+            ("bound --n 3 --samples 10", "", "bound does not take --samples"),
+            (
+                "validate",
+                "csv = {tmp}/v.csv\nsvg = {tmp}/v.svg\nfamily = hellinger\noracle = true\n",
+                SAME_UNREAD,
+            ),
+            ("compare", "family = hellinger\n", "compare does not take --family"),
+            ("sweep", "self-test-negate = yes\n", "sweep does not take --self-test-negate"),
+            ("bound --n 3", "samples = 10\n", "bound does not take --samples"),
+            ("sweep --n 5 --n-range 1..2", "", "give --n or --n-range, not both"),
+            ("validate --n-range 0..2", "", "n range must be non-empty and start at 1 or above"),
+            ("validate --n-range 3..1", "", "n range must be non-empty and start at 1 or above"),
+            # Every command takes --seed, which the benchmark harness appends.
+            ("bound --n 3 --seed 4", "", None),
+        ],
+    )
+    def test_each_command_reads_only_its_options(self, capsys, tmp_path, argv, config, err):
+        argv = argv.format(tmp=tmp_path).split()
+        if config:
+            (tmp_path / "run.cfg").write_text(config.format(tmp=tmp_path))
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        code, out, got = run(capsys, *argv)
+        if err is None:
+            assert code == EXIT_OK and got == ""
+            return
+        assert (code, out, got) == (EXIT_USAGE, "", f"error: {err}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == (["run.cfg"] if config else [])
+
+
 class TestGoldenOutput:
     # Bound-only output, which draws no random numbers: refactors and
     # speed-ups must leave it byte-identical to the stored files.  The
@@ -433,19 +493,6 @@ class TestValidateCommand:
 
 
 class TestRiskCurveType:
-    def test_rows_must_be_sorted(self):
-        rows = (
-            RiskCurveRow(2, 0.1, None, None, None),
-            RiskCurveRow(1, 0.2, None, None, None),
-        )
-        with pytest.raises(ValueError):
-            RiskCurve(rows)
-
-    def test_bounds_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            RiskCurve((RiskCurveRow(1, -0.5, None, None, None),))
-
     def test_csv_formatting_17_digits(self):
-        curve = RiskCurve((RiskCurveRow(1, 1.0 / 3.0, None, None, None),))
-        text = risk_curve_csv(curve)
+        text = risk_curve_csv([(1, 1.0 / 3.0, None, None, None)])
         assert "0.33333333333333331" in text

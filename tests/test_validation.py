@@ -235,15 +235,15 @@ class TestCertifyBounds:
 
 class TestCertificationSuite:
     def test_bernoulli_suite_passes(self):
-        reports = certification_suite(BernoulliModel(1), range(1, 6), samples=2 * 10**5, seed=31)
+        models = [BernoulliModel(n) for n in range(1, 6)]
+        reports = certification_suite(models, samples=2 * 10**5, seed=31)
         assert all(r.passed for r in reports), [r.quantity for r in reports if not r.passed]
 
     def test_gaussian_suite_passes(self):
-        reports = certification_suite(
-            GaussianModel(1, 1.0, 2.0), range(1, 6), samples=10**5, seed=32
-        )
+        models = [GaussianModel(n, 1.0, 2.0) for n in range(1, 6)]
+        reports = certification_suite(models, samples=10**5, seed=32)
         assert all(r.passed for r in reports), [r.quantity for r in reports if not r.passed]
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
-            certification_suite(BernoulliModel(1), [])
+            certification_suite([])
