@@ -6,9 +6,12 @@ over a range of sample counts), ``compare`` (sweep with every family), and
 
 Every option is a flag and a key of the flat config file, and ``_OPTIONS``
 says which commands read it; a command given an option it does not read,
-either way, exits 2 without computing anything.  ``sweep``, ``compare`` and
-``validate`` take their sample counts from ``--n-range A..B`` with
-``1 <= A <= B``, or from ``--n`` alone, never both.
+either way, exits 2 without computing anything.  So does a family or model
+parameter that breaks its rule, also where the chosen family or model does
+not use it (``--p`` beside ``--family hockey-stick``, ``--sigma-sq`` beside
+``--model bernoulli``).  ``sweep``, ``compare`` and ``validate`` take their
+sample counts from ``--n-range A..B`` with ``1 <= A <= B``, or from ``--n``
+alone, never both.
 
 Exit codes: 0 success, 1 validation failure, 2 argument error, numerical
 failure (an ``ArithmeticError`` such as an overflow) or running out of memory
@@ -22,7 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Any
 
 from .bounds import FAMILIES, FIXED_BETA, FIXED_GAMMA, _family_key, family_bound
 from .generators import Hellinger, HockeyStick
@@ -117,7 +119,7 @@ _RANGED = ("sweep", "compare", "validate")
 # for a switch, or list for a repeatable flag.  The default applies where
 # neither the flags nor the config file set the option.  The other commands
 # reject the option, and list it in this order.
-_OPTIONS: dict[str, tuple[type, Any, tuple[str, ...], str]] = {
+_OPTIONS: dict[str, tuple[type, object, tuple[str, ...], str]] = {
     "model": (str, "bernoulli", _ALL, "estimation model: bernoulli | gaussian"),
     "n": (int, None, _ALL, "sample count; for a sweep, the same as --n-range N..N"),
     "sigma_w_sq": (float, GaussianModel.sigma_w_sq, _ALL, "prior variance (gaussian model)"),
@@ -178,7 +180,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _config_value(key: str, raw: str) -> Any:
+def _config_value(key: str, raw: str) -> object:
     if key not in _OPTIONS or key == "config":
         raise ValueError(f"unknown config key {key!r}")
     coerce = _OPTIONS[key][0]
@@ -251,16 +253,24 @@ def _families(names: list[str] | None, default: tuple[str, ...] = FAMILIES) -> t
 
 
 def _bound_family(args: argparse.Namespace) -> str:
-    """The one family ``bound`` computes, with its parameters checked."""
+    """The one family ``bound`` computes."""
     families = _families(args.family, ("hellinger",))
     if len(families) > 1:
         raise ValueError(f"bound takes one family, got {', '.join(families)}")
-    family = families[0]
-    if family == "hellinger" and args.p is not None:
+    return families[0]
+
+
+def _check_parameters(args: argparse.Namespace) -> None:
+    """Check every family and model parameter against its rule, also those
+    the chosen families or model do not use, so that none is dropped
+    unchecked.  The defaults pass every rule."""
+    if args.p is not None:
         Hellinger(args.p)
-    if family == "hockey_stick":
-        HockeyStick(args.beta, args.gamma)
-    return family
+    HockeyStick(args.beta, args.gamma)
+    if args.model == "bernoulli":
+        # The Gaussian model checks its variances at each n it is built for;
+        # n = 1 gives the largest noise variance sigma_sq / n.
+        GaussianModel(1, args.sigma_w_sq, args.sigma_sq)
 
 
 def _write(path: str, text: str) -> None:
@@ -371,8 +381,10 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         unread = _resolve_options(args)
-        # bound reports a bad family parameter before any option it does not read.
+        # A bad family or parameter is reported before any option the command
+        # does not read.
         family = _bound_family(args) if args.command == "bound" else None
+        _check_parameters(args)
         if unread:
             raise ValueError(f"{args.command} does not take {', '.join(unread)}")
         if args.command == "bound":

@@ -5,7 +5,8 @@ One entry point per family: ``hellinger_divergence(model, p)`` and
 exist: the Hellinger family on both models, and the coin-flip hockey-stick
 family as a closed form (incomplete-beta sum) over Hamming weights.  That
 sum runs one weight at a time in pure Python below ``_ARRAY_MIN_WEIGHTS``
-weights k <= n/2 (n < 126), and in numpy blocks of weights from there on.
+weights k <= n/2 (n < 126), and in numpy blocks of weights from there on;
+only the block functions import numpy, so smaller runs never load it.
 The Gaussian hockey-stick family is an adaptive quadrature over the
 parameter, with each slice in the sample mean in closed form.
 
@@ -21,8 +22,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .generators import Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model
@@ -260,6 +259,8 @@ def _kink_roots_array(excess, slope, inside, outside, x) -> np.ndarray:
     at.  ``excess`` and ``slope`` map an array of abscissae to arrays.  Works
     in place on ``inside``, ``outside`` and ``x``.
     """
+    import numpy as np
+
     root = x.copy()
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(_KINK_MAX_ITER):
@@ -299,6 +300,8 @@ def _bernoulli_terms_array(
     Newton kink roots, incomplete-beta ends, error bound), so the two agree
     to within the libm and numpy rounding of log, log1p and exp.
     """
+    import numpy as np
+
     n = model.n
     log_tau = math.log(gamma) - math.log(beta)
     # lgam[i] = lgamma(i + 1): log-factorials, and lgamma of the Beta shapes.

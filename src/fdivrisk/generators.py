@@ -12,7 +12,6 @@ inverse, which only the general master inequality needs, are kept in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 __all__ = ["Generator", "Hellinger", "HockeyStick"]
 
@@ -50,4 +49,4 @@ class HockeyStick:
             raise ValueError("gamma must be at least beta")
 
 
-Generator = Union[Hellinger, HockeyStick]
+Generator = Hellinger | HockeyStick

@@ -9,7 +9,8 @@ risk of the posterior median, which every emitted bound is certified
 against; the Gaussian model also gives that risk exactly, and the coin-flip
 posterior medians feed the exact risk in ``validation``.  The coin-flip
 density ratio, which only the test oracles integrate, lives in
-``tests/oracles.py``.
+``tests/oracles.py``.  The simulations import numpy themselves, so runs
+that only compute bounds never load it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
-
-import numpy as np
 
 from .numerics import beta_median
 
@@ -46,6 +44,8 @@ def make_rng(seed: int) -> np.random.Generator:
     streams, so a sweep that seeds each n with its own value stays
     deterministic when the n's run concurrently.
     """
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
 
 
@@ -94,6 +94,8 @@ class BernoulliModel:
         """
         if samples < 2:
             raise ValueError("samples must be at least 2 (the standard error needs two)")
+        import numpy as np
+
         table = np.array(_beta_median_table(self.n))
         rng = make_rng(seed)
         err = rng.random(samples)
@@ -164,6 +166,8 @@ class GaussianModel:
         """Monte-Carlo risk of the posterior median and its standard error."""
         if samples < 2:
             raise ValueError("samples must be at least 2 (the standard error needs two)")
+        import numpy as np
+
         # The posterior is Gaussian, so its median is its mean.
         rng = make_rng(seed)
         w = rng.normal(0.0, math.sqrt(self.sigma_w_sq), samples)
@@ -172,4 +176,4 @@ class GaussianModel:
         return float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples))
 
 
-Model = Union[BernoulliModel, GaussianModel]
+Model = BernoulliModel | GaussianModel

@@ -2,15 +2,14 @@
 
 Deterministic pure-Python building blocks shared by the divergence and bound
 engines, plus a numpy form of the incomplete-beta continued fraction for the
-coin-flip hockey-stick kernel at large n.
+coin-flip hockey-stick kernel at large n.  That form imports numpy itself,
+so runs that never build an array do not load it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-
-import numpy as np
 
 __all__ = [
     "QuadratureError",
@@ -281,10 +280,6 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete-beta continued fraction stalled (a={a}, b={b}, x={x})")
 
 
-def _clamp_tiny(v: np.ndarray) -> None:
-    np.copyto(v, _BETACF_FPMIN, where=np.abs(v) < _BETACF_FPMIN)
-
-
 def _beta_cont_frac_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:func:`_beta_cont_frac` over arrays, element by element.
 
@@ -293,12 +288,17 @@ def _beta_cont_frac_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.nda
     ``ArithmeticError`` if any element has not converged after
     ``_BETACF_MAX_ITER`` steps.
     """
+    import numpy as np
+
+    def clamp_tiny(v: np.ndarray) -> None:
+        np.copyto(v, _BETACF_FPMIN, where=np.abs(v) < _BETACF_FPMIN)
+
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = np.ones_like(x)
     d = 1.0 - qab * x / qap
-    _clamp_tiny(d)
+    clamp_tiny(d)
     d = 1.0 / d
     h = d.copy()
     out = np.empty_like(x)
@@ -307,16 +307,16 @@ def _beta_cont_frac_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.nda
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        _clamp_tiny(d)
+        clamp_tiny(d)
         c = 1.0 + aa / c
-        _clamp_tiny(c)
+        clamp_tiny(c)
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        _clamp_tiny(d)
+        clamp_tiny(d)
         c = 1.0 + aa / c
-        _clamp_tiny(c)
+        clamp_tiny(c)
         d = 1.0 / d
         delta = d * c
         h *= delta

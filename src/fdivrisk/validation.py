@@ -11,7 +11,9 @@ checked against.
 The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
 on at most two threads.  Each n draws from its own stream, seeded with
 ``seed + n``, so the reports do not depend on the CPU count; each worker
-holds about 16 bytes per sample.
+holds about 16 bytes per sample.  Numpy, like ``concurrent.futures`` in
+``risk_reports``, is imported inside the functions that use it, so runs
+that only compute bounds never load it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bounds import (
     FAMILIES,
@@ -89,6 +89,8 @@ def _model_label(model: Model) -> str:
 
 def _apply_generator(g: Generator, ratio: np.ndarray) -> np.ndarray:
     # Independent re-statement of the generators for vectorised oracles.
+    import numpy as np
+
     if isinstance(g, Hellinger):
         return (ratio**g.p - 1.0) / (g.p - 1.0)
     return np.maximum(0.0, g.beta * ratio - g.gamma)
@@ -112,6 +114,8 @@ def brute_force_divergence(model: Model, g: Generator, grid_points: int = 10**6)
     """
     if grid_points < 1000:
         raise ValueError("grid_points must be at least 1000")
+    import numpy as np
+
     if isinstance(model, BernoulliModel):
         n = model.n
         w = (np.arange(grid_points) + 0.5) / grid_points

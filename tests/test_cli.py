@@ -350,6 +350,14 @@ class TestOptionTable:
             ("sweep --n 5 --n-range 1..2", "", "give --n or --n-range, not both"),
             ("validate --n-range 0..2", "", "n range must be non-empty and start at 1 or above"),
             ("validate --n-range 3..1", "", "n range must be non-empty and start at 1 or above"),
+            # A parameter the chosen family or model does not use still meets
+            # its rule, given by flag or by config key.
+            ("bound --n 3 --family hockey-stick --p 0.5", "", "p must exceed 1"),
+            ("sweep --n-range 1..3 --family hellinger --beta 5", "", "gamma must be at least beta"),
+            ("bound --model bernoulli --n 3 --sigma-sq 0", "", "variances must be strictly positive"),
+            ("bound --n 3 --family hockey-stick", "p = 0.5\n", "p must exceed 1"),
+            ("compare --model gaussian --n-range 1..2 --optimize", "gamma = 0.5\n", "gamma must be at least beta"),
+            ("validate --n-range 1..2", "sigma-w-sq = -1\n", "variances must be strictly positive"),
             # Every command takes --seed, which the benchmark harness appends.
             ("bound --n 3 --seed 4", "", None),
         ],
