@@ -28,13 +28,11 @@ from .models import (
     BernoulliModel,
     GaussianModel,
     Model,
-    RiskReference,
 )
 from .validation import (
     OracleReport,
     brute_force_divergence,
     certify_bounds,
-    exact_bernoulli_risk,
 )
 
 __version__ = "0.1.0"
@@ -52,11 +50,9 @@ __all__ = [
     "HockeyStick",
     "Model",
     "OracleReport",
-    "RiskReference",
     "brute_force_divergence",
     "certify_bounds",
     "e_beta_gamma_numeric",
-    "exact_bernoulli_risk",
     "hellinger_bound",
     "hellinger_divergence",
     "hockey_stick_bound",

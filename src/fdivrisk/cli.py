@@ -11,7 +11,7 @@ parameter that breaks its rule, also where the chosen family or model does
 not use it (``--p`` beside ``--family hockey-stick``, ``--sigma-sq`` beside
 ``--model bernoulli``).  ``sweep``, ``compare`` and ``validate`` take their
 sample counts from ``--n-range A..B`` with ``1 <= A <= B``, or from ``--n``
-alone, never both.
+alone, never both, and check ``--samples`` before computing anything.
 
 Exit codes: 0 success, 1 validation failure, 2 argument error, numerical
 failure (an ``ArithmeticError`` such as an overflow) or running out of memory
@@ -28,7 +28,14 @@ from dataclasses import replace
 
 from .bounds import FAMILIES, FIXED_BETA, FIXED_GAMMA, _family_key, family_bound
 from .generators import Hellinger, HockeyStick
-from .models import DEFAULT_SAMPLES, DEFAULT_SEED, BernoulliModel, GaussianModel, Model
+from .models import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    BernoulliModel,
+    GaussianModel,
+    Model,
+    _check_samples,
+)
 from .svg import render_line_plot
 from .validation import certification_suite, generator_label, risk_reports
 
@@ -387,6 +394,7 @@ def main(argv: "list[str] | None" = None) -> int:
         _check_parameters(args)
         if unread:
             raise ValueError(f"{args.command} does not take {', '.join(unread)}")
+        _check_samples(args.samples)
         if args.command == "bound":
             return cmd_bound(args, family)
         if args.command == "validate":

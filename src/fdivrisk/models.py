@@ -41,12 +41,19 @@ def make_rng(seed: int) -> np.random.Generator:
     """Counter-based RNG (Philox) keyed by ``seed``.
 
     Distinct seeds give statistically independent, individually reproducible
-    streams, so a sweep that seeds each n with its own value stays
-    deterministic when the n's run concurrently.
+    streams, so a sweep that seeds each n with its own value, ``--seed`` + n,
+    stays deterministic when the n's run concurrently.
     """
+    if seed < 0:
+        raise ValueError(f"the stream seed --seed + n must be non-negative, got {seed}")
     import numpy as np
 
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 2:
+        raise ValueError("samples must be at least 2 (the standard error needs two)")
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,7 @@ class BernoulliModel:
         sample.  Its result depends only on the arguments, so calls for
         different seeds may run on different threads.
         """
-        if samples < 2:
-            raise ValueError("samples must be at least 2 (the standard error needs two)")
+        _check_samples(samples)
         import numpy as np
 
         table = np.array(_beta_median_table(self.n))
@@ -164,8 +170,7 @@ class GaussianModel:
 
     def simulate_risk(self, samples: int, seed: int) -> tuple[float, float]:
         """Monte-Carlo risk of the posterior median and its standard error."""
-        if samples < 2:
-            raise ValueError("samples must be at least 2 (the standard error needs two)")
+        _check_samples(samples)
         import numpy as np
 
         # The posterior is Gaussian, so its median is its mean.

@@ -3,7 +3,9 @@
 Deterministic pure-Python building blocks shared by the divergence and bound
 engines, plus a numpy form of the incomplete-beta continued fraction for the
 coin-flip hockey-stick kernel at large n.  That form imports numpy itself,
-so runs that never build an array do not load it.
+so runs that never build an array do not load it.  The quadrature assumes a
+smooth integrand: a kinked one is integrated piece by piece, one call per
+smooth piece.
 """
 
 from __future__ import annotations
@@ -57,17 +59,12 @@ _WG = (
 _WG_CENTER = 0.4179591836734694
 
 
+# Panel budget of adaptive_quadrature.
+_MAX_PANELS = 4096
+
+
 class QuadratureError(ArithmeticError):
-    """Adaptive integration exhausted its budget before meeting tolerance.
-
-    Carries the best available estimate and its error bound so callers can
-    report the achieved accuracy instead of losing the computation.
-    """
-
-    def __init__(self, message: str, estimate: float, error: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error = error
+    """Adaptive integration exhausted its budget before meeting tolerance."""
 
 
 def _kronrod15(f, a: float, b: float) -> tuple[float, float]:
@@ -87,53 +84,33 @@ def _kronrod15(f, a: float, b: float) -> tuple[float, float]:
 
 
 def adaptive_quadrature(
-    f,
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    breakpoints: tuple[float, ...] = (),
-    max_panels: int = 4096,
+    f, a: float, b: float, *, rel_tol: float = 1e-10, abs_tol: float = 0.0
 ) -> tuple[float, float]:
     """Globally adaptive Gauss-Kronrod integration of ``f`` over [a, b].
 
-    ``breakpoints`` seeds panel edges at known kinks of the integrand; the
-    nested rule's error estimate is only meaningful on smooth pieces, so
-    callers must split there rather than hope adaptivity finds the kink.
-    Returns ``(value, error_estimate)`` or raises :class:`QuadratureError`
-    carrying the achieved estimate.
+    The nested rule's error estimate is only meaningful where ``f`` is
+    smooth, so a kinked integrand must be integrated piece by piece, split
+    at its kinks, rather than left for adaptivity to find them.  Returns
+    ``(value, error_estimate)`` or raises :class:`QuadratureError` after
+    ``_MAX_PANELS`` panels.
     """
     if b < a:
         raise ValueError("integration bounds must be ordered")
     if a == b:
         return 0.0, 0.0
 
-    edges = [a]
-    edges += sorted(p for p in breakpoints if a < p < b)
-    edges.append(b)
-
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        val, err = _kronrod15(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-        total += val
-        total_err += err
+    total, total_err = _kronrod15(f, a, b)
+    heap = [(-total_err, 0, a, b, total, total_err)]
+    counter = 1
 
     min_width = (b - a) * 4e-16
     stuck_err = 0.0
-    panels = len(heap)
+    panels = 1
     while total_err + stuck_err > max(abs_tol, rel_tol * abs(total)):
-        if not heap or panels >= max_panels:
+        if not heap or panels >= _MAX_PANELS:
             raise QuadratureError(
                 f"integration stalled at error {total_err + stuck_err:.3e} "
-                f"after {panels} panels",
-                total,
-                total_err + stuck_err,
+                f"after {panels} panels"
             )
         _, _, lo, hi, val, err = heapq.heappop(heap)
         total_err -= err
@@ -159,11 +136,11 @@ def adaptive_quadrature(
 # --------------------------------------------------------------------------
 
 
-def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-13, max_iter: int = 256) -> float:
+def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-13) -> float:
     """Bisection root of ``f`` on [lo, hi]; endpoints must straddle zero.
 
-    ``tol`` is absolute in the abscissa.  Infinite endpoint values are fine,
-    only their sign is used.
+    ``tol`` is absolute in the abscissa, and at most 256 steps are taken.
+    Infinite endpoint values are fine, only their sign is used.
     """
     flo = f(lo)
     if flo == 0.0:
@@ -173,7 +150,7 @@ def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-13, max_iter: int = 
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"root not bracketed on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(256):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -190,12 +167,11 @@ def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-13, max_iter: int = 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(
-    f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 256
-) -> tuple[float, float]:
+def golden_section_max(f, lo: float, hi: float, *, tol: float, max_iter: int) -> tuple[float, float]:
     """Golden-section maximisation of a unimodal ``f`` on [lo, hi].
 
-    Returns ``(x_star, f(x_star))``; ``tol`` is absolute on the bracket width.
+    Returns ``(x_star, f(x_star))`` after at most ``max_iter`` steps;
+    ``tol`` is absolute on the bracket width.
     """
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
@@ -353,11 +329,11 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
-def beta_median(a: float, b: float, *, tol: float = 1e-12) -> float:
+def beta_median(a: float, b: float) -> float:
     """Median of the Beta(a, b) distribution by bisection on I_x(a, b)."""
     return bisect_root(
         lambda x: regularized_incomplete_beta(a, b, x) - 0.5,
         0.0,
         1.0,
-        tol=tol,
+        tol=1e-12,
     )

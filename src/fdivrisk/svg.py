@@ -28,9 +28,9 @@ def render_line_plot(
     xs: list[int],
     series: list[tuple[str, list[float | None]]],
     *,
-    title: str = "",
-    x_label: str = "n",
-    y_label: str = "lower bound",
+    title: str,
+    x_label: str,
+    y_label: str,
 ) -> str:
     """Render named curves over integer x values on a log-scaled y axis.
 
@@ -64,12 +64,9 @@ def render_line_plot(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.0f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
 
     # Decade gridlines and y tick labels.
     for exp in range(lo_exp, hi_exp + 1):

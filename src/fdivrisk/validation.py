@@ -23,23 +23,10 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .bounds import (
-    FAMILIES,
-    FIXED_BETA,
-    FIXED_GAMMA,
-    BoundResult,
-    default_order,
-    family_bound,
-)
+from .bounds import FAMILIES, BoundResult, default_order, family_bound
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
 from .generators import Generator, Hellinger, HockeyStick
-from .models import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    BernoulliModel,
-    GaussianModel,
-    Model,
-)
+from .models import BernoulliModel, GaussianModel, Model
 from .numerics import regularized_incomplete_beta
 
 __all__ = [
@@ -190,9 +177,7 @@ def exact_bernoulli_risk(model: BernoulliModel) -> float:
     return math.fsum(terms) / (n + 1.0)
 
 
-def risk_report(
-    model: Model, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> tuple[float, float]:
+def risk_report(model: Model, samples: int, seed: int) -> tuple[float, float]:
     """Bayes risk and its standard error: exact for the Gaussian model,
     the Monte-Carlo risk of the posterior median for the coin flips.
 
@@ -216,7 +201,7 @@ def _worker_count() -> int:
 
 
 def risk_reports(
-    models: Iterable[Model], samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
+    models: Iterable[Model], samples: int, seed: int
 ) -> Iterator[tuple[float, float]]:
     """Yield ``risk_report(model, samples, seed + model.n)`` for each model,
     in order, computed on one worker thread per available CPU, at most
@@ -284,15 +269,16 @@ def _relative_report(quantity: str, analytic: float, oracle: float, rel_tol: flo
 def certification_suite(
     models: list[Model],
     *,
-    p: float | None = None,
-    beta: float = FIXED_BETA,
-    gamma: float = FIXED_GAMMA,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    optimize: bool = False,
+    p: float | None,
+    beta: float,
+    gamma: float,
+    samples: int,
+    seed: int,
+    optimize: bool,
 ) -> list[OracleReport]:
     """Certify closed forms against brute force at the first model, and
-    every bound against the risk oracle at each model.
+    every bound against the risk oracle at each model; ``p=None`` picks
+    the default order of the first model.
     """
     if not models:
         raise ValueError("no models to certify")

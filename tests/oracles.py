@@ -15,8 +15,9 @@ or states an identity of the paper that the package's closed forms rest on:
   generic quadrature needs.
 
 The oracles share no code path with what they certify: the quadrature finds
-its own kink breakpoints by bisection and imports nothing private from
-``fdivrisk.divergences`` (a test in ``test_divergences.py`` checks this).
+its own kinks by bisection, integrates between them piece by piece, and
+imports nothing private from ``fdivrisk.divergences`` (a test in
+``test_divergences.py`` checks this).
 """
 
 from __future__ import annotations
@@ -202,27 +203,28 @@ def _f_mi_bernoulli(model: BernoulliModel, g: Generator) -> tuple[float, float]:
     values = []
     errors = []
     for k in range(n + 1):
-        breakpoints: tuple[float, ...] = ()
+        edges: tuple[float, ...] = (0.0, 1.0)
         if isinstance(g, HockeyStick):
             log_tau = math.log(g.gamma / g.beta)
 
             def excess(w: float, k=k) -> float:
                 return bernoulli_log_density_ratio(model, w, k) - log_tau
 
-            # The log-ratio of weight k is concave, with its peak at w = k / n.
+            # The log-ratio of weight k is concave, with its peak at w = k / n;
+            # the integrand kinks where it crosses log tau.
             if excess(k / n) > 0.0:
-                breakpoints = _level_crossings(excess, 0.0, k / n, 1.0)
+                edges = (0.0, *_level_crossings(excess, 0.0, k / n, 1.0), 1.0)
 
-        val, err = adaptive_quadrature(
-            lambda w, k=k: evaluate(g, bernoulli_density_ratio(model, w, k)),
-            0.0,
-            1.0,
-            rel_tol=_BERNOULLI_REL_TOL,
-            abs_tol=1e-14,
-            breakpoints=breakpoints,
-        )
-        values.append(val)
-        errors.append(err)
+        for lo, hi in zip(edges, edges[1:]):
+            val, err = adaptive_quadrature(
+                lambda w, k=k: evaluate(g, bernoulli_density_ratio(model, w, k)),
+                lo,
+                hi,
+                rel_tol=_BERNOULLI_REL_TOL,
+                abs_tol=1e-14,
+            )
+            values.append(val)
+            errors.append(err)
     scale = 1.0 / (n + 1.0)
     return scale * math.fsum(values), scale * math.fsum(errors)
 

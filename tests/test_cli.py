@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fdivrisk import numerics
+from fdivrisk import numerics, validation
 from fdivrisk.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -314,6 +314,16 @@ class TestSweepCommand:
         assert "nan" not in out
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_samples_checked_before_any_computation(self, capsys, monkeypatch):
+        # validate computes its brute-force grids before any risk oracle runs.
+        def brute_force_divergence(*args):
+            raise AssertionError("computed before --samples was checked")
+
+        monkeypatch.setattr(validation, "brute_force_divergence", brute_force_divergence)
+        code, out, err = run(capsys, "validate", "--n-range", "1..2", "--samples", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: samples must be at least 2 (the standard error needs two)\n"
+
     def test_compare_fills_both_families(self, capsys):
         code, out, _ = run(capsys, "compare", "--model", "bernoulli", "--n-range", "1..2")
         assert code == EXIT_OK
@@ -323,6 +333,7 @@ class TestSweepCommand:
 
 class TestOptionTable:
     SAME_UNREAD = "validate does not take --family, --csv, --oracle, --svg"
+    SAMPLES_RULE = "samples must be at least 2 (the standard error needs two)"
 
     @pytest.mark.parametrize(
         "argv, config, err",
@@ -358,6 +369,23 @@ class TestOptionTable:
             ("bound --n 3 --family hockey-stick", "p = 0.5\n", "p must exceed 1"),
             ("compare --model gaussian --n-range 1..2 --optimize", "gamma = 0.5\n", "gamma must be at least beta"),
             ("validate --n-range 1..2", "sigma-w-sq = -1\n", "variances must be strictly positive"),
+            # --samples is checked before anything is computed, even where no
+            # oracle runs.
+            ("sweep --n-range 1..3 --samples 1", "", SAMPLES_RULE),
+            ("compare --n-range 1..3 --samples 0", "", SAMPLES_RULE),
+            ("validate --model gaussian --n-range 1..2 --samples 1", "", SAMPLES_RULE),
+            ("validate --model bernoulli --n-range 1..2 --samples 1", "", SAMPLES_RULE),
+            # Each n draws from the stream of --seed + n, which must exist.
+            (
+                "sweep --n-range 1..3 --oracle --samples 100 --seed -2",
+                "",
+                "the stream seed --seed + n must be non-negative, got -1",
+            ),
+            (
+                "validate --model bernoulli --n-range 1..2 --samples 100 --seed -5",
+                "",
+                "the stream seed --seed + n must be non-negative, got -4",
+            ),
             # Every command takes --seed, which the benchmark harness appends.
             ("bound --n 3 --seed 4", "", None),
         ],
