@@ -11,7 +11,9 @@ parameter that breaks its rule, also where the chosen family or model does
 not use it (``--p`` beside ``--family hockey-stick``, ``--sigma-sq`` beside
 ``--model bernoulli``).  ``sweep``, ``compare`` and ``validate`` take their
 sample counts from ``--n-range A..B`` with ``1 <= A <= B``, or from ``--n``
-alone, never both, and check ``--samples`` before computing anything.
+alone, never both, and check ``--samples`` before computing anything; so
+do the coin-flip oracle runs (``validate``, ``--oracle``) with the lowest
+stream seed ``--seed`` + n.
 
 Exit codes: 0 success, 1 validation failure, 2 argument error, numerical
 failure (an ``ArithmeticError`` such as an overflow) or running out of memory
@@ -35,6 +37,7 @@ from .models import (
     GaussianModel,
     Model,
     _check_samples,
+    _check_seed,
 )
 from .svg import render_line_plot
 from .validation import certification_suite, generator_label, risk_reports
@@ -395,6 +398,10 @@ def main(argv: "list[str] | None" = None) -> int:
         if unread:
             raise ValueError(f"{args.command} does not take {', '.join(unread)}")
         _check_samples(args.samples)
+        if args.model == "bernoulli" and (args.command == "validate" or args.oracle):
+            # Each n draws from the stream of --seed + n, so the first n's is
+            # the lowest; every command's default range starts at n = 1.
+            _check_seed(args.seed + _n_range(args, range(1, 2)).start)
         if args.command == "bound":
             return cmd_bound(args, family)
         if args.command == "validate":

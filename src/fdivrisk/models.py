@@ -44,11 +44,15 @@ def make_rng(seed: int) -> np.random.Generator:
     streams, so a sweep that seeds each n with its own value, ``--seed`` + n,
     stays deterministic when the n's run concurrently.
     """
-    if seed < 0:
-        raise ValueError(f"the stream seed --seed + n must be non-negative, got {seed}")
+    _check_seed(seed)
     import numpy as np
 
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"the stream seed --seed + n must be non-negative, got {seed}")
 
 
 def _check_samples(samples: int) -> None:

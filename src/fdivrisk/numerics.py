@@ -19,9 +19,7 @@ __all__ = [
     "beta_median",
     "bisect_root",
     "golden_section_max",
-    "log_comb",
     "norm_cdf",
-    "norm_pdf",
     "regularized_incomplete_beta",
 ]
 
@@ -84,7 +82,7 @@ def _kronrod15(f, a: float, b: float) -> tuple[float, float]:
 
 
 def adaptive_quadrature(
-    f, a: float, b: float, *, rel_tol: float = 1e-10, abs_tol: float = 0.0
+    f, a: float, b: float, *, rel_tol: float, abs_tol: float
 ) -> tuple[float, float]:
     """Globally adaptive Gauss-Kronrod integration of ``f`` over [a, b].
 
@@ -136,7 +134,7 @@ def adaptive_quadrature(
 # --------------------------------------------------------------------------
 
 
-def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-13) -> float:
+def bisect_root(f, lo: float, hi: float, *, tol: float) -> float:
     """Bisection root of ``f`` on [lo, hi]; endpoints must straddle zero.
 
     ``tol`` is absolute in the abscissa, and at most 256 steps are taken.
@@ -197,21 +195,9 @@ def golden_section_max(f, lo: float, hi: float, *, tol: float, max_iter: int) ->
 # --------------------------------------------------------------------------
 
 
-def log_comb(n: int, k: int) -> float:
-    """log of the binomial coefficient C(n, k) via log-gamma."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def norm_cdf(x: float) -> float:
     """Standard normal CDF, accurate in both tails."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def norm_pdf(x: float, mean: float, var: float) -> float:
-    d = x - mean
-    return math.exp(-0.5 * (math.log(2.0 * math.pi * var) + d * d / var))
 
 
 _BETACF_MAX_ITER = 500

@@ -92,7 +92,7 @@ def _canonical(g: Generator, raw: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def brute_force_divergence(model: Model, g: Generator, grid_points: int = 10**6) -> float:
+def brute_force_divergence(model: Model, g: Generator, *, grid_points: int) -> float:
     """Midpoint-rule evaluation of the defining divergence integral.
 
     Deliberately dumb (no adaptivity, no kink handling): its only job is to
@@ -295,7 +295,7 @@ def certification_suite(
         _relative_report(
             f"{_model_label(first)}: closed-form {generator_label(Hellinger(p))} vs brute force",
             hellinger_divergence(first, p).value,
-            brute_force_divergence(first, Hellinger(p), points),
+            brute_force_divergence(first, Hellinger(p), grid_points=points),
             rel,
             floor,
         )
@@ -306,7 +306,7 @@ def certification_suite(
         _relative_report(
             f"{_model_label(first)}: {method} {generator_label(HockeyStick(beta, gamma))} vs brute force",
             engine.value,
-            brute_force_divergence(first, HockeyStick(beta, gamma), points),
+            brute_force_divergence(first, HockeyStick(beta, gamma), grid_points=points),
             max(rel, 1e-4),
             max(floor, 1e-6),
         )

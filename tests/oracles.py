@@ -12,7 +12,8 @@ or states an identity of the paper that the package's closed forms rest on:
 - the chi-squared closed form of the coin-flip model, its envelope, the
   central-binomial identity and the Renyi re-parametrisation;
 - the joint-vs-product density ratios of both models, which only the
-  generic quadrature needs.
+  generic quadrature needs, and the log binomial coefficient and normal
+  density they are built from.
 
 The oracles share no code path with what they certify: the quadrature finds
 its own kinks by bisection, integrates between them piece by piece, and
@@ -31,7 +32,7 @@ import numpy as np
 from fdivrisk.divergences import DivergenceInfiniteError, DivergenceValue
 from fdivrisk.generators import Generator, Hellinger, HockeyStick
 from fdivrisk.models import DEFAULT_SEED, BernoulliModel, GaussianModel, Model, make_rng
-from fdivrisk.numerics import adaptive_quadrature, bisect_root, log_comb, norm_cdf, norm_pdf
+from fdivrisk.numerics import adaptive_quadrature, bisect_root, norm_cdf
 
 # --------------------------------------------------------------------------
 # Generator functions and the master bound
@@ -141,6 +142,19 @@ def renyi_from_hellinger(scaled: "DivergenceValue | float", p: float) -> float:
 # --------------------------------------------------------------------------
 
 
+def log_comb(n: int, k: int) -> float:
+    """log of the binomial coefficient C(n, k) via log-gamma."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range for n={n}")
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def norm_pdf(x: float, mean: float, var: float) -> float:
+    """Density of the normal law N(mean, var) at x."""
+    d = x - mean
+    return math.exp(-0.5 * (math.log(2.0 * math.pi * var) + d * d / var))
+
+
 @lru_cache(maxsize=None)
 def _log_comb_table(n: int) -> tuple[float, ...]:
     return tuple(log_comb(n, k) for k in range(n + 1))
@@ -192,9 +206,9 @@ def _level_crossings(excess, lo: float, peak: float, hi: float) -> tuple[float, 
     (lo, hi), by bisection on each side of the peak."""
     roots = []
     if lo < peak and excess(lo) < 0.0:
-        roots.append(bisect_root(excess, lo, peak))
+        roots.append(bisect_root(excess, lo, peak, tol=1e-13))
     if peak < hi and excess(hi) < 0.0:
-        roots.append(bisect_root(excess, peak, hi))
+        roots.append(bisect_root(excess, peak, hi, tol=1e-13))
     return tuple(roots)
 
 
@@ -269,7 +283,7 @@ def _f_mi_gaussian_hockey(model: GaussianModel, g: HockeyStick) -> tuple[float, 
     if peak_excess(0.0) > 0.0:
         w_min = 0.0
     elif peak_excess(w_hi) > 0.0:
-        w_min = bisect_root(peak_excess, 0.0, w_hi)
+        w_min = bisect_root(peak_excess, 0.0, w_hi, tol=1e-13)
     else:
         w_min = w_hi
     tail = 2.0 * g.beta * (1.0 - norm_cdf(w_hi / sw))

@@ -20,6 +20,7 @@ from oracles import (
     chi_squared_scaled_upper_bound,
     combinatorial_identity_check,
     f_mi_numeric,
+    log_comb,
     monte_carlo_divergence,
 )
 
@@ -36,7 +37,6 @@ from fdivrisk.divergences import (
 )
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
-from fdivrisk.numerics import log_comb
 from fdivrisk.validation import risk_reports
 
 SEED = 20250811

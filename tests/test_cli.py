@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fdivrisk import numerics, validation
+from fdivrisk import cli, numerics, validation
 from fdivrisk.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -324,6 +324,25 @@ class TestSweepCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: samples must be at least 2 (the standard error needs two)\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "validate --model bernoulli --n-range 1..2 --samples 100 --seed -5",
+            "sweep --model bernoulli --n-range 1..3 --oracle --samples 100 --seed -5",
+        ],
+    )
+    def test_seed_checked_before_any_computation(self, capsys, monkeypatch, argv):
+        # validate computes its brute-force grids, and sweep the first n's
+        # bounds, before any stream is drawn.
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before --seed was checked")
+
+        monkeypatch.setattr(validation, "brute_force_divergence", computed)
+        monkeypatch.setattr(cli, "family_bound", computed)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: the stream seed --seed + n must be non-negative, got -4\n"
+
     def test_compare_fills_both_families(self, capsys):
         code, out, _ = run(capsys, "compare", "--model", "bernoulli", "--n-range", "1..2")
         assert code == EXIT_OK
@@ -406,10 +425,13 @@ class TestOptionTable:
 class TestGoldenOutput:
     # Bound-only output, which draws no random numbers: refactors and
     # speed-ups must leave it byte-identical to the stored files.  The
-    # --optimize cases pin the parameter search over p and tau.
+    # --optimize cases pin the parameter search over p and tau; n = 1000..1039
+    # pins the coin-flip hockey-stick kernel's numpy path (n >= 126) and the
+    # Hellinger sum at large n.
     ARGS = {
         "bernoulli": ("--model", "bernoulli", "--n-range", "1..50"),
         "gaussian": ("--model", "gaussian", "--n-range", "1..50"),
+        "bernoulli_1000": ("--model", "bernoulli", "--n-range", "1000..1039"),
         "bernoulli_optimize": ("--model", "bernoulli", "--n-range", "1..12", "--optimize"),
         "gaussian_optimize": ("--model", "gaussian", "--n-range", "1..8", "--optimize"),
     }
@@ -419,6 +441,13 @@ class TestGoldenOutput:
         golden = Path(__file__).parent / "golden" / f"compare_{name}.csv"
         code, out, _ = run(capsys, "compare", *self.ARGS[name])
         assert code == EXIT_OK
+        assert out.encode() == golden.read_bytes()
+
+    def test_large_n_hellinger_bound_matches_golden_file(self, capsys):
+        golden = Path(__file__).parent / "golden" / "bound_bernoulli_100000_hellinger.txt"
+        argv = ("bound", "--model", "bernoulli", "--n", "100000", "--family", "hellinger")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
         assert out.encode() == golden.read_bytes()
 
 

@@ -1,14 +1,17 @@
 """No function in the package that nothing calls, no parameter default that
-no call overrides, and no name defined twice without a stated reason.
+no call overrides or that every call overrides, and no name defined twice
+without a stated reason.
 
 Code that only the tests call belongs in ``tests/oracles.py``.  The checks
 match by name: a definition counts as used when its name appears as a
-variable or an attribute anywhere in ``src/fdivrisk/`` outside its own body,
-and a parameter with a default counts as set when some call in the package
-to a function or method of that name passes it, by position or by keyword.
-Matching by name cannot tell two definitions of one name apart, so every
-name that more than one function or method defines must be listed in
-``SHARED_NAMES`` with the reason it is defined twice.
+variable or an attribute anywhere in ``src/fdivrisk/`` outside its own body.
+A parameter with a default counts as set by a call in the package to a
+function or method of that name that passes it, by position or by keyword,
+and as relied on by a call that does not.  A default that no package call
+relies on is read only from outside the package, so the parameter should be
+required.  Matching by name cannot tell two definitions of one name apart,
+so every name that more than one function or method defines must be listed
+in ``SHARED_NAMES`` with the reason it is defined twice.
 """
 
 import ast
@@ -122,22 +125,26 @@ def _calls(trees: dict[str, ast.Module]) -> dict[str, list[ast.Call]]:
     return calls
 
 
-def _sets(call: ast.Call, name: str, index: int | None) -> bool:
-    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+def _sets(call: ast.Call, name: str, index: int | None) -> bool | None:
+    """Whether ``call`` passes the parameter; None when a ``*`` or ``**``
+    argument may or may not."""
+    if any(kw.arg == name for kw in call.keywords):
         return True
-    if index is None:
-        return False
-    if any(isinstance(arg, ast.Starred) for arg in call.args):
+    starred = index is not None and any(isinstance(arg, ast.Starred) for arg in call.args)
+    if index is not None and not starred and len(call.args) > index:
         return True
-    return len(call.args) > index
+    if starred or any(kw.arg is None for kw in call.keywords):
+        return None
+    return False
 
 
-def unset_parameters(package: Path = PACKAGE) -> list[str]:
-    """``"<function>: <parameter>, ..."`` for every parameter with a
-    default that no call in the package sets."""
+def _defaults_where(package: Path, idle) -> list[str]:
+    """``"<function>: <parameter>, ..."`` for every parameter with a default
+    for which ``idle`` holds on the set of :func:`_sets` answers, one per
+    package call of its function."""
     trees = _trees(package)
     calls = _calls(trees)
-    unset = []
+    found = []
     for tree in trees.values():
         for qualname, node in _definitions(tree):
             if node.name in ENTRY_POINTS:
@@ -145,11 +152,21 @@ def unset_parameters(package: Path = PACKAGE) -> list[str]:
             params = [
                 name
                 for name, index in _defaulted(node, "." in qualname)
-                if not any(_sets(call, name, index) for call in calls.get(node.name, []))
+                if idle({_sets(call, name, index) for call in calls.get(node.name, [])})
             ]
             if params:
-                unset.append(f"{qualname}: {', '.join(params)}")
-    return unset
+                found.append(f"{qualname}: {', '.join(params)}")
+    return found
+
+
+def unset_parameters(package: Path = PACKAGE) -> list[str]:
+    """Parameters with a default that no call in the package sets."""
+    return _defaults_where(package, lambda answers: answers <= {False})
+
+
+def unrelied_defaults(package: Path = PACKAGE) -> list[str]:
+    """Parameters with a default that every call in the package sets."""
+    return _defaults_where(package, lambda answers: answers <= {True})
 
 
 def test_every_function_is_used_in_the_package():
@@ -158,6 +175,10 @@ def test_every_function_is_used_in_the_package():
 
 def test_every_default_is_overridden_in_the_package():
     assert unset_parameters() == []
+
+
+def test_every_default_is_relied_on_in_the_package():
+    assert unrelied_defaults() == []
 
 
 def test_every_shared_name_is_listed():
@@ -188,6 +209,24 @@ def test_an_unset_default_is_caught(tmp_path):
         "g(**{})\n"
     )
     assert unset_parameters(tmp_path) == ["f: z, k", "C.m: b"]
+
+
+def test_an_unrelied_default_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, y=1, z=2, *, k=3, j=4):\n    return x\n\n"
+        "class C:\n    def m(self, a=1, b=2):\n        return a\n\n"
+        "def g(u=1):\n    return u\n\n"
+        "def h(v=1):\n    return v\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import C, f, g, h\n"
+        "f(0, 1, 2, k=5, j=5)\n"
+        "f(0, 3, k=6, j=7)\n"
+        "C().m(7, b=3)\n"
+        "g(**{})\n"
+        "h(*())\n"
+    )
+    assert unrelied_defaults(tmp_path) == ["f: y, k, j", "C.m: a, b"]
 
 
 def test_a_shared_name_is_caught(tmp_path):

@@ -12,6 +12,7 @@ from oracles import (
     chi_squared_scaled_upper_bound,
     combinatorial_identity_check,
     f_mi_numeric,
+    log_comb,
     renyi_from_hellinger,
 )
 
@@ -24,7 +25,6 @@ from fdivrisk.divergences import (
 )
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
-from fdivrisk.numerics import log_comb
 
 
 def exact_bernoulli_scaled_p2(n: int) -> Fraction:

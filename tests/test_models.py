@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bernoulli_density_ratio, gaussian_density_ratio
+from oracles import bernoulli_density_ratio, gaussian_density_ratio, norm_pdf
 
 from fdivrisk.models import BernoulliModel, GaussianModel, make_rng
-from fdivrisk.numerics import adaptive_quadrature, norm_cdf, norm_pdf
+from fdivrisk.numerics import adaptive_quadrature, norm_cdf
 
 
 class TestBernoulliModel:
@@ -51,7 +51,11 @@ class TestBernoulliModel:
             model = BernoulliModel(n)
             for k in range(n + 1):
                 val, _ = adaptive_quadrature(
-                    lambda w, _k=k: bernoulli_density_ratio(model, w, _k), 0.0, 1.0, rel_tol=1e-11
+                    lambda w, _k=k: bernoulli_density_ratio(model, w, _k),
+                    0.0,
+                    1.0,
+                    rel_tol=1e-11,
+                    abs_tol=0.0,
                 )
                 assert val == pytest.approx(1.0, abs=1e-10)
 
@@ -142,6 +146,7 @@ class TestGaussianModel:
                 -8.0 * m + w,  # ratio mass concentrates near x = w
                 8.0 * m + w,
                 rel_tol=1e-10,
+                abs_tol=0.0,
             )
             return val
 
@@ -152,6 +157,7 @@ class TestGaussianModel:
             -8.0 * sw,
             8.0 * sw,
             rel_tol=1e-9,
+            abs_tol=0.0,
         )
         assert val == pytest.approx(1.0, abs=1e-8)
 

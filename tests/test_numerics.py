@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import log_comb, norm_pdf
 
 from fdivrisk.numerics import (
     QuadratureError,
@@ -13,59 +14,62 @@ from fdivrisk.numerics import (
     beta_median,
     bisect_root,
     golden_section_max,
-    log_comb,
     norm_cdf,
-    norm_pdf,
     regularized_incomplete_beta,
 )
 
 
 class TestAdaptiveQuadrature:
     def test_polynomial_is_exact(self):
-        val, err = adaptive_quadrature(lambda x: 3.0 * x * x, 0.0, 2.0)
+        val, err = adaptive_quadrature(lambda x: 3.0 * x * x, 0.0, 2.0, rel_tol=1e-10, abs_tol=0.0)
         assert val == pytest.approx(8.0, rel=1e-14)
         assert err < 1e-12
 
     def test_gaussian_integral(self):
-        val, _ = adaptive_quadrature(lambda x: norm_pdf(x, 0.0, 1.0), -8.0, 8.0, rel_tol=1e-12)
+        val, _ = adaptive_quadrature(
+            lambda x: norm_pdf(x, 0.0, 1.0), -8.0, 8.0, rel_tol=1e-12, abs_tol=0.0
+        )
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_oscillatory(self):
-        val, _ = adaptive_quadrature(math.sin, 0.0, math.pi, rel_tol=1e-12)
+        val, _ = adaptive_quadrature(math.sin, 0.0, math.pi, rel_tol=1e-12, abs_tol=0.0)
         assert val == pytest.approx(2.0, rel=1e-11)
 
     def test_kink_needs_breakpoint(self):
         f = lambda x: max(0.0, x - 0.3)
         exact = 0.5 * 0.7**2
-        val = sum(adaptive_quadrature(f, lo, hi)[0] for lo, hi in ((0.0, 0.3), (0.3, 1.0)))
+        val = sum(
+            adaptive_quadrature(f, lo, hi, rel_tol=1e-10, abs_tol=0.0)[0]
+            for lo, hi in ((0.0, 0.3), (0.3, 1.0))
+        )
         assert val == pytest.approx(exact, rel=1e-13)
 
     def test_zero_width_interval(self):
-        assert adaptive_quadrature(math.sin, 1.0, 1.0) == (0.0, 0.0)
+        assert adaptive_quadrature(math.sin, 1.0, 1.0, rel_tol=1e-10, abs_tol=0.0) == (0.0, 0.0)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_quadrature(math.sin, 1.0, 0.0)
+            adaptive_quadrature(math.sin, 1.0, 0.0, rel_tol=1e-10, abs_tol=0.0)
 
     def test_budget_exhaustion_raises(self):
         # sin(1/x) oscillates without end near 0, so no panel budget meets
         # the tolerance; the search must fail loudly once it runs out.
         with pytest.raises(QuadratureError, match="after 4096 panels"):
-            adaptive_quadrature(lambda x: math.sin(1.0 / x), 0.0, 1.0)
+            adaptive_quadrature(lambda x: math.sin(1.0 / x), 0.0, 1.0, rel_tol=1e-10, abs_tol=0.0)
 
 
 class TestRootFinding:
     def test_simple_root(self):
-        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0)
+        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-13)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_infinite_endpoint_sign(self):
-        root = bisect_root(lambda x: -math.inf if x == 0.0 else math.log(x), 0.0, 2.0)
+        root = bisect_root(lambda x: -math.inf if x == 0.0 else math.log(x), 0.0, 2.0, tol=1e-13)
         assert root == pytest.approx(1.0, abs=1e-12)
 
     def test_unbracketed_rejected(self):
         with pytest.raises(ValueError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-13)
 
 
 class TestGoldenSection:

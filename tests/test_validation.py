@@ -30,31 +30,34 @@ RISK_N1 = 0.19526214587563498
 
 class TestBruteForceDivergence:
     def test_bernoulli_chi_squared(self):
-        oracle = brute_force_divergence(BernoulliModel(1), Hellinger(2.0), 10**6)
+        oracle = brute_force_divergence(BernoulliModel(1), Hellinger(2.0), grid_points=10**6)
         assert oracle == pytest.approx(chi_squared_bernoulli(BernoulliModel(1)).value, rel=1e-5)
 
     def test_bernoulli_hockey_stick_zero(self):
-        assert brute_force_divergence(BernoulliModel(1), HockeyStick(1.0, 3.0), 10**4) == 0.0
+        oracle = brute_force_divergence(BernoulliModel(1), HockeyStick(1.0, 3.0), grid_points=10**4)
+        assert oracle == 0.0
 
     def test_bernoulli_hockey_stick_value(self):
-        oracle = brute_force_divergence(BernoulliModel(5), HockeyStick(0.75, 2.2), 10**6)
+        oracle = brute_force_divergence(
+            BernoulliModel(5), HockeyStick(0.75, 2.2), grid_points=10**6
+        )
         engine = e_beta_gamma_numeric(BernoulliModel(5), 0.75, 2.2).value
         assert engine == pytest.approx(oracle, rel=1e-5, abs=1e-8)
 
     def test_gaussian_chi_squared(self):
         model = GaussianModel(1, 1.0, 1.0)
-        oracle = brute_force_divergence(model, Hellinger(2.0), 4 * 10**6)
+        oracle = brute_force_divergence(model, Hellinger(2.0), grid_points=4 * 10**6)
         assert oracle == pytest.approx(2.0, rel=1e-4)
 
     def test_gaussian_hockey_stick(self):
         model = GaussianModel(5, 1.0, 2.0)
-        oracle = brute_force_divergence(model, HockeyStick(0.75, 2.2), 4 * 10**6)
+        oracle = brute_force_divergence(model, HockeyStick(0.75, 2.2), grid_points=4 * 10**6)
         engine = e_beta_gamma_numeric(model, 0.75, 2.2).value
         assert engine == pytest.approx(oracle, rel=1e-4, abs=1e-7)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
-            brute_force_divergence(BernoulliModel(1), Hellinger(2.0), 10)
+            brute_force_divergence(BernoulliModel(1), Hellinger(2.0), grid_points=10)
 
 
 class TestMonteCarloDivergence:
