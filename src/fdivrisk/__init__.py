@@ -22,13 +22,7 @@ from .divergences import (
     hellinger_divergence,
 )
 from .generators import Generator, Hellinger, HockeyStick
-from .models import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    BernoulliModel,
-    GaussianModel,
-    Model,
-)
+from .models import BernoulliModel, GaussianModel, Model
 from .validation import (
     OracleReport,
     brute_force_divergence,
@@ -40,8 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BernoulliModel",
     "BoundResult",
-    "DEFAULT_SAMPLES",
-    "DEFAULT_SEED",
     "DivergenceInfiniteError",
     "DivergenceValue",
     "GaussianModel",

@@ -14,6 +14,7 @@ parameter search runs over tau alone with beta = 1.
 
 ``family_bound`` is the one bound every CLI command and the certification
 suite compute: the fixed-parameter bound of a family, or its searched one.
+Every parameter comes from the caller; the CLI decides the defaults.
 """
 
 from __future__ import annotations
@@ -28,15 +29,12 @@ from .divergences import (
     hellinger_divergence,
 )
 from .generators import Generator, Hellinger, HockeyStick
-from .models import BernoulliModel, Model
+from .models import Model
 from .numerics import golden_section_max
 
 __all__ = [
     "BoundResult",
     "FAMILIES",
-    "FIXED_BETA",
-    "FIXED_GAMMA",
-    "default_order",
     "family_bound",
     "hellinger_bound",
     "hockey_stick_bound",
@@ -224,28 +222,16 @@ def optimize_parameters(model: Model, family: str) -> BoundResult:
 # One bound per family, as the CLI and the certification suite compute it
 # --------------------------------------------------------------------------
 
-# Fixed-mode hockey-stick parameters.
-FIXED_BETA = 0.75
-FIXED_GAMMA = 2.2
-
-
-def default_order(model: Model) -> float:
-    """Fixed-mode Hellinger order: 2 for the coin-flip model, 3/2 Gaussian."""
-    return 2.0 if isinstance(model, BernoulliModel) else 1.5
-
 
 def family_bound(
-    model: Model, family: str, *, p: float | None, beta: float, gamma: float, optimize: bool
+    model: Model, family: str, *, p: float, beta: float, gamma: float, optimize: bool
 ) -> BoundResult:
     """The bound of one family: with ``optimize`` the searched bound of
     :func:`optimize_parameters`, otherwise the Hellinger bound at order ``p``
-    (``default_order(model)`` when None) or the hockey-stick bound at
-    ``(beta, gamma)``."""
+    or the hockey-stick bound at ``(beta, gamma)``."""
     if optimize:
         return optimize_parameters(model, family)
     c = model.small_ball_coefficient()
     if _family_key(family) == "hellinger":
-        if p is None:
-            p = default_order(model)
         return hellinger_bound(p, hellinger_divergence(model, p), c)
     return hockey_stick_bound(beta, gamma, e_beta_gamma_numeric(model, beta, gamma), c)

@@ -5,7 +5,10 @@ over a range of sample counts), ``compare`` (sweep with every family), and
 ``validate`` (oracle certification, exit 0 only if everything passes).
 
 Every option is a flag and a key of the flat config file, and ``_OPTIONS``
-says which commands read it; a command given an option it does not read,
+says which commands read it and holds its default.  The defaults that depend
+on the model or the command (the Hellinger order, the n range and the
+families) are filled by ``_resolve_options``, so the library takes complete
+arguments and decides none.  A command given an option it does not read,
 either way, exits 2 without computing anything.  So does a family or model
 parameter that breaks its rule, also where the chosen family or model does
 not use it (``--p`` beside ``--family hockey-stick``, ``--sigma-sq`` beside
@@ -28,17 +31,9 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .bounds import FAMILIES, FIXED_BETA, FIXED_GAMMA, _family_key, family_bound
+from .bounds import FAMILIES, _family_key, family_bound
 from .generators import Hellinger, HockeyStick
-from .models import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    BernoulliModel,
-    GaussianModel,
-    Model,
-    _check_samples,
-    _check_seed,
-)
+from .models import BernoulliModel, GaussianModel, Model, _check_samples, _check_seed
 from .svg import render_line_plot
 from .validation import certification_suite, generator_label, risk_reports
 
@@ -78,7 +73,7 @@ def compute_risk_curve(
     models: list[Model],
     families: tuple[str, ...],
     *,
-    p: float | None,
+    p: float,
     beta: float,
     gamma: float,
     optimize: bool,
@@ -127,8 +122,10 @@ _RANGED = ("sweep", "compare", "validate")
 # name -> (coercion, default, the commands that read it, help), for both the
 # flags and the flat config file.  The coercion is str, int or float, bool
 # for a switch, or list for a repeatable flag.  The default applies where
-# neither the flags nor the config file set the option.  The other commands
-# reject the option, and list it in this order.
+# neither the flags nor the config file set the option; None marks no
+# default, or one that _resolve_options works out from the model or the
+# command (p, family, n_range).  The other commands reject the option, and
+# list it in this order.
 _OPTIONS: dict[str, tuple[type, object, tuple[str, ...], str]] = {
     "model": (str, "bernoulli", _ALL, "estimation model: bernoulli | gaussian"),
     "n": (int, None, _ALL, "sample count; for a sweep, the same as --n-range N..N"),
@@ -136,14 +133,14 @@ _OPTIONS: dict[str, tuple[type, object, tuple[str, ...], str]] = {
     "sigma_sq": (float, GaussianModel.sigma_sq, _ALL, "noise variance (gaussian model)"),
     "family": (list, None, ("bound", "sweep"), "hellinger | hockey-stick; repeat for several"),
     "p": (float, None, _ALL, "Hellinger order (> 1)"),
-    "beta": (float, FIXED_BETA, _ALL, "hockey-stick beta (> 0)"),
-    "gamma": (float, FIXED_GAMMA, _ALL, "hockey-stick gamma (>= beta)"),
+    "beta": (float, 0.75, _ALL, "hockey-stick beta (> 0)"),
+    "gamma": (float, 2.2, _ALL, "hockey-stick gamma (>= beta)"),
     "optimize": (bool, False, _ALL, "optimise over family parameters instead of fixed values"),
-    "seed": (int, DEFAULT_SEED, _ALL, "RNG seed (fixed default; runs are reproducible)"),
+    "seed": (int, 1729, _ALL, "RNG seed (fixed default; runs are reproducible)"),
     "config": (str, None, _ALL, "flat key=value config file; flags override it"),
     "csv": (str, None, ("bound", "sweep", "compare"), "write CSV output to this path"),
     "oracle": (bool, False, ("sweep", "compare"), "add Monte-Carlo / exact risk columns"),
-    "samples": (int, DEFAULT_SAMPLES, _RANGED, "Monte-Carlo sample count"),
+    "samples": (int, 10**6, _RANGED, "Monte-Carlo sample count"),
     "svg": (str, None, ("sweep", "compare"), "write an SVG plot to this path"),
     "n_range": (str, None, _RANGED, "inclusive sweep range, e.g. 1..50"),
     "self_test_negate": (bool, False, ("validate",), "flip one check to show failures are caught"),
@@ -210,7 +207,8 @@ def _config_value(key: str, raw: str) -> object:
 
 def _resolve_options(args: argparse.Namespace) -> list[str]:
     """Fill options left unset by the flags from the config file, then from
-    the defaults.  Every config value is checked, also where a flag
+    the defaults: those of ``_OPTIONS``, then those that depend on the model
+    or the command.  Every config value is checked, also where a flag
     overrides it.
 
     Returns the flags of the options given, by flag or config key, that the
@@ -229,14 +227,21 @@ def _resolve_options(args: argparse.Namespace) -> list[str]:
     for name, (_, default, _, _) in _OPTIONS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
+    if args.p is None:
+        args.p = 2.0 if args.model == "bernoulli" else 1.5
+    if args.n is None and args.n_range is None:
+        args.n_range = "1..20" if args.command == "validate" else "1..50"
+    # An empty config line `family =` also means the default.
+    if not args.family:
+        args.family = ["hellinger"] if args.command == "bound" else list(FAMILIES)
     return unread
 
 
-def _n_range(args: argparse.Namespace, default: range) -> range:
-    """The sample counts of ``--n-range A..B``, of ``--n`` alone, or
-    ``default``; the one check of a sweep's sample counts."""
+def _n_range(args: argparse.Namespace) -> range:
+    """The sample counts of ``--n-range A..B`` or of ``--n`` alone; the one
+    check of a sweep's sample counts."""
     if args.n_range is None:
-        ns = default if args.n is None else range(args.n, args.n + 1)
+        ns = range(args.n, args.n + 1)
     elif args.n is not None:
         raise ValueError("give --n or --n-range, not both")
     else:
@@ -250,21 +255,18 @@ def _n_range(args: argparse.Namespace, default: range) -> range:
     return ns
 
 
-def _models(args: argparse.Namespace, default: range) -> list[Model]:
-    ns = _n_range(args, default)
-    return [build_model(args.model, n, args.sigma_w_sq, args.sigma_sq) for n in ns]
+def _models(args: argparse.Namespace) -> list[Model]:
+    return [build_model(args.model, n, args.sigma_w_sq, args.sigma_sq) for n in _n_range(args)]
 
 
-def _families(names: list[str] | None, default: tuple[str, ...] = FAMILIES) -> tuple[str, ...]:
+def _families(names: list[str]) -> tuple[str, ...]:
     """The requested bound families, canonical and without repeats."""
-    if not names:
-        return default
     return tuple(dict.fromkeys(_family_key(name) for name in names))
 
 
 def _bound_family(args: argparse.Namespace) -> str:
     """The one family ``bound`` computes."""
-    families = _families(args.family, ("hellinger",))
+    families = _families(args.family)
     if len(families) > 1:
         raise ValueError(f"bound takes one family, got {', '.join(families)}")
     return families[0]
@@ -274,8 +276,7 @@ def _check_parameters(args: argparse.Namespace) -> None:
     """Check every family and model parameter against its rule, also those
     the chosen families or model do not use, so that none is dropped
     unchecked.  The defaults pass every rule."""
-    if args.p is not None:
-        Hellinger(args.p)
+    Hellinger(args.p)
     HockeyStick(args.beta, args.gamma)
     if args.model == "bernoulli":
         # The Gaussian model checks its variances at each n it is built for;
@@ -319,7 +320,7 @@ def cmd_bound(args: argparse.Namespace, family: str) -> int:
 
 def cmd_sweep(args: argparse.Namespace, families: tuple[str, ...]) -> int:
     rows = compute_risk_curve(
-        _models(args, range(1, 51)),
+        _models(args),
         families,
         p=args.p,
         beta=args.beta,
@@ -330,18 +331,20 @@ def cmd_sweep(args: argparse.Namespace, families: tuple[str, ...]) -> int:
         seed=args.seed,
     )
     text = risk_curve_csv(rows)
+    # Rendered first, so that a run that cannot plot writes nothing.
+    svg = render_curve_svg(rows, f"{args.model}: risk lower bounds vs n") if args.svg else None
     if args.csv:
         _write(args.csv, text)
     else:
         sys.stdout.write(text)
     if args.svg:
-        _write(args.svg, render_curve_svg(rows, f"{args.model}: risk lower bounds vs n"))
+        _write(args.svg, svg)
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     reports = certification_suite(
-        _models(args, range(1, 21)),
+        _models(args),
         beta=args.beta,
         gamma=args.gamma,
         p=args.p,
@@ -400,13 +403,13 @@ def main(argv: "list[str] | None" = None) -> int:
         _check_samples(args.samples)
         if args.model == "bernoulli" and (args.command == "validate" or args.oracle):
             # Each n draws from the stream of --seed + n, so the first n's is
-            # the lowest; every command's default range starts at n = 1.
-            _check_seed(args.seed + _n_range(args, range(1, 2)).start)
+            # the lowest.
+            _check_seed(args.seed + _n_range(args).start)
         if args.command == "bound":
             return cmd_bound(args, family)
         if args.command == "validate":
             return cmd_validate(args)
-        return cmd_sweep(args, FAMILIES if args.command == "compare" else _families(args.family))
+        return cmd_sweep(args, _families(args.family))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

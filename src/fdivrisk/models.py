@@ -22,8 +22,6 @@ from functools import lru_cache
 from .numerics import beta_median
 
 __all__ = [
-    "DEFAULT_SAMPLES",
-    "DEFAULT_SEED",
     "BernoulliModel",
     "GaussianModel",
     "Model",
@@ -31,8 +29,6 @@ __all__ = [
     "make_rng",
 ]
 
-DEFAULT_SEED = 1729
-DEFAULT_SAMPLES = 10**6
 # Hamming weights drawn per rng.binomial call in BernoulliModel.simulate_risk.
 _BINOMIAL_BLOCK = 65_536
 
@@ -137,6 +133,9 @@ class GaussianModel:
             raise ValueError("n must be a positive integer")
         if not (self.sigma_w_sq > 0.0 and self.sigma_sq > 0.0):
             raise ValueError("variances must be strictly positive")
+        # An infinite noise variance is no distribution; r would read 0.
+        if not math.isfinite(self.sigma_sq):
+            raise ValueError(f"noise variance sigma_sq must be finite, got {self.sigma_sq}")
         # Every Gaussian information depends on the variances through the
         # ratio r = sigma_w_sq / (sigma_sq / n), so r must exist and be finite.
         if not (self.noise_var > 0.0 and math.isfinite(self.sigma_w_sq / self.noise_var)):

@@ -23,7 +23,7 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .bounds import FAMILIES, BoundResult, default_order, family_bound
+from .bounds import FAMILIES, BoundResult, family_bound
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
 from .generators import Generator, Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model
@@ -269,7 +269,7 @@ def _relative_report(quantity: str, analytic: float, oracle: float, rel_tol: flo
 def certification_suite(
     models: list[Model],
     *,
-    p: float | None,
+    p: float,
     beta: float,
     gamma: float,
     samples: int,
@@ -277,14 +277,10 @@ def certification_suite(
     optimize: bool,
 ) -> list[OracleReport]:
     """Certify closed forms against brute force at the first model, and
-    every bound against the risk oracle at each model; ``p=None`` picks
-    the default order of the first model.
-    """
+    every bound against the risk oracle at each model."""
     if not models:
         raise ValueError("no models to certify")
     first = models[0]
-    if p is None:
-        p = default_order(first)
     reports: list[OracleReport] = []
 
     if isinstance(first, BernoulliModel):

@@ -48,6 +48,14 @@ class TestBoundCommand:
         floor = 81.0 * math.sqrt(2.0 * math.pi) / 2048.0 * math.sqrt(1.0 / (1.0 + 2.0 * 0.5))
         assert value >= floor
 
+    @pytest.mark.parametrize(
+        "model, label", [("bernoulli", "hellinger(p=2)"), ("gaussian", "hellinger(p=1.5)")]
+    )
+    def test_default_family_and_order(self, capsys, model, label):
+        code, out, err = run(capsys, "bound", "--model", model, "--n", "3")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[3].split() == ["parameters", label]
+
     def test_bad_order_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound", "--family", "hellinger", "--p", "0.5")
         assert code == EXIT_USAGE
@@ -107,6 +115,13 @@ class TestBoundCommand:
             "error: variance ratio sigma_w_sq / (sigma_sq / n) is not finite at "
             f"sigma_w_sq = 1.0, sigma_sq = 5e-324, n = {n}\n"
         )
+
+    def test_variance_ratio_underflow_still_gives_a_bound(self, capsys):
+        # r = 1e-300 / (1e300 / 5) rounds to 0 at finite variances.
+        argv = "bound --model gaussian --n 5 --sigma-w-sq 1e-300 --sigma-sq 1e300"
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        assert float(out.splitlines()[0].split()[-1]) == pytest.approx(1.3218547541999669e-151)
 
     @pytest.mark.parametrize(
         "argv, r",
@@ -261,6 +276,19 @@ class TestSweepCommand:
         assert content.startswith("<svg")
         assert "polyline" in content
 
+    @pytest.mark.parametrize("to_csv", [False, True])
+    def test_unplottable_sweep_writes_nothing(self, capsys, tmp_path, to_csv):
+        # Every hockey-stick bound is vacuous, so there is nothing to plot.
+        csv, svg = tmp_path / "z.csv", tmp_path / "z.svg"
+        argv = [
+            "sweep",
+            *["--model", "bernoulli", "--n-range", "1..2", "--family", "hockey-stick"],
+            *["--beta", "1e-300", "--gamma", "1e300", "--svg", str(svg)],
+        ]
+        code, out, err = run(capsys, *argv, *(["--csv", str(csv)] if to_csv else []))
+        assert (code, out, err) == (EXIT_USAGE, "", "error: no positive values to plot\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_gaussian_sweep(self, capsys):
         code, out, _ = run(
             capsys,
@@ -353,6 +381,7 @@ class TestSweepCommand:
 class TestOptionTable:
     SAME_UNREAD = "validate does not take --family, --csv, --oracle, --svg"
     SAMPLES_RULE = "samples must be at least 2 (the standard error needs two)"
+    INFINITE_NOISE = "noise variance sigma_sq must be finite, got inf"
 
     @pytest.mark.parametrize(
         "argv, config, err",
@@ -388,6 +417,11 @@ class TestOptionTable:
             ("bound --n 3 --family hockey-stick", "p = 0.5\n", "p must exceed 1"),
             ("compare --model gaussian --n-range 1..2 --optimize", "gamma = 0.5\n", "gamma must be at least beta"),
             ("validate --n-range 1..2", "sigma-w-sq = -1\n", "variances must be strictly positive"),
+            # An infinite noise variance would make the variance ratio r = 0.
+            ("bound --model gaussian --n 5 --sigma-sq inf", "", INFINITE_NOISE),
+            ("bound --model gaussian --n 5 --sigma-sq inf --family hockey-stick", "", INFINITE_NOISE),
+            ("bound --model bernoulli --n 5 --sigma-sq inf", "", INFINITE_NOISE),
+            ("sweep --model gaussian --n-range 1..3", "sigma-sq = 1e400\n", INFINITE_NOISE),
             # --samples is checked before anything is computed, even where no
             # oracle runs.
             ("sweep --n-range 1..3 --samples 1", "", SAMPLES_RULE),
@@ -440,6 +474,14 @@ class TestGoldenOutput:
     def test_compare_matches_golden_file(self, capsys, name):
         golden = Path(__file__).parent / "golden" / f"compare_{name}.csv"
         code, out, _ = run(capsys, "compare", *self.ARGS[name])
+        assert code == EXIT_OK
+        assert out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("model", ["bernoulli", "gaussian"])
+    def test_default_range_matches_golden_file(self, capsys, model):
+        # The default n range of compare is the 1..50 of the golden files.
+        golden = Path(__file__).parent / "golden" / f"compare_{model}.csv"
+        code, out, _ = run(capsys, "compare", "--model", model)
         assert code == EXIT_OK
         assert out.encode() == golden.read_bytes()
 
@@ -513,6 +555,14 @@ class TestConfigFile:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_empty_family_line_means_the_default(self, capsys, tmp_path):
+        config = tmp_path / "empty.cfg"
+        config.write_text("family =\n")
+        for argv in (["sweep", "--n-range", "1..3"], ["bound", "--n", "3"]):
+            expected = run(capsys, *argv)
+            assert expected[0] == EXIT_OK
+            assert run(capsys, *argv, "--config", str(config)) == expected
+
     def test_missing_config_file_is_io_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--config", "/nonexistent/file.cfg")
         assert code == EXIT_IO
@@ -537,6 +587,15 @@ class TestValidateCommand:
         )
         assert code == EXIT_OK
         assert "FAIL" not in out
+
+    def test_gaussian_validate_defaults(self, capsys):
+        # n = 1..20 at order 3/2: two brute-force checks, then two bounds per n.
+        code, out, _ = run(capsys, "validate", "--model", "gaussian")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert "hellinger(p=1.5)" in lines[0]
+        assert "gaussian(n=20," in lines[-2]
+        assert lines[-1] == "42/42 checks passed"
 
     def test_self_test_negate_fails(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,7 @@
-"""No function in the package that nothing calls, no parameter default that
-no call overrides or that every call overrides, and no name defined twice
-without a stated reason.
+"""No function in the package that nothing calls, no module constant that
+its own module never reads, no parameter default that no call overrides or
+that every call overrides, and no name defined twice without a stated
+reason.
 
 Code that only the tests call belongs in ``tests/oracles.py``.  The checks
 match by name: a definition counts as used when its name appears as a
@@ -11,10 +12,12 @@ and as relied on by a call that does not.  A default that no package call
 relies on is read only from outside the package, so the parameter should be
 required.  Matching by name cannot tell two definitions of one name apart,
 so every name that more than one function or method defines must be listed
-in ``SHARED_NAMES`` with the reason it is defined twice.
+in ``SHARED_NAMES`` with the reason it is defined twice.  An UPPER_CASE
+module-level name that its module never reads belongs with its reader.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fdivrisk"
@@ -37,6 +40,9 @@ ENTRY_POINTS = frozenset(
         "simulate_risk",
     }
 )
+
+# A module-level constant, private or not.
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 # Names that more than one function or method defines, and why.  A use of
 # one definition counts as a use of every other, so each listed name must
@@ -87,6 +93,33 @@ def unused_definitions(package: Path = PACKAGE) -> list[str]:
             if counts.get(name, 0) - own == 0:
                 unused.append(f"{module}: {qualname}")
     return unused
+
+
+def unread_constants(package: Path = PACKAGE) -> list[str]:
+    """UPPER_CASE names assigned at module level that their module never
+    reads."""
+    unread = []
+    for module, tree in _trees(package).items():
+        loads = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            unread += [
+                f"{module}: {n.id}"
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Store)
+                and _CONSTANT.fullmatch(n.id)
+                and n.id not in loads
+            ]
+    return unread
 
 
 def shared_names(package: Path = PACKAGE) -> list[str]:
@@ -173,6 +206,10 @@ def test_every_function_is_used_in_the_package():
     assert unused_definitions() == []
 
 
+def test_every_constant_is_read_by_its_module():
+    assert unread_constants() == []
+
+
 def test_every_default_is_overridden_in_the_package():
     assert unset_parameters() == []
 
@@ -194,6 +231,16 @@ def test_an_unused_function_is_caught(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import unused\n")
     assert unused_definitions(tmp_path) == ["a.py: unused", "a.py: recursive", "a.py: C.method"]
+
+
+def test_an_unread_constant_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\nUNREAD = 4\n_HIDDEN: int = 5\nTABLE: dict = {}\n"
+        "A, B = 1, 2\nlower = 6\n__all__ = []\n\n"
+        "def f():\n    return LIMIT + TABLE.get(A, 0)\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import UNREAD\nprint(UNREAD)\n")
+    assert unread_constants(tmp_path) == ["a.py: UNREAD", "a.py: _HIDDEN", "a.py: B"]
 
 
 def test_an_unset_default_is_caught(tmp_path):

@@ -113,6 +113,12 @@ class TestGaussianModel:
         with pytest.raises(ValueError, match="variance ratio .* is not finite"):
             GaussianModel(n, sigma_w_sq, sigma_sq)
 
+    @pytest.mark.parametrize("sigma_w_sq", [1.0, math.inf])
+    def test_infinite_noise_variance_is_named(self, sigma_w_sq):
+        # sigma_sq = inf would give the variance ratio r = 0.
+        with pytest.raises(ValueError, match=r"^noise variance sigma_sq must be finite, got inf$"):
+            GaussianModel(5, sigma_w_sq, math.inf)
+
     def test_small_ball_coefficient_examples(self):
         assert GaussianModel(10, 1.0, 1.0).small_ball_coefficient() == pytest.approx(
             2.0 / math.sqrt(2.0 * math.pi)
