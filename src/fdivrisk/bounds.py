@@ -20,7 +20,7 @@ Every parameter comes from the caller; the CLI decides the defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .divergences import (
     DivergenceInfiniteError,
@@ -28,7 +28,7 @@ from .divergences import (
     e_beta_gamma_numeric,
     hellinger_divergence,
 )
-from .generators import Generator, Hellinger, HockeyStick
+from .generators import Hellinger, HockeyStick
 from .models import Model
 from .numerics import golden_section_max
 
@@ -45,20 +45,19 @@ __all__ = [
 FAMILIES = ("hellinger", "hockey_stick")
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """A risk lower bound together with everything that produced it.
+class BoundResult(
+    namedtuple("BoundResult", "value rho_star generator divergence vacuous", defaults=(False,))
+):
+    """A risk lower bound together with everything that produced it: the
+    ``generator`` (a :data:`Generator`) and the ``divergence`` (a
+    :class:`DivergenceValue`) it was computed from.
 
     ``vacuous`` marks parameter choices whose bound is non-positive at every
     rho; the value is then reported as 0 (the risk is non-negative anyway)
     and ``rho_star`` is meaningless.
     """
 
-    value: float
-    rho_star: float
-    generator: Generator
-    divergence: DivergenceValue
-    vacuous: bool = False
+    __slots__ = ()
 
 
 def _as_divergence(value: "DivergenceValue | float") -> DivergenceValue:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .bounds import FAMILIES, _family_key, family_bound
 from .generators import Hellinger, HockeyStick
@@ -117,6 +116,8 @@ def render_curve_svg(rows: list[tuple], title: str) -> str:
 
 
 _ALL = ("bound", "sweep", "compare", "validate")
+# The variances default to those of GaussianModel.
+_GAUSSIAN = GaussianModel._field_defaults
 # The commands that run over a range of sample counts.
 _RANGED = ("sweep", "compare", "validate")
 # name -> (coercion, default, the commands that read it, help), for both the
@@ -129,8 +130,8 @@ _RANGED = ("sweep", "compare", "validate")
 _OPTIONS: dict[str, tuple[type, object, tuple[str, ...], str]] = {
     "model": (str, "bernoulli", _ALL, "estimation model: bernoulli | gaussian"),
     "n": (int, None, _ALL, "sample count; for a sweep, the same as --n-range N..N"),
-    "sigma_w_sq": (float, GaussianModel.sigma_w_sq, _ALL, "prior variance (gaussian model)"),
-    "sigma_sq": (float, GaussianModel.sigma_sq, _ALL, "noise variance (gaussian model)"),
+    "sigma_w_sq": (float, _GAUSSIAN["sigma_w_sq"], _ALL, "prior variance (gaussian model)"),
+    "sigma_sq": (float, _GAUSSIAN["sigma_sq"], _ALL, "noise variance (gaussian model)"),
     "family": (list, None, ("bound", "sweep"), "hellinger | hockey-stick; repeat for several"),
     "p": (float, None, _ALL, "Hellinger order (> 1)"),
     "beta": (float, 0.75, _ALL, "hockey-stick beta (> 0)"),
@@ -354,8 +355,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     )
     if args.self_test_negate:
         first = reports[0]
-        reports[0] = replace(
-            first, quantity=first.quantity + " [negated for self-test]", passed=not first.passed
+        reports[0] = first._replace(
+            quantity=first.quantity + " [negated for self-test]", passed=not first.passed
         )
     width = max(len(r.quantity) for r in reports)
     for r in reports:

@@ -13,6 +13,8 @@ parameter, with each slice in the sample mean in closed form.
 The searches evaluate these kernels 80 times per optimum.  Each computes a
 log-gamma value once per call or per weight, and the Gaussian slice writes
 out the normal CDF and density, keeping every float operation and its order.
+The coin-flip Hellinger sum and the numpy blocks read their log-factorials
+from one table per n (``_log_factorials``), built once for a whole search.
 
 Value convention: Hellinger-family results are stored "scaled" as
 (p-1) * H_p + 1, which is exactly what the bound formulas consume; the raw
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import lru_cache
 
 from .generators import Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model
@@ -44,22 +47,23 @@ class DivergenceInfiniteError(ValueError):
     is infinite for the given parameters)."""
 
 
-@dataclass(frozen=True)
-class DivergenceValue:
+class DivergenceValue(
+    namedtuple("DivergenceValue", "value method error_estimate", defaults=(0.0,))
+):
     """A computed f-mutual-information value with provenance.
 
-    ``error_estimate`` is an absolute bound on the numerical error of
-    quadrature and closed-form results.  The Hellinger closed forms report
-    zero: they do not bound their rounding.  A value or error estimate that
-    is not finite (an overflow, or a ``nan`` from cancellation) raises
-    ``FloatingPointError``, so no bound is ever built on one.
+    ``method`` is "closed_form" or "quadrature".  ``error_estimate`` is an
+    absolute bound on the numerical error of quadrature and closed-form
+    results.  The Hellinger closed forms report zero: they do not bound their
+    rounding.  A value or error estimate that is not finite (an overflow, or
+    a ``nan`` from cancellation) raises ``FloatingPointError``, so no bound is
+    ever built on one.
     """
 
-    value: float
-    method: str  # "closed_form" | "quadrature"
-    error_estimate: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.value) and math.isfinite(self.error_estimate)):
             raise FloatingPointError(
                 f"{self.method} divergence is not finite: value {self.value}, "
@@ -69,6 +73,15 @@ class DivergenceValue:
             raise ValueError(f"unknown method {self.method!r}")
         if self.error_estimate < 0.0:
             raise ValueError("error estimate must be non-negative")
+        return self
+
+
+@lru_cache(maxsize=1)
+def _log_factorials(n: int) -> tuple[float, ...]:
+    """lgamma(i + 1) = log i! for i = 0..n+1: the log-factorials of the
+    coin-flip sums at n, and lgamma of their Beta shapes.  Kept for the last
+    n only, which is all a search or a sweep step reads."""
+    return tuple(map(math.lgamma, range(1, n + 3)))
 
 
 # --------------------------------------------------------------------------
@@ -101,8 +114,8 @@ def hellinger_divergence(model: Model, p: float) -> DivergenceValue:
         return DivergenceValue(((1.0 + r) ** p / denom) ** 0.5, "closed_form")
     n = model.n
     lead = (p - 1.0) * math.log(n + 1.0)
-    # 2n+3 lgamma calls: log i! and log G(jp+1) for i, j <= n, and log G(np+2).
-    log_fact = list(map(math.lgamma, range(1, n + 2)))
+    # n+2 lgamma calls per order: log G(jp+1) for j <= n, and log G(np+2).
+    log_fact = _log_factorials(n)
     log_gamma_p = [math.lgamma(j * p + 1.0) for j in range(n + 1)]
     log_gamma_top = math.lgamma(n * p + 2.0)
     log_terms = [
@@ -298,8 +311,7 @@ def _bernoulli_terms_array(
 
     n = model.n
     log_tau = math.log(gamma) - math.log(beta)
-    # lgam[i] = lgamma(i + 1): log-factorials, and lgamma of the Beta shapes.
-    lgam = np.fromiter(map(math.lgamma, range(1, n + 3)), float, n + 2)
+    lgam = np.array(_log_factorials(n))  # lgam[i] = log i!
     log_np1 = math.log(n + 1.0)
     weights = n // 2 + 1
     values: list = []

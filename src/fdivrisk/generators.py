@@ -2,7 +2,8 @@
 
 A generator is an increasing convex function f on [0, inf) with f(1) = 0.
 These types only name a family member and check its parameters; every
-other check of p, beta or gamma in the package constructs one of them.  The
+other check of p, beta or gamma in the package constructs one of them.  Each
+is an immutable named tuple whose constructor runs the checks.  The
 divergence kernels and the family bounds use each family's closed forms
 directly.  Pointwise evaluation, the conjugate at zero and the generalized
 inverse, which only the general master inequality needs, are kept in
@@ -11,42 +12,50 @@ inverse, which only the general master inequality needs, are kept in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 
 __all__ = ["Generator", "Hellinger", "HockeyStick"]
 
 
-@dataclass(frozen=True)
-class Hellinger:
+class Hellinger(namedtuple("Hellinger", "p")):
     """Generator f(t) = (t^p - 1)/(p - 1) of the order-p Hellinger divergence.
 
-    Requires p > 1 so that f is increasing and convex on [0, inf); p = 2
-    gives the chi-squared divergence.
+    Requires a finite p > 1 so that f is increasing and convex on [0, inf);
+    p = 2 gives the chi-squared divergence.
     """
 
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.p > 1.0:
             raise ValueError("p must exceed 1")
+        if not math.isfinite(self.p):
+            raise ValueError(f"p must be finite, got {self.p}")
+        return self
 
 
-@dataclass(frozen=True)
-class HockeyStick:
+class HockeyStick(namedtuple("HockeyStick", "beta gamma")):
     """Generator f(t) = max(0, beta*t - gamma) of the generalized hockey-stick
     divergence E_{beta,gamma}.
 
-    Requires gamma >= beta > 0; beta = gamma = 1 yields total variation.
+    Requires finite gamma >= beta > 0; beta = gamma = 1 yields total variation.
     """
 
-    beta: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.beta > 0.0:
             raise ValueError("beta must be positive")
         if not self.gamma >= self.beta:
             raise ValueError("gamma must be at least beta")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        return self
 
 
 Generator = Hellinger | HockeyStick

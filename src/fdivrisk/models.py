@@ -3,7 +3,8 @@
 Both use absolute-error loss |w - w_hat|, which the posterior median
 minimises.  Each model works over a sufficient statistic (Hamming weight for
 the coin-flip setting, sample mean for the Gaussian one) so divergences stay
-low-dimensional for any sample count.  Each gives the coefficient c of a
+low-dimensional for any sample count.  Each model is an immutable named
+tuple whose constructor checks its fields.  Each gives the coefficient c of a
 linear small-ball envelope, P(|W - w| <= rho) <= c * rho, and the simulated
 risk of the posterior median, which every emitted bound is certified
 against; the Gaussian model also gives that risk exactly, and the coin-flip
@@ -16,7 +17,7 @@ that only compute bounds never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .numerics import beta_median
@@ -56,11 +57,10 @@ def _check_samples(samples: int) -> None:
         raise ValueError("samples must be at least 2 (the standard error needs two)")
 
 
-@dataclass(frozen=True)
-class RiskReference:
+class RiskReference(namedtuple("RiskReference", "value")):
     """Exact reference Bayes risk."""
 
-    value: float
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -69,19 +69,20 @@ def _beta_median_table(n: int) -> tuple[float, ...]:
     return tuple(beta_median(k + 1.0, n - k + 1.0) for k in range(n + 1))
 
 
-@dataclass(frozen=True)
-class BernoulliModel:
+class BernoulliModel(namedtuple("BernoulliModel", "n")):
     """Uniform prior on a coin bias, n conditionally independent flips.
 
     The 2^n outcome sequences collapse onto the Hamming weight k, which is
     uniform on {0, ..., n} under the prior-marginal law.
     """
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError("n must be a positive integer")
+        return self
 
     def small_ball_coefficient(self) -> float:
         # Interval mass under U[0,1]: P(|W - w| <= rho) <= 2*rho.
@@ -116,19 +117,17 @@ class BernoulliModel:
         return float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples))
 
 
-@dataclass(frozen=True)
-class GaussianModel:
+class GaussianModel(namedtuple("GaussianModel", "n sigma_w_sq sigma_sq", defaults=(1.0, 2.0))):
     """Gaussian location: W ~ N(0, sigma_w_sq), n observations W + noise.
 
     The sample mean is sufficient, so the model works over x_bar with noise
-    variance sigma_sq / n throughout.
+    variance sigma_sq / n throughout.  The variances default to 1.0 and 2.0.
     """
 
-    n: int
-    sigma_w_sq: float = 1.0
-    sigma_sq: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError("n must be a positive integer")
         if not (self.sigma_w_sq > 0.0 and self.sigma_sq > 0.0):
@@ -143,6 +142,7 @@ class GaussianModel:
                 f"variance ratio sigma_w_sq / (sigma_sq / n) is not finite at "
                 f"sigma_w_sq = {self.sigma_w_sq}, sigma_sq = {self.sigma_sq}, n = {self.n}"
             )
+        return self
 
     @property
     def noise_var(self) -> float:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .bounds import FAMILIES, BoundResult, family_bound
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
@@ -46,8 +46,7 @@ __all__ = [
 _MAX_WORKERS = 2
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(namedtuple("OracleReport", "quantity analytic oracle passed tolerance_used")):
     """One analytic-vs-oracle comparison.
 
     ``tolerance_used`` is the absolute acceptance band; stochastic oracles
@@ -55,11 +54,7 @@ class OracleReport:
     (a lower bound only has to stay below the risk).
     """
 
-    quantity: str
-    analytic: float
-    oracle: float
-    passed: bool
-    tolerance_used: float
+    __slots__ = ()
 
 
 def generator_label(g: Generator) -> str:

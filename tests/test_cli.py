@@ -422,6 +422,11 @@ class TestOptionTable:
             ("bound --model gaussian --n 5 --sigma-sq inf --family hockey-stick", "", INFINITE_NOISE),
             ("bound --model bernoulli --n 5 --sigma-sq inf", "", INFINITE_NOISE),
             ("sweep --model gaussian --n-range 1..3", "sigma-sq = 1e400\n", INFINITE_NOISE),
+            # An infinite family parameter is named; a nan one breaks its order rule.
+            ("bound --n 3 --p inf", "", "p must be finite, got inf"),
+            ("bound --n 3 --family hockey-stick --gamma inf", "", "gamma must be finite, got inf"),
+            ("bound --n 3 --beta inf --gamma inf", "", "beta must be finite, got inf"),
+            ("bound --n 3 --p nan", "", "p must exceed 1"),
             # --samples is checked before anything is computed, even where no
             # oracle runs.
             ("sweep --n-range 1..3 --samples 1", "", SAMPLES_RULE),

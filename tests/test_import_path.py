@@ -1,4 +1,5 @@
-"""Runs that only compute bounds load neither numpy nor typing.
+"""Runs that only compute bounds load neither numpy, typing, dataclasses nor
+inspect.
 
 Each case starts a fresh interpreter with ``-S``, so no site-packages
 ``.pth`` file imports a module before the package does; it finds the
@@ -14,22 +15,26 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# Modules that cost a bound-only run import time and that it does not need;
+# numpy imports inspect itself.
+WATCHED = ("dataclasses", "inspect", "numpy", "typing")
+
 SCRIPT = """
 import sys
 sys.path[:0] = {path!r}
-preloaded = {{"numpy", "typing"}} & set(sys.modules)
+preloaded = set({watched!r}) & set(sys.modules)
 import fdivrisk
 from fdivrisk.cli import main
 codes = [main(argv.split()) for argv in {runs!r}]
-print(repr((sorted(preloaded), codes, sorted({{"numpy", "typing"}} & set(sys.modules)))))
+print(repr((sorted(preloaded), codes, sorted(set({watched!r}) & set(sys.modules)))))
 """
 
 
 def run_fresh(runs: list[str]) -> tuple[list[str], list[int], list[str]]:
     """Exit codes of ``main`` on each argv in one fresh interpreter, with the
-    modules of {numpy, typing} loaded before ``import fdivrisk`` and at the
+    modules of ``WATCHED`` loaded before ``import fdivrisk`` and at the
     end."""
-    script = SCRIPT.format(path=[str(SRC), *sys.path], runs=runs)
+    script = SCRIPT.format(path=[str(SRC), *sys.path], runs=runs, watched=WATCHED)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=300
     )
@@ -37,13 +42,15 @@ def run_fresh(runs: list[str]) -> tuple[list[str], list[int], list[str]]:
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
-def test_scalar_only_runs_load_neither_numpy_nor_typing():
+def test_scalar_only_runs_load_none_of_the_watched_modules():
     runs = [
         "bound --model bernoulli --n 10 --family hockey-stick --optimize",
         "compare --model bernoulli --n-range 1..12 --optimize",
         "compare --model gaussian --n-range 1..8 --optimize",
+        # The Gaussian risk oracle is exact: it runs on the worker threads without numpy.
+        "sweep --model gaussian --n-range 1..3 --oracle",
     ]
-    assert run_fresh(runs) == ([], [0, 0, 0], [])
+    assert run_fresh(runs) == ([], [0, 0, 0, 0], [])
 
 
 @pytest.mark.parametrize(
