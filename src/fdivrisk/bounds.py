@@ -160,7 +160,6 @@ def _log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
 _P_GRID = tuple(1.0 + x for x in _log_grid(2.0**-6, 7.0, 33))
 # tau in [1, 160] covers every gamma / beta with 0.05 <= beta <= gamma <= 8.
 _TAU_GRID = _log_grid(1.0, 160.0, 33)
-_REFINE_BUDGET = 64
 
 
 def _grid_then_golden(grid: tuple[float, ...], bound_at) -> BoundResult:
@@ -186,7 +185,7 @@ def _grid_then_golden(grid: tuple[float, ...], bound_at) -> BoundResult:
     i = max(range(len(grid)), key=values.__getitem__)
     lo = grid[max(0, i - 1)]
     hi = grid[min(len(grid) - 1, i + 1)]
-    golden_section_max(objective, lo, hi, tol=1e-9 * (hi - lo), max_iter=_REFINE_BUDGET)
+    golden_section_max(objective, lo, hi, tol=1e-9 * (hi - lo))
     return best
 
 

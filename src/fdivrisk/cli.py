@@ -18,9 +18,11 @@ alone, never both, and check ``--samples`` before computing anything; so
 do the coin-flip oracle runs (``validate``, ``--oracle``) with the lowest
 stream seed ``--seed`` + n.
 
-Exit codes: 0 success, 1 validation failure, 2 argument error, numerical
-failure (an ``ArithmeticError`` such as an overflow) or running out of memory
-(such as a ``--samples`` too large to hold), 3 I/O error.
+Exit codes: 0 success, 1 validation failure, 2 argument error (a malformed
+command line too, in one line), numerical failure (an ``ArithmeticError``
+such as an overflow) or running out of memory (such as a ``--samples`` too
+large to hold), 3 I/O error, before any output if an output path cannot be
+opened.
 All randomness flows from ``--seed`` (fixed default, never wall clock), so
 identical invocations produce byte-identical output.
 """
@@ -28,6 +30,7 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bounds import FAMILIES, _family_key, family_bound
@@ -285,6 +288,24 @@ def _check_parameters(args: argparse.Namespace) -> None:
         GaussianModel(1, args.sigma_w_sq, args.sigma_sq)
 
 
+def _check_outputs(*paths: "str | None") -> None:
+    """Open each output path given, without truncating it, and close it
+    again: a path that cannot be opened fails the run before any output is
+    written.  The files opened before it that did not exist are removed, so
+    such a run writes nothing."""
+    created = []
+    try:
+        for path in filter(None, paths):
+            exists = os.path.exists(path)
+            open(path, "ab").close()
+            if not exists:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -310,6 +331,7 @@ def cmd_bound(args: argparse.Namespace, family: str) -> int:
         ("parameters", generator_label(result.generator)),
         ("method", "closed_form_rho" + (" [vacuous]" if result.vacuous else "")),
     ]
+    _check_outputs(args.csv)
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
@@ -334,6 +356,7 @@ def cmd_sweep(args: argparse.Namespace, families: tuple[str, ...]) -> int:
     text = risk_curve_csv(rows)
     # Rendered first, so that a run that cannot plot writes nothing.
     svg = render_curve_svg(rows, f"{args.model}: risk lower bounds vs n") if args.svg else None
+    _check_outputs(args.csv, args.svg)
     if args.csv:
         _write(args.csv, text)
     else:
@@ -375,8 +398,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors ``main`` reports in one line; its
+    subparsers are of the same class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fdivrisk",
         description="Lower bounds on Bayesian estimation risk via f-divergences.",
     )
@@ -392,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         unread = _resolve_options(args)
         # A bad family or parameter is reported before any option the command
         # does not read.

@@ -10,11 +10,11 @@ only the block functions import numpy, so smaller runs never load it.
 The Gaussian hockey-stick family is an adaptive quadrature over the
 parameter, with each slice in the sample mean in closed form.
 
-The searches evaluate these kernels 80 times per optimum.  Each computes a
-log-gamma value once per call or per weight, and the Gaussian slice writes
-out the normal CDF and density, keeping every float operation and its order.
-The coin-flip Hellinger sum and the numpy blocks read their log-factorials
-from one table per n (``_log_factorials``), built once for a whole search.
+The searches evaluate these kernels 80 times per optimum.  The three
+coin-flip sums read their log-factorials from one table per n
+(``_log_factorials``), built once for a whole search, and the Gaussian slice
+writes out the normal CDF and density, keeping every float operation and
+its order.
 
 Value convention: Hellinger-family results are stored "scaled" as
 (p-1) * H_p + 1, which is exactly what the bound formulas consume; the raw
@@ -30,7 +30,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .generators import Hellinger, HockeyStick
+from .generators import Hellinger, HockeyStick, _checked_make
 from .models import BernoulliModel, GaussianModel, Model
 from .numerics import _beta_cont_frac, _beta_cont_frac_array, adaptive_quadrature, norm_cdf
 
@@ -61,6 +61,7 @@ class DivergenceValue(
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -197,16 +198,17 @@ def _bernoulli_terms_scalar(
     n = model.n
     log_tau = math.log(gamma) - math.log(beta)
     log_np1 = math.log(n + 1.0)
-    lg_n1 = math.lgamma(n + 1)  # log n!
-    lg_ab = math.lgamma(n + 2.0)  # log G(a + b), the Beta(a, b) shapes summing to n + 2
+    log_fact = _log_factorials(n)
+    lg_n1 = log_fact[n]  # log n!
+    lg_ab = log_fact[n + 1]  # log G(a + b), the Beta(a, b) shapes summing to n + 2
     values = []
     errors = []
     for k in range(n // 2 + 1):
         rest = n - k
         a = k + 1.0
         b = rest + 1.0
-        lg_a = math.lgamma(a)
-        lg_b = math.lgamma(b)
+        lg_a = log_fact[k]
+        lg_b = log_fact[rest]
         logc = log_np1 + ((lg_n1 - lg_a) - lg_b)  # log((n+1) C(n, k))
         mode = k / n
         peak = logc

@@ -3,11 +3,12 @@
 A generator is an increasing convex function f on [0, inf) with f(1) = 0.
 These types only name a family member and check its parameters; every
 other check of p, beta or gamma in the package constructs one of them.  Each
-is an immutable named tuple whose constructor runs the checks.  The
-divergence kernels and the family bounds use each family's closed forms
-directly.  Pointwise evaluation, the conjugate at zero and the generalized
-inverse, which only the general master inequality needs, are kept in
-``tests/oracles.py`` as functions of the generator.
+is an immutable named tuple whose constructor runs the checks, also for
+``_replace`` and ``_make``.  The divergence kernels and the family bounds
+use each family's closed forms directly.  Pointwise evaluation, the
+conjugate at zero and the generalized inverse, which only the general master
+inequality needs, are kept in ``tests/oracles.py`` as functions of the
+generator.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from collections import namedtuple
 __all__ = ["Generator", "Hellinger", "HockeyStick"]
 
 
+def _checked_make(cls, iterable):
+    """``_make``, which ``_replace`` calls, through the constructor: a
+    record with checks takes it, so that a replaced field is checked too."""
+    return cls(*iterable)
+
+
 class Hellinger(namedtuple("Hellinger", "p")):
     """Generator f(t) = (t^p - 1)/(p - 1) of the order-p Hellinger divergence.
 
@@ -26,6 +33,7 @@ class Hellinger(namedtuple("Hellinger", "p")):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -44,6 +52,7 @@ class HockeyStick(namedtuple("HockeyStick", "beta gamma")):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -4,22 +4,24 @@ Both use absolute-error loss |w - w_hat|, which the posterior median
 minimises.  Each model works over a sufficient statistic (Hamming weight for
 the coin-flip setting, sample mean for the Gaussian one) so divergences stay
 low-dimensional for any sample count.  Each model is an immutable named
-tuple whose constructor checks its fields.  Each gives the coefficient c of a
-linear small-ball envelope, P(|W - w| <= rho) <= c * rho, and the simulated
-risk of the posterior median, which every emitted bound is certified
-against; the Gaussian model also gives that risk exactly, and the coin-flip
-posterior medians feed the exact risk in ``validation``.  The coin-flip
-density ratio, which only the test oracles integrate, lives in
-``tests/oracles.py``.  The simulations import numpy themselves, so runs
-that only compute bounds never load it.
+tuple whose constructor checks its fields, also for ``_replace``.  Each
+gives the coefficient c of a linear small-ball envelope, P(|W - w| <= rho)
+<= c * rho, and the simulated risk of the posterior median, which every
+emitted bound is certified against; the Gaussian model also gives that risk
+exactly.  The coin-flip posterior medians come from
+``_beta_median_table(n)``, which the simulation and the exact risk in
+``validation`` each build once per call; a run reads each n's table once,
+so none is kept.  The coin-flip density ratio, which only the test oracles
+integrate, lives in ``tests/oracles.py``.  The simulations import numpy
+themselves, so runs that only compute bounds never load it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
+from .generators import _checked_make
 from .numerics import beta_median
 
 __all__ = [
@@ -63,7 +65,6 @@ class RiskReference(namedtuple("RiskReference", "value")):
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
 def _beta_median_table(n: int) -> tuple[float, ...]:
     # Posterior of the bias after observing Hamming weight k is Beta(k+1, n-k+1).
     return tuple(beta_median(k + 1.0, n - k + 1.0) for k in range(n + 1))
@@ -77,6 +78,7 @@ class BernoulliModel(namedtuple("BernoulliModel", "n")):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -87,9 +89,6 @@ class BernoulliModel(namedtuple("BernoulliModel", "n")):
     def small_ball_coefficient(self) -> float:
         # Interval mass under U[0,1]: P(|W - w| <= rho) <= 2*rho.
         return 2.0
-
-    def posterior_median(self, k: int) -> float:
-        return _beta_median_table(self.n)[k]
 
     def simulate_risk(self, samples: int, seed: int) -> tuple[float, float]:
         """Monte-Carlo risk of the posterior median and its standard error.
@@ -125,6 +124,7 @@ class GaussianModel(namedtuple("GaussianModel", "n sigma_w_sq sigma_sq", default
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

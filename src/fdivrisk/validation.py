@@ -9,7 +9,8 @@ form over Hamming weights, is kept as the reference the simulation is
 checked against.
 
 The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
-on at most two threads.  Each n draws from its own stream, seeded with
+on at most two threads; the pool starts a thread only for a submitted n, so
+one n runs on one thread.  Each n draws from its own stream, seeded with
 ``seed + n``, so the reports do not depend on the CPU count; each worker
 holds about 16 bytes per sample.  Numpy, like ``concurrent.futures`` in
 ``risk_reports``, is imported inside the functions that use it, so runs
@@ -26,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from .bounds import FAMILIES, BoundResult, family_bound
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
 from .generators import Generator, Hellinger, HockeyStick
-from .models import BernoulliModel, GaussianModel, Model
+from .models import BernoulliModel, GaussianModel, Model, _beta_median_table
 from .numerics import regularized_incomplete_beta
 
 __all__ = [
@@ -154,10 +155,9 @@ def exact_bernoulli_risk(model: BernoulliModel) -> float:
     """
     n = model.n
     terms = []
-    for k in range(n + 1):
+    for k, m in enumerate(_beta_median_table(n)):
         a = k + 1.0
         b = n - k + 1.0
-        m = model.posterior_median(k)
         log_kernel = (
             a * math.log(m)
             + b * math.log1p(-m)
@@ -213,10 +213,7 @@ def risk_reports(
     # Imported here: a top-level import would slow every `import fdivrisk.cli`.
     from concurrent.futures import ThreadPoolExecutor
 
-    models = list(models)
-    if not models:
-        return
-    pool = ThreadPoolExecutor(max_workers=min(_worker_count(), len(models)))
+    pool = ThreadPoolExecutor(max_workers=_worker_count())
     try:
         yield from pool.map(lambda m: risk_report(m, samples, seed + m.n), models)
     finally:

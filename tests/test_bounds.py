@@ -5,6 +5,7 @@ import math
 import pytest
 from oracles import chi_squared_bernoulli, master_bound
 
+from fdivrisk import bounds
 from fdivrisk.bounds import (
     family_bound,
     hellinger_bound,
@@ -224,6 +225,35 @@ class TestOptimizeParameters:
         a = optimize_parameters(model, "hockey_stick")
         b = optimize_parameters(model, "hockey_stick")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            BernoulliModel(1),
+            BernoulliModel(12),
+            BernoulliModel(200),
+            GaussianModel(1),
+            GaussianModel(8),
+            GaussianModel(8, 10.0, 0.1),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("family", ["hellinger", "hockey_stick"])
+    def test_search_evaluates_the_divergence_80_times(self, monkeypatch, model, family):
+        # 33 grid points, the 2 golden-section starting points, 44 golden
+        # steps until the bracket is 1e-9 of its width, and the final point;
+        # orders whose divergence is infinite count too.
+        calls = []
+        for name in ("hellinger_divergence", "e_beta_gamma_numeric"):
+            divergence = getattr(bounds, name)
+
+            def counted(*args, divergence=divergence):
+                calls.append(args)
+                return divergence(*args)
+
+            monkeypatch.setattr(bounds, name, counted)
+        optimize_parameters(model, family)
+        assert len(calls) == 80
 
 
 class TestFamilyBound:

@@ -196,6 +196,11 @@ class TestBoundCommand:
         )
         assert code == EXIT_OK
 
+    def test_unopenable_csv_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "bound", "--n", "3", "--csv", "/nonexistent/x.csv")
+        assert (code, out) == (EXIT_IO, "")
+        assert err == "i/o error: [Errno 2] No such file or directory: '/nonexistent/x.csv'\n"
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound", "--model", "bernoulli")
         assert code == EXIT_USAGE
@@ -310,6 +315,20 @@ class TestSweepCommand:
         assert code == EXIT_IO
         assert "i/o error" in err
 
+    def test_unopenable_svg_prints_nothing(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--n-range", "1..2", "--svg", "/nonexistent/a.svg"
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert err == "i/o error: [Errno 2] No such file or directory: '/nonexistent/a.svg'\n"
+
+    def test_unopenable_svg_leaves_no_csv(self, capsys, tmp_path):
+        csv = tmp_path / "ok.csv"
+        argv = ["sweep", "--n-range", "1..2", "--csv", str(csv), "--svg", "/nonexistent/a.svg"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (EXIT_IO, "")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_range_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--n-range", "5")
         assert code == EXIT_USAGE
@@ -376,6 +395,36 @@ class TestSweepCommand:
         assert code == EXIT_OK
         cells = out.splitlines()[1].split(",")
         assert cells[1] != "" and cells[2] != ""
+
+
+class TestMalformedCommandLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--n", "3", "--seed", "abc"],
+            ["bound", "--n"],
+            ["bound", "--n", "3", "--nope"],
+            ["bogus"],
+            [],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["bound", "--help"])
+        assert caught.value.code == 0
+        assert "--family" in capsys.readouterr().out
+
+    def test_abbreviated_flags_still_work(self, capsys):
+        assert run(capsys, "bound", "--n", "3", "--fam", "hockey-stick", "--opt") == run(
+            capsys, "bound", "--n", "3", "--family", "hockey-stick", "--optimize"
+        )
 
 
 class TestOptionTable:
@@ -488,6 +537,15 @@ class TestGoldenOutput:
         golden = Path(__file__).parent / "golden" / f"compare_{model}.csv"
         code, out, _ = run(capsys, "compare", "--model", model)
         assert code == EXIT_OK
+        assert out.encode() == golden.read_bytes()
+
+    def test_oracle_sweep_matches_golden_file(self, capsys):
+        # Unlike the files above, this one pins seeded draws: the coin-flip
+        # oracle columns, from Beta-median tables.
+        golden = Path(__file__).parent / "golden" / "sweep_bernoulli_oracle.csv"
+        argv = ("sweep", "--model", "bernoulli", "--n-range", "1..12", "--oracle")
+        code, out, err = run(capsys, *argv, "--samples", "200000")
+        assert (code, err) == (EXIT_OK, "")
         assert out.encode() == golden.read_bytes()
 
     def test_large_n_hellinger_bound_matches_golden_file(self, capsys):

@@ -34,6 +34,8 @@ ENTRY_POINTS = frozenset(
         "hockey_stick_bound",
         "optimize_parameters",
         "small_ball_coefficient",
+        # argparse, on a malformed command line (cli._Parser)
+        "error",
         # the benchmark harness in perfbench/
         "bayes_risk_reference",
         "exact_bernoulli_risk",

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import bernoulli_density_ratio, gaussian_density_ratio, norm_pdf
 
-from fdivrisk.models import BernoulliModel, GaussianModel, make_rng
+from fdivrisk.models import BernoulliModel, GaussianModel, _beta_median_table, make_rng
 from fdivrisk.numerics import adaptive_quadrature, norm_cdf
 
 
@@ -70,10 +70,11 @@ class TestBernoulliModel:
         assert abs(freq - 0.2) <= 3.0 * se
 
     def test_posterior_median_is_beta_median(self):
-        model = BernoulliModel(5)
+        table = _beta_median_table(5)
+        assert len(table) == 6
         # Beta(1, 6) CDF is 1 - (1-x)^6.
-        assert model.posterior_median(0) == pytest.approx(1.0 - 0.5 ** (1.0 / 6.0), abs=1e-10)
-        assert model.posterior_median(5) == pytest.approx(0.5 ** (1.0 / 6.0), abs=1e-10)
+        assert table[0] == pytest.approx(1.0 - 0.5 ** (1.0 / 6.0), abs=1e-10)
+        assert table[5] == pytest.approx(0.5 ** (1.0 / 6.0), abs=1e-10)
 
 
 class TestBernoulliSimulatedRisk:
@@ -89,7 +90,7 @@ class TestBernoulliSimulatedRisk:
         rng = make_rng(seed)
         w = rng.random(samples)
         k = rng.binomial(n, w)
-        table = np.array([model.posterior_median(j) for j in range(n + 1)])
+        table = np.array(_beta_median_table(n))
         err = np.abs(w - table[k])
         expected = (float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples)))
         assert model.simulate_risk(samples, seed) == expected

@@ -76,14 +76,12 @@ class TestGoldenSection:
     def test_parabola(self):
         # Comparison-based search cannot localise a flat maximum beyond
         # ~sqrt(machine eps), but the value there is accurate to full precision.
-        x, fx = golden_section_max(lambda x: x * (1.0 - x), 0.0, 1.0, tol=1e-12, max_iter=256)
+        x, fx = golden_section_max(lambda x: x * (1.0 - x), 0.0, 1.0, tol=1e-12)
         assert x == pytest.approx(0.5, abs=1e-7)
         assert fx == pytest.approx(0.25, rel=1e-12)
 
     def test_asymmetric_maximum(self):
-        x, _ = golden_section_max(
-            lambda x: -((x - 0.123456) ** 2), 0.0, 1.0, tol=1e-12, max_iter=256
-        )
+        x, _ = golden_section_max(lambda x: -((x - 0.123456) ** 2), 0.0, 1.0, tol=1e-12)
         assert x == pytest.approx(0.123456, abs=1e-7)
 
 

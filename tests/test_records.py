@@ -101,9 +101,36 @@ def test_defaults():
             ValueError,
             "error estimate must be non-negative",
         ),
+        # _replace and _make build the record through its constructor too.
+        (lambda: Hellinger(2.0)._replace(p=INF), ValueError, "p must be finite, got inf"),
+        (lambda: Hellinger._make([0.5]), ValueError, "p must exceed 1"),
+        (
+            lambda: HockeyStick(0.75, 2.2)._replace(gamma=0.5),
+            ValueError,
+            "gamma must be at least beta",
+        ),
+        (
+            lambda: DivergenceValue(1.5, "closed_form")._replace(value=NAN),
+            FloatingPointError,
+            "closed_form divergence is not finite: value nan, error estimate 0.0",
+        ),
+        (lambda: BernoulliModel(3)._replace(n=0), ValueError, "n must be a positive integer"),
+        (lambda: BernoulliModel._make([2.0]), ValueError, "n must be a positive integer"),
+        (
+            lambda: GaussianModel(3)._replace(sigma_sq=0.0),
+            ValueError,
+            "variances must be strictly positive",
+        ),
     ],
 )
 def test_constructor_errors(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("record", [r for r, _ in RECORDS], ids=lambda r: type(r).__name__)
+def test_replace_and_make_keep_good_values(record):
+    for copy in (record._replace(), type(record)._make(record)):
+        assert type(copy) is type(record)
+        assert copy == record

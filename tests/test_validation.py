@@ -12,7 +12,7 @@ from fdivrisk import validation
 from fdivrisk.bounds import hellinger_bound, hockey_stick_bound
 from fdivrisk.divergences import e_beta_gamma_numeric
 from fdivrisk.generators import Hellinger, HockeyStick
-from fdivrisk.models import BernoulliModel, GaussianModel
+from fdivrisk.models import BernoulliModel, GaussianModel, _beta_median_table
 from fdivrisk.numerics import adaptive_quadrature
 from fdivrisk.validation import (
     brute_force_divergence,
@@ -100,8 +100,7 @@ class TestRiskOracles:
         # piece by piece on each side of the median, where the integrand kinks.
         model = BernoulliModel(n)
         terms = []
-        for k in range(n + 1):
-            median = model.posterior_median(k)
+        for k, median in enumerate(_beta_median_table(n)):
             for lo, hi in ((0.0, median), (median, 1.0)):
                 val, _ = adaptive_quadrature(
                     lambda w: abs(w - median) * bernoulli_density_ratio(model, w, k),
