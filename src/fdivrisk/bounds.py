@@ -60,12 +60,6 @@ class BoundResult(
     __slots__ = ()
 
 
-def _as_divergence(value: "DivergenceValue | float") -> DivergenceValue:
-    if isinstance(value, DivergenceValue):
-        return value
-    return DivergenceValue(float(value), "closed_form")
-
-
 def _coefficient(small_ball: float) -> float:
     c = float(small_ball)
     if not c > 0.0:
@@ -104,30 +98,24 @@ def optimize_rho_closed_form(c: float, t: float, b: float = 0.0) -> tuple[float,
 
 
 def hellinger_bound(
-    p: float,
-    scaled_divergence: "DivergenceValue | float",
-    small_ball_coeff: float,
+    p: float, scaled_divergence: DivergenceValue, small_ball_coeff: float
 ) -> BoundResult:
     """Best-rho Hellinger bound for a linear small-ball envelope.
 
     Maximises rho (1 - (c rho)^((p-1)/p) * scaled^(1/p)) exactly.
     """
     generator = Hellinger(p)
-    div = _as_divergence(scaled_divergence)
-    if div.value < 1.0 - 1e-9:
+    if scaled_divergence.value < 1.0 - 1e-9:
         raise ValueError("scaled divergence must be at least 1")
     c = _coefficient(small_ball_coeff)
     t = (p - 1.0) / p
-    scaled = max(1.0, div.value)
+    scaled = max(1.0, scaled_divergence.value)
     rho_star, value = optimize_rho_closed_form(c**t * scaled ** (1.0 / p), t)
-    return BoundResult(value, rho_star, generator, div)
+    return BoundResult(value, rho_star, generator, scaled_divergence)
 
 
 def hockey_stick_bound(
-    beta: float,
-    gamma: float,
-    e_value: "DivergenceValue | float",
-    small_ball_coeff: float,
+    beta: float, gamma: float, e_value: DivergenceValue, small_ball_coeff: float
 ) -> BoundResult:
     """Best-rho hockey-stick bound for a linear small-ball envelope.
 
@@ -135,15 +123,14 @@ def hockey_stick_bound(
     (beta - E)^2 / (4 gamma beta c), otherwise the bound is vacuous.
     """
     generator = HockeyStick(beta, gamma)
-    div = _as_divergence(e_value)
-    if div.value < -1e-9:
+    if e_value.value < -1e-9:
         raise ValueError("divergence value must be non-negative")
     c = _coefficient(small_ball_coeff)
-    e = max(0.0, div.value)
+    e = max(0.0, e_value.value)
     if e >= beta:
-        return BoundResult(0.0, 0.0, generator, div, vacuous=True)
+        return BoundResult(0.0, 0.0, generator, e_value, vacuous=True)
     rho_star, value = optimize_rho_closed_form(gamma * c / beta, 1.0, e / beta)
-    return BoundResult(value, rho_star, generator, div)
+    return BoundResult(value, rho_star, generator, e_value)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,9 @@ exist: the Hellinger family on both models, and the coin-flip hockey-stick
 family as a closed form (incomplete-beta sum) over Hamming weights.  That
 sum runs one weight at a time in pure Python below ``_ARRAY_MIN_WEIGHTS``
 weights k <= n/2 (n < 126), and in numpy blocks of weights from there on;
-only the block functions import numpy, so smaller runs never load it.
+only the block functions import numpy, so smaller runs never load it.  This
+module finds the kink roots and sums the terms; each I_x(a, b) comes from
+the scalar or numpy incomplete beta of ``numerics``.
 The Gaussian hockey-stick family is an adaptive quadrature over the
 parameter, with each slice in the sample mean in closed form.
 
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 from .generators import Hellinger, HockeyStick, _checked_make
 from .models import BernoulliModel, GaussianModel, Model
-from .numerics import _beta_cont_frac, _beta_cont_frac_array, adaptive_quadrature, norm_cdf
+from .numerics import _incomplete_beta, _incomplete_beta_array, adaptive_quadrature, norm_cdf
 
 __all__ = [
     "DivergenceInfiniteError",
@@ -225,20 +227,13 @@ def _bernoulli_terms_scalar(
         err = _EPS * (beta + gamma)
         for sign, w in ((-1.0, lo), (1.0, hi)):
             if w == 0.0 or w == 1.0:
-                term += sign * beta * w  # an exact end: I_0 = 0 and I_1 = 1
+                term += sign * beta * w  # an exact end, I_0 = 0 or I_1 = 1: nothing to bound
                 continue
-            # I_w(a, b), as regularized_incomplete_beta computes it.
-            log_w = math.log(w)
-            log_1mw = math.log1p(-w)
-            front = math.exp(lg_ab - lg_a - lg_b + a * log_w + b * log_1mw)
-            if w < (a + 1.0) / (a + b + 2.0):
-                i_w = front * _beta_cont_frac(a, b, w) / a
-            else:
-                i_w = 1.0 - front * _beta_cont_frac(b, a, 1.0 - w) / b
+            i_w = _incomplete_beta(a, b, w, lg_ab - lg_a - lg_b)
             term += sign * beta * i_w
             # The terms of log(w^a (1-w)^b / B(a, b)) are each rounded within
             # two ulps, so 4 eps times their magnitudes bounds its rounding.
-            size = lg_ab + abs(lg_a) + abs(lg_b) - a * log_w - b * log_1mw
+            size = lg_ab + abs(lg_a) + abs(lg_b) - a * math.log(w) - b * math.log1p(-w)
             tail = min(i_w, 1.0 - i_w)
             err += beta * (tail * (4.0 * _EPS * size + _BETACF_REL_ERR) + _EPS)
             slope = max(abs(k / w - rest / (1.0 - w)), _EPS)
@@ -352,27 +347,14 @@ def _bernoulli_terms_array(
             start = np.concatenate((mode - half_width, mode + half_width))
             w = _kink_roots_array(excess, slope, inside, outside, start)
 
-            # Regularized incomplete beta I_w(a, b) at every end, from the
-            # continued fraction on whichever side converges.
             a = k2 + 1.0
             b = rest2 + 1.0
             lg_a = np.concatenate((lgam[ks], lgam[ks]))
             lg_b = np.concatenate((lgam[n - ks], lgam[n - ks]))
-            log_w = np.log(w)
-            log_1mw = np.log1p(-w)
+            i_w = _incomplete_beta_array(a, b, w, lgam[n + 1] - lg_a - lg_b)
             exact = (w == 0.0) | (w == 1.0)
-            inner = ~exact
-            front = np.exp(lgam[n + 1] - lg_a - lg_b + a * log_w + b * log_1mw)
-            flip = ~(w < (a + 1.0) / (a + b + 2.0))
-            cf_a = np.where(flip, b, a)
-            cf_b = np.where(flip, a, b)
-            cf_x = np.where(flip, 1.0 - w, w)
-            frac = np.zeros_like(w)
-            frac[inner] = _beta_cont_frac_array(cf_a[inner], cf_b[inner], cf_x[inner])
-            i_w = np.where(flip, 1.0 - front * frac / b, front * frac / a)
-            i_w = np.where(exact, w, i_w)
-
-            kernel_size = lgam[n + 1] + np.abs(lg_a) + np.abs(lg_b) - a * log_w - b * log_1mw
+            kernel_size = lgam[n + 1] + np.abs(lg_a) + np.abs(lg_b) - a * np.log(w)
+            kernel_size -= b * np.log1p(-w)
             tail = np.minimum(i_w, 1.0 - i_w)
             cf_err = beta * (tail * (4.0 * _EPS * kernel_size + _BETACF_REL_ERR) + _EPS)
             ratio_slope = np.maximum(np.abs(slope(w)), _EPS)

@@ -1,12 +1,16 @@
 """Scalar numerical kernels: nested quadrature, root finding, special functions.
 
 Deterministic pure-Python building blocks shared by the divergence and bound
-engines, plus a numpy form of the incomplete-beta continued fraction for the
-coin-flip hockey-stick kernel at large n.  That form imports numpy itself,
-so runs that never build an array do not load it.  The quadrature assumes a
-smooth integrand: a kinked one is integrated piece by piece, one call per
-smooth piece.  The bisection and the golden-section search stop on their
-tolerance, and take at most 256 steps.
+engines.  This is the one module that knows how the regularized incomplete
+beta I_x(a, b) is evaluated: ``_incomplete_beta`` for the Beta medians and
+the scalar coin-flip hockey-stick kernel, and its numpy twin
+``_incomplete_beta_array`` for that kernel at large n.  Callers pass
+log(1 / B(a, b)), which they already have.  The numpy forms import numpy
+themselves, so runs that never build an array do not load it.
+
+The quadrature assumes a smooth integrand: a kinked one is integrated piece
+by piece, one call per smooth piece.  The bisection and the golden-section
+search stop on their tolerance, and take at most 256 steps.
 """
 
 from __future__ import annotations
@@ -243,6 +247,19 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete-beta continued fraction stalled (a={a}, b={b}, x={x})")
 
 
+def _incomplete_beta(a: float, b: float, x: float, log_norm: float) -> float:
+    """I_x(a, b) for a, b > 0 and x in [0, 1], given log_norm = lgamma(a + b)
+    - lgamma(a) - lgamma(b): the front factor x^a (1-x)^b / B(a, b) with the
+    continued fraction on whichever side of (a+1)/(a+b+2) converges.  Exact,
+    x itself, at x = 0 and x = 1."""
+    if x == 0.0 or x == 1.0:
+        return x
+    front = math.exp(log_norm + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cont_frac(a, b, x) / a
+    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+
+
 def _beta_cont_frac_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:func:`_beta_cont_frac` over arrays, element by element.
 
@@ -295,32 +312,38 @@ def _beta_cont_frac_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.nda
     )
 
 
+def _incomplete_beta_array(
+    a: np.ndarray, b: np.ndarray, x: np.ndarray, log_norm: np.ndarray
+) -> np.ndarray:
+    """:func:`_incomplete_beta` over arrays, element by element, with the
+    same operands in the same order; numpy's log, log1p and exp may round
+    differently from libm's."""
+    import numpy as np
+
+    inner = (x != 0.0) & (x != 1.0)
+    with np.errstate(divide="ignore"):  # log(0) at the exact ends
+        front = np.exp(log_norm + a * np.log(x) + b * np.log1p(-x))
+    flip = ~(x < (a + 1.0) / (a + b + 2.0))
+    cf_a = np.where(flip, b, a)
+    cf_b = np.where(flip, a, b)
+    cf_x = np.where(flip, 1.0 - x, x)
+    frac = np.zeros_like(x)
+    frac[inner] = _beta_cont_frac_array(cf_a[inner], cf_b[inner], cf_x[inner])
+    return np.where(inner, np.where(flip, 1.0 - front * frac / b, front * frac / a), x)
+
+
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError("shape parameters must be positive")
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return x
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+    return _incomplete_beta(a, b, x, math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
 
 
 def beta_median(a: float, b: float) -> float:
     """Median of the Beta(a, b) distribution by bisection on I_x(a, b)."""
-    return bisect_root(
-        lambda x: regularized_incomplete_beta(a, b, x) - 0.5,
-        0.0,
-        1.0,
-        tol=1e-12,
-    )
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("shape parameters must be positive")
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return bisect_root(lambda x: _incomplete_beta(a, b, x, log_norm) - 0.5, 0.0, 1.0, tol=1e-12)

@@ -13,7 +13,9 @@ or states an identity of the paper that the package's closed forms rest on:
   central-binomial identity and the Renyi re-parametrisation;
 - the joint-vs-product density ratios of both models, which only the
   generic quadrature needs, and the log binomial coefficient and normal
-  density they are built from.
+  density they are built from;
+- ``e_beta_gamma_bernoulli_decimal``: the coin-flip hockey-stick
+  information to 40 digits, from Decimal kink roots and binomial tails.
 
 The oracles share no code path with what they certify: the quadrature finds
 its own kinks by bisection, integrates between them piece by piece, and
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -348,6 +351,79 @@ def _f_mi_gaussian_hellinger(model: GaussianModel, g: Hellinger) -> tuple[float,
     raise DivergenceInfiniteError(
         f"order-{p} Hellinger integrand keeps growing; the divergence is infinite"
     )
+
+
+def _binomial_tail(n: int, k: int, x: Decimal) -> Decimal:
+    """I_x(k+1, n-k+1) = sum_{j>k} C(n+1, j) x^j (1-x)^(n+1-j): the chance
+    of more than k heads in n+1 flips of an x-coin."""
+    if x in (0, 1):
+        return x
+    term = math.comb(n + 1, k + 1) * x ** (k + 1) * (1 - x) ** (n - k)
+    odds = x / (1 - x)
+    total = term
+    for j in range(k + 1, n + 1):
+        term = term * (n + 1 - j) / (j + 1) * odds
+        total += term
+    return total
+
+
+def _kink_root_decimal(ratio, log_ratio_slope, tau: Decimal, inside, outside) -> Decimal:
+    """Where the log-concave ``ratio`` (above ``tau`` at ``inside``) falls to
+    ``tau`` between ``inside`` and ``outside`` (0 or 1).
+
+    Bisection narrows the bracket to 1e-12, then Newton's method on
+    log(ratio / tau) runs from its outer end: the log-ratio is concave, so
+    from where it is negative the iterates approach the root from outside,
+    monotonically and quadratically.
+    """
+    while abs(outside - inside) > Decimal("1e-12") or outside in (0, 1):
+        mid = (inside + outside) / 2
+        if ratio(mid) > tau:
+            inside = mid
+        else:
+            outside = mid
+    x = outside
+    for _ in range(64):
+        step = (ratio(x) / tau).ln() / log_ratio_slope(x)
+        x -= step
+        if abs(step) < Decimal("1e-36"):
+            return x
+    raise ArithmeticError("Decimal kink-root Newton iteration did not converge")
+
+
+def e_beta_gamma_bernoulli_decimal(n: int, tau: float) -> Decimal:
+    """E_{1,tau} of the coin-flip model at n, to about 40 digits.
+
+    Weight k's density ratio R_k(w) = (n+1) C(n, k) w^k (1-w)^(n-k) is the
+    Beta(k+1, n-k+1) density, so (R_k - tau)_+ integrates over its kink
+    interval [lo, hi] to I_hi - I_lo - tau (hi - lo), with I the binomial
+    tail of :func:`_binomial_tail`; E is the mean of these over k = 0..n.
+    Every weight is evaluated, without the package's mirror symmetry, and
+    ``tau`` is taken exactly as the float it is.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        tau_d = Decimal(tau)
+        total = Decimal(0)
+        for k in range(n + 1):
+            rest = n - k
+            scale = (n + 1) * math.comb(n, k)
+
+            def ratio(w: Decimal) -> Decimal:
+                # Decimal raises on 0 ** 0, which the weight-0 and weight-n
+                # ratios meet at their peaks.
+                return scale * (w**k if k else 1) * ((1 - w) ** rest if rest else 1)
+
+            def log_ratio_slope(w: Decimal) -> Decimal:
+                return k / w - rest / (1 - w)
+
+            mode = Decimal(k) / n
+            if ratio(mode) <= tau_d:
+                continue
+            lo = _kink_root_decimal(ratio, log_ratio_slope, tau_d, mode, Decimal(0)) if k else 0
+            hi = _kink_root_decimal(ratio, log_ratio_slope, tau_d, mode, Decimal(1)) if rest else 1
+            total += _binomial_tail(n, k, hi) - _binomial_tail(n, k, lo) - tau_d * (hi - lo)
+        return total / (n + 1)
 
 
 def f_mi_numeric(model: Model, g: Generator) -> DivergenceValue:

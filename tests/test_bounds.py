@@ -13,7 +13,7 @@ from fdivrisk.bounds import (
     optimize_parameters,
     optimize_rho_closed_form,
 )
-from fdivrisk.divergences import e_beta_gamma_numeric, hellinger_divergence
+from fdivrisk.divergences import DivergenceValue, e_beta_gamma_numeric, hellinger_divergence
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
 
@@ -78,7 +78,7 @@ class TestMasterBound:
 
 class TestHellingerBound:
     def test_unit_divergence_example(self):
-        result = hellinger_bound(2.0, 1.0, 2.0)
+        result = hellinger_bound(2.0, DivergenceValue(1.0, "closed_form"), 2.0)
         assert result.value == pytest.approx(2.0 / 27.0, rel=1e-13)
         assert result.rho_star == pytest.approx(2.0 / 9.0, rel=1e-13)
         assert not result.vacuous
@@ -99,26 +99,26 @@ class TestHellingerBound:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            hellinger_bound(1.0, 1.5, 2.0)
+            hellinger_bound(1.0, DivergenceValue(1.5, "closed_form"), 2.0)
         with pytest.raises(ValueError):
-            hellinger_bound(2.0, 0.5, 2.0)
+            hellinger_bound(2.0, DivergenceValue(0.5, "closed_form"), 2.0)
         with pytest.raises(ValueError):
-            hellinger_bound(2.0, 1.5, -1.0)
+            hellinger_bound(2.0, DivergenceValue(1.5, "closed_form"), -1.0)
 
 
 class TestHockeyStickBound:
     def test_fixed_pair_zero_information(self):
-        result = hockey_stick_bound(0.75, 2.2, 0.0, 2.0)
+        result = hockey_stick_bound(0.75, 2.2, DivergenceValue(0.0, "closed_form"), 2.0)
         assert result.value == pytest.approx(5.0 * 0.75**2 / 66.0, rel=1e-13)
 
     def test_unit_pair_matches_golden_section(self):
-        result = hockey_stick_bound(1.0, 1.0, 0.0, 2.0)
+        result = hockey_stick_bound(1.0, 1.0, DivergenceValue(0.0, "closed_form"), 2.0)
         # 1/8 is the maximum of rho (1 - 2 rho); criterion 7 checks the exact
         # maximiser against a golden-section search.
         assert result.value == pytest.approx(0.125, rel=1e-13)
 
     def test_vacuous_at_saturated_divergence(self):
-        result = hockey_stick_bound(0.75, 2.2, 0.75, 2.0)
+        result = hockey_stick_bound(0.75, 2.2, DivergenceValue(0.75, "closed_form"), 2.0)
         assert result.vacuous
         assert result.value == 0.0
 
@@ -148,7 +148,7 @@ class TestHockeyStickBound:
 
     def test_quadratic_form_constant(self):
         # (beta - E)^2 / (4 gamma beta c) for the linear envelope.
-        value = hockey_stick_bound(0.75, 2.2, 0.1, 2.0).value
+        value = hockey_stick_bound(0.75, 2.2, DivergenceValue(0.1, "closed_form"), 2.0).value
         assert value == pytest.approx((0.75 - 0.1) ** 2 / (4.0 * 2.2 * 0.75 * 2.0), rel=1e-13)
 
 

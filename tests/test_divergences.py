@@ -2,6 +2,7 @@
 
 import ast
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from oracles import (
     chi_squared_bernoulli,
     chi_squared_scaled_upper_bound,
     combinatorial_identity_check,
+    e_beta_gamma_bernoulli_decimal,
     f_mi_numeric,
     log_comb,
     renyi_from_hellinger,
@@ -200,6 +202,14 @@ class TestHockeyStickNumeric:
     def test_bernoulli_error_estimate_bounds_reference(self, n, reference):
         value = e_beta_gamma_numeric(BernoulliModel(n), 0.75, 2.2)
         assert abs(value.value - reference) <= value.error_estimate <= 1e-10
+
+    # The scalar path below n = 126 and the numpy path from n = 126 on.
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 125, 126, 200])
+    def test_bernoulli_error_estimate_bounds_decimal_reference(self, n):
+        for tau in (1.5, 2.9333, 40.0):
+            value = e_beta_gamma_numeric(BernoulliModel(n), 1.0, tau)
+            reference = e_beta_gamma_bernoulli_decimal(n, tau)
+            assert abs(Decimal(value.value) - reference) <= Decimal(value.error_estimate), tau
 
     def test_non_negative(self):
         for n in (1, 5, 20):

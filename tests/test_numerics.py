@@ -1,6 +1,7 @@
 """Tests for the scalar numerical kernels."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from fdivrisk.numerics import (
     QuadratureError,
     _beta_cont_frac,
     _beta_cont_frac_array,
+    _incomplete_beta,
+    _incomplete_beta_array,
     adaptive_quadrature,
     beta_median,
     bisect_root,
@@ -132,11 +135,46 @@ class TestSpecialFunctions:
         expected = [_beta_cont_frac(*args) for args in zip(a.tolist(), b.tolist(), x.tolist())]
         assert _beta_cont_frac_array(a, b, x).tolist() == expected
 
+    def test_incomplete_beta_array_matches_scalar(self):
+        # numpy's log1p and exp may round differently from libm's.  A one-ulp
+        # change in log x or log1p(-x) moves the front factor
+        # exp(log_norm + a log x + b log1p(-x)), and so I_x(a, b), by up to a
+        # or b ulps relative: "a few ulps" of that exponent.
+        rng = np.random.default_rng(5)
+        a = rng.uniform(1.0, 3000.0, 400)
+        b = rng.uniform(1.0, 3000.0, 400)
+        # Within four standard deviations of the mean, so on both sides of
+        # (a+1)/(a+b+2), where the continued fraction switches sides.
+        sd = np.sqrt(a * b / (a + b + 1.0)) / (a + b)
+        x = np.clip(a / (a + b) + sd * rng.uniform(-4.0, 4.0, 400), 1e-9, 1.0 - 1e-9)
+        shapes = list(zip(a.tolist(), b.tolist(), x.tolist()))
+        log_norm = [math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q) for p, q, _ in shapes]
+        array = _incomplete_beta_array(a, b, x, np.array(log_norm)).tolist()
+        for (p, q, r), ln, got in zip(shapes, log_norm, array):
+            expected = _incomplete_beta(p, q, r, ln)
+            exponent = abs(p * math.log(r)) + abs(q * math.log1p(-r))
+            assert abs(got - expected) <= 4.0 * sys.float_info.epsilon * (1.0 + exponent) * expected
+
+    def test_incomplete_beta_exact_ends(self):
+        a = np.array([2.0, 2.0, 0.5, 700.0, 3.0])
+        b = np.array([3.0, 3.0, 900.0, 0.25, 4.0])
+        x = np.array([0.0, 1.0, 0.0, 1.0, 0.4])
+        log_norm = np.array(
+            [math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q) for p, q in zip(a, b)]
+        )
+        array = _incomplete_beta_array(a, b, x, log_norm)
+        assert array[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert 0.0 < array[4] < 1.0
+        for p, q, r, ln in zip(a[:4].tolist(), b[:4].tolist(), x[:4].tolist(), log_norm.tolist()):
+            assert _incomplete_beta(p, q, r, ln) == r
+
     def test_beta_median_known_values(self):
         # Beta(1, 2) has CDF 1 - (1-x)^2, so the median is 1 - sqrt(1/2);
         # Beta(2, 2) is symmetric about 1/2.
         assert beta_median(1.0, 2.0) == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-11)
         assert beta_median(2.0, 2.0) == pytest.approx(0.5, abs=1e-11)
+        with pytest.raises(ValueError, match="shape parameters must be positive"):
+            beta_median(-0.5, 2.0)
 
     def test_beta_median_is_a_median(self):
         for a, b in [(3.0, 11.0), (26.0, 26.0), (1.0, 51.0)]:

@@ -10,7 +10,7 @@ from oracles import bernoulli_density_ratio, chi_squared_bernoulli, monte_carlo_
 
 from fdivrisk import validation
 from fdivrisk.bounds import hellinger_bound, hockey_stick_bound
-from fdivrisk.divergences import e_beta_gamma_numeric
+from fdivrisk.divergences import DivergenceValue, e_beta_gamma_numeric
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel, _beta_median_table
 from fdivrisk.numerics import adaptive_quadrature
@@ -212,13 +212,14 @@ class TestCertifyBounds:
     def test_vacuous_bound_passes(self):
         model = BernoulliModel(5)
         risk = risk_report(model, samples=10**5, seed=22)
-        vacuous = hockey_stick_bound(0.75, 2.2, 0.75, 2.0)
+        vacuous = hockey_stick_bound(0.75, 2.2, DivergenceValue(0.75, "closed_form"), 2.0)
         assert certify_bounds(model, [vacuous], risk)[0].passed
 
     def test_unsound_bound_fails(self):
         model = GaussianModel(2, 1.0, 2.0)
         risk = risk_report(model, 10**5, 23)
-        inflated = hellinger_bound(2.0, 1.0, model.small_ball_coefficient())
+        unit = DivergenceValue(1.0, "closed_form")
+        inflated = hellinger_bound(2.0, unit, model.small_ball_coefficient())
         good = certify_bounds(model, [inflated], risk)[0]
         # Manually inflate: a bound above the risk must be flagged.
         fake = type(inflated)(
