@@ -54,7 +54,9 @@ class DivergenceValue(
 ):
     """A computed f-mutual-information value with provenance.
 
-    ``method`` is "closed_form" or "quadrature".  ``error_estimate`` is an
+    ``method`` is "closed_form", "closed_form_log" (the Gaussian Hellinger
+    closed form taken through logs where (1 + r)^p overflows) or
+    "quadrature".  ``error_estimate`` is an
     absolute bound on the numerical error of quadrature and closed-form
     results.  The Hellinger closed forms report zero: they do not bound their
     rounding.  A value or error estimate that is not finite (an overflow, or
@@ -72,7 +74,7 @@ class DivergenceValue(
                 f"{self.method} divergence is not finite: value {self.value}, "
                 f"error estimate {self.error_estimate}"
             )
-        if self.method not in ("closed_form", "quadrature"):
+        if self.method not in ("closed_form", "closed_form_log", "quadrature"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.error_estimate < 0.0:
             raise ValueError("error estimate must be non-negative")
@@ -104,7 +106,9 @@ def hellinger_divergence(model: Model, p: float) -> DivergenceValue:
 
     Gaussian model: (p-1) H_p + 1 = ((1 + r)^p / (1 + (2-p) p r))^(1/2),
     with r = sigma_w_sq / (sigma_sq / n) the ratio of the prior variance to
-    the noise variance of the sample mean.
+    the noise variance of the sample mean.  Where (1 + r)^p overflows, the
+    value is exp((p log(1 + r) - log(denominator)) / 2), and the method
+    reads "closed_form_log".
     """
     Hellinger(p)  # checks the order
     if isinstance(model, GaussianModel):
@@ -114,7 +118,12 @@ def hellinger_divergence(model: Model, p: float) -> DivergenceValue:
             raise DivergenceInfiniteError(
                 f"order-{p} Hellinger information is infinite at variance ratio {r}"
             )
-        return DivergenceValue(((1.0 + r) ** p / denom) ** 0.5, "closed_form")
+        try:
+            return DivergenceValue(((1.0 + r) ** p / denom) ** 0.5, "closed_form")
+        except OverflowError:
+            # (1 + r)^p overflows although the quotient may not: take logs.
+            log_scaled = 0.5 * (p * math.log1p(r) - math.log(denom))
+            return DivergenceValue(math.exp(log_scaled), "closed_form_log")
     n = model.n
     lead = (p - 1.0) * math.log(n + 1.0)
     # n+2 lgamma calls per order: log G(jp+1) for j <= n, and log G(np+2).

@@ -94,10 +94,10 @@ class BernoulliModel(namedtuple("BernoulliModel", "n")):
         """Monte-Carlo risk of the posterior median and its standard error.
 
         Draws ``samples`` (bias, Hamming weight) pairs from the Philox stream
-        of ``seed``.  The call holds one array of ``samples`` floats and, at
-        its peak (the standard deviation), one more: about 16 bytes per
-        sample.  Its result depends only on the arguments, so calls for
-        different seeds may run on different threads.
+        of ``seed``.  The call holds one array of ``samples`` floats, about 8
+        bytes per sample: the standard deviation is taken in place.  Its
+        result depends only on the arguments, so calls for different seeds
+        may run on different threads.
         """
         _check_samples(samples)
         import numpy as np
@@ -113,7 +113,13 @@ class BernoulliModel(namedtuple("BernoulliModel", "n")):
             block = err[start : start + _BINOMIAL_BLOCK]
             block -= table[rng.binomial(self.n, block)]
             np.abs(block, out=block)
-        return float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples))
+        mean = err.mean()
+        # err.std(ddof=1) in place: the operations numpy's _var runs on a
+        # copy, err - mean, squared and summed, so the bits are the same.
+        err -= mean
+        np.multiply(err, err, out=err)
+        std = math.sqrt(np.add.reduce(err) / (samples - 1))
+        return float(mean), float(std / math.sqrt(samples))
 
 
 class GaussianModel(namedtuple("GaussianModel", "n sigma_w_sq sigma_sq", defaults=(1.0, 2.0))):

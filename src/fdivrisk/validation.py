@@ -12,7 +12,8 @@ The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
 on at most two threads; the pool starts a thread only for a submitted n, so
 one n runs on one thread.  Each n draws from its own stream, seeded with
 ``seed + n``, so the reports do not depend on the CPU count; each worker
-holds about 16 bytes per sample.  Numpy, like ``concurrent.futures`` in
+holds about 8 bytes per sample.  The coin-flip brute-force grid holds three
+arrays of its points, about 24 bytes a point.  Numpy, like ``concurrent.futures`` in
 ``risk_reports``, is imported inside the functions that use it, so runs
 that only compute bounds never load it.
 """
@@ -41,10 +42,13 @@ __all__ = [
     "risk_reports",
 ]
 
-# Worker threads of risk_reports at most.  A Bernoulli report holds about 16
-# bytes per sample, so two workers stay below the 40 bytes per sample of the
-# one-shot draw they replaced, whatever the host's CPU count.
+# Worker threads of risk_reports at most.  A Bernoulli report holds about 8
+# bytes per sample, so two workers hold about 16, whatever the host's CPU
+# count: below the 40 bytes per sample of the one-shot draw they replaced.
 _MAX_WORKERS = 2
+
+# Grid points per chunk of brute_force_divergence's coin-flip product.
+_GRID_CHUNK = 65_536
 
 
 class OracleReport(namedtuple("OracleReport", "quantity analytic oracle passed tolerance_used")):
@@ -71,12 +75,19 @@ def _model_label(model: Model) -> str:
 
 
 def _apply_generator(g: Generator, ratio: np.ndarray) -> np.ndarray:
-    # Independent re-statement of the generators for vectorised oracles.
+    # Independent re-statement of the generators for vectorised oracles,
+    # computed in ``ratio``'s buffer.  ``**=`` takes the scalar-power fast
+    # paths of ``**`` (p = 2 squares).
     import numpy as np
 
     if isinstance(g, Hellinger):
-        return (ratio**g.p - 1.0) / (g.p - 1.0)
-    return np.maximum(0.0, g.beta * ratio - g.gamma)
+        ratio **= g.p
+        ratio -= 1.0
+        ratio /= g.p - 1.0
+        return ratio
+    ratio *= g.beta
+    ratio -= g.gamma
+    return np.maximum(0.0, ratio, out=ratio)
 
 
 def _canonical(g: Generator, raw: float) -> float:
@@ -94,6 +105,11 @@ def brute_force_divergence(model: Model, g: Generator, *, grid_points: int) -> f
     Deliberately dumb (no adaptivity, no kink handling): its only job is to
     certify the quadrature engine and the closed forms on small instances.
     Returns the canonical (scaled Hellinger / raw hockey-stick) value.
+
+    The coin-flip grid holds log w, log(1 - w) and one buffer of
+    ``grid_points`` floats, about 24 bytes a point, and returns the bits of
+    the whole-grid expression.  The Gaussian grid works a row of about
+    sqrt(``grid_points``) points at a time.
     """
     if grid_points < 1000:
         raise ValueError("grid_points must be at least 1000")
@@ -103,16 +119,28 @@ def brute_force_divergence(model: Model, g: Generator, *, grid_points: int) -> f
         n = model.n
         w = (np.arange(grid_points) + 0.5) / grid_points
         log_w = np.log(w)
-        log_1mw = np.log1p(-w)
+        # log1p(-w) in w's buffer, which is not read again.
+        log_1mw = np.log1p(np.negative(w, out=w), out=w)
+        # Each k's log-ratio (c + k log w) + (n-k) log(1-w), built in one
+        # buffer with the whole-grid expression's operations in its order.
+        # The second product runs a chunk at a time: element-wise results do
+        # not depend on chunking, while each mean is over the whole buffer.
+        buf = np.empty(grid_points)
+        product = np.empty(min(grid_points, _GRID_CHUNK))
         means = []
         for k in range(n + 1):
-            log_ratio = (
-                math.log(n + 1.0)
-                + (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
-                + k * log_w
-                + (n - k) * log_1mw
+            c = math.log(n + 1.0) + (
+                math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
             )
-            means.append(_apply_generator(g, np.exp(log_ratio)).mean())
+            np.multiply(log_w, k, out=buf)
+            buf += c
+            for start in range(0, grid_points, _GRID_CHUNK):
+                part = buf[start : start + _GRID_CHUNK]
+                tmp = product[: len(part)]
+                np.multiply(log_1mw[start : start + _GRID_CHUNK], n - k, out=tmp)
+                part += tmp
+            np.exp(buf, out=buf)
+            means.append(_apply_generator(g, buf).mean())
         raw = float(np.mean(means))
         return _canonical(g, raw)
 
@@ -177,7 +205,7 @@ def risk_report(model: Model, samples: int, seed: int) -> tuple[float, float]:
     the Monte-Carlo risk of the posterior median for the coin flips.
 
     The Monte Carlo draws come from the stream of ``seed`` alone and take
-    about 16 bytes per sample; sweeps run up to two reports at once through
+    about 8 bytes per sample; sweeps run up to two reports at once through
     ``risk_reports``.
     """
     if isinstance(model, GaussianModel):
@@ -204,8 +232,9 @@ def risk_reports(
 
     Each report draws from its own seeded stream and numpy's random fills
     run without the GIL, so the reports are byte-identical for any worker
-    count, and the caller can compute bounds while the workers draw.  The
-    first call to ``next`` submits every model.  If a report raises, its
+    count, and the caller can compute bounds while the workers draw.  Each
+    coin-flip report holds about 8 bytes per sample, so the workers hold
+    about 16 in all.  The first call to ``next`` submits every model.  If a report raises, its
     exception surfaces in order and the models not yet started are
     cancelled; closing the generator early cancels them too.  Draws already
     running finish on their own, and the interpreter waits for them at exit.

@@ -15,7 +15,7 @@ from fdivrisk.cli import (
     main,
     risk_curve_csv,
 )
-from fdivrisk.models import BernoulliModel
+from fdivrisk.models import BernoulliModel, GaussianModel
 
 
 def run(capsys, *argv):
@@ -47,6 +47,20 @@ class TestBoundCommand:
         value = float(out.splitlines()[0].split()[-1])
         floor = 81.0 * math.sqrt(2.0 * math.pi) / 2048.0 * math.sqrt(1.0 / (1.0 + 2.0 * 0.5))
         assert value >= floor
+
+    @pytest.mark.parametrize(
+        "argv, model",
+        [
+            ("--sigma-w-sq 3.5e254 --p 1.41", GaussianModel(1, 3.5e254)),
+            ("--sigma-sq 1e-300 --p 1.5", GaussianModel(1, 1.0, 1e-300)),
+        ],
+    )
+    def test_gaussian_hellinger_power_overflow_gives_a_bound(self, capsys, argv, model):
+        # (1 + r)^p overflows a float; the divergence, 1.4e52 and 1.2e75, does not.
+        code, out, err = run(capsys, "bound", "--model", "gaussian", "--n", "1", *argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        assert "(closed_form_log)" in out
+        assert float(out.splitlines()[0].split()[-1]) <= model.bayes_risk_reference().value
 
     @pytest.mark.parametrize(
         "model, label", [("bernoulli", "hellinger(p=2)"), ("gaussian", "hellinger(p=1.5)")]
@@ -545,6 +559,15 @@ class TestGoldenOutput:
         golden = Path(__file__).parent / "golden" / "sweep_bernoulli_oracle.csv"
         argv = ("sweep", "--model", "bernoulli", "--n-range", "1..12", "--oracle")
         code, out, err = run(capsys, *argv, "--samples", "200000")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.encode() == golden.read_bytes()
+
+    def test_validate_matches_golden_file(self, capsys):
+        # Pins the coin-flip brute-force grid at n = 7 with a non-integer
+        # order, and the seeded Monte-Carlo risks of n = 7..9.
+        golden = Path(__file__).parent / "golden" / "validate_bernoulli_7_9.txt"
+        argv = ("validate", "--model", "bernoulli", "--n-range", "7..9", "--p", "3.5")
+        code, out, err = run(capsys, *argv, "--samples", "20000")
         assert (code, err) == (EXIT_OK, "")
         assert out.encode() == golden.read_bytes()
 

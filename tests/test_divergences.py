@@ -2,7 +2,7 @@
 
 import ast
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,6 +98,27 @@ class TestGaussianClosedForm:
         # 1 + (2 - p) p r <= 0.
         with pytest.raises(DivergenceInfiniteError):
             hellinger_divergence(GaussianModel(1, 1.0, 1.0), 4.0)
+
+    @pytest.mark.parametrize(
+        "model, p", [(GaussianModel(1, 3.5e254), 1.41), (GaussianModel(1, 1.0, 1e-300), 1.5)]
+    )
+    def test_power_overflow_takes_logs(self, model, p):
+        # (1 + r)^p overflows a float; the scaled value does not.
+        value = hellinger_divergence(model, p)
+        assert value.method == "closed_form_log"
+        with localcontext() as ctx:
+            ctx.prec = 40
+            r = Decimal(model.sigma_w_sq) / Decimal(model.noise_var)
+            dp = Decimal(p)
+            exact = ((1 + r) ** dp / (1 + (2 - dp) * dp * r)).sqrt()
+        assert value.value == pytest.approx(float(exact), rel=1e-12)
+
+    def test_finite_power_keeps_its_bytes(self):
+        # (1 + r)^p = 1.1e299 is finite, so the direct form is kept.
+        model, p = GaussianModel(1, 1e200), 1.5
+        r = model.sigma_w_sq / model.noise_var
+        direct = ((1.0 + r) ** p / (1.0 + (2.0 - p) * p * r)) ** 0.5
+        assert hellinger_divergence(model, p) == (direct, "closed_form", 0.0)
 
     def test_model_dispatch_uses_sufficient_statistic(self):
         # n samples enter only through the noise variance of the sample mean.

@@ -1,6 +1,7 @@
 """Tests for the two estimation models."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ class TestBernoulliSimulatedRisk:
         err = np.abs(w - table[k])
         expected = (float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples)))
         assert model.simulate_risk(samples, seed) == expected
+
+    def test_holds_one_sample_array(self):
+        # tracemalloc sees numpy's data buffers.  The one-shot err.std(ddof=1)
+        # would hold a second sample-sized array, 16 bytes per sample.
+        samples = 10**6
+        model = BernoulliModel(50)
+        model.simulate_risk(1000, 1)  # imports and first-call allocations
+        tracemalloc.start()
+        try:
+            model.simulate_risk(samples, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * samples + 2 * 2**20
 
 
 class TestGaussianModel:

@@ -4,7 +4,9 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 from oracles import bernoulli_density_ratio, chi_squared_bernoulli, monte_carlo_divergence
 
@@ -54,6 +56,51 @@ class TestBruteForceDivergence:
         oracle = brute_force_divergence(model, HockeyStick(0.75, 2.2), grid_points=4 * 10**6)
         engine = e_beta_gamma_numeric(model, 0.75, 2.2).value
         assert engine == pytest.approx(oracle, rel=1e-4, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    @pytest.mark.parametrize(
+        "g", [Hellinger(2.0), Hellinger(1.5), Hellinger(3.5), HockeyStick(0.75, 2.2)], ids=str
+    )
+    # 131_071 is prime, so no chunk size divides it.
+    @pytest.mark.parametrize("grid_points", [1000, 131_071, 10**6 + 3])
+    def test_bernoulli_matches_one_shot_expression(self, n, g, grid_points):
+        # The whole grid at once, as the oracle was once computed; Hellinger
+        # p = 2 takes numpy's squaring fast path of ratio**p.
+        w = (np.arange(grid_points) + 0.5) / grid_points
+        log_w = np.log(w)
+        log_1mw = np.log1p(-w)
+        means = []
+        for k in range(n + 1):
+            log_ratio = (
+                math.log(n + 1.0)
+                + (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
+                + k * log_w
+                + (n - k) * log_1mw
+            )
+            ratio = np.exp(log_ratio)
+            if isinstance(g, Hellinger):
+                means.append(((ratio**g.p - 1.0) / (g.p - 1.0)).mean())
+            else:
+                means.append(np.maximum(0.0, g.beta * ratio - g.gamma).mean())
+        raw = float(np.mean(means))
+        expected = (g.p - 1.0) * raw + 1.0 if isinstance(g, Hellinger) else raw
+        assert brute_force_divergence(BernoulliModel(n), g, grid_points=grid_points) == expected
+
+    @pytest.mark.parametrize(
+        "model, g", [(BernoulliModel(1), Hellinger(2.0)), (BernoulliModel(7), HockeyStick(0.75, 2.2))]
+    )
+    def test_bernoulli_grid_memory(self, model, g):
+        # tracemalloc sees numpy's data buffers.  The whole-grid expression
+        # above holds 48 (Hellinger) or 56 (hockey-stick) bytes per point.
+        grid_points = 10**6
+        brute_force_divergence(model, g, grid_points=1000)  # first-call allocations
+        tracemalloc.start()
+        try:
+            brute_force_divergence(model, g, grid_points=grid_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * grid_points + 2**20
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
