@@ -56,12 +56,12 @@ class DivergenceValue(
 
     ``method`` is "closed_form", "closed_form_log" (the Gaussian Hellinger
     closed form taken through logs where (1 + r)^p overflows) or
-    "quadrature".  ``error_estimate`` is an
-    absolute bound on the numerical error of quadrature and closed-form
-    results.  The Hellinger closed forms report zero: they do not bound their
-    rounding.  A value or error estimate that is not finite (an overflow, or
-    a ``nan`` from cancellation) raises ``FloatingPointError``, so no bound is
-    ever built on one.
+    "quadrature".  ``error_estimate`` is an absolute bound on the numerical
+    error of quadrature and closed-form results.  The Hellinger closed forms
+    report zero: they do not bound their rounding.  A value or error
+    estimate that is not finite (an overflow, or a ``nan`` from
+    cancellation) raises ``FloatingPointError``, so no bound is ever built
+    on one.
     """
 
     __slots__ = ()
@@ -119,11 +119,12 @@ def hellinger_divergence(model: Model, p: float) -> DivergenceValue:
                 f"order-{p} Hellinger information is infinite at variance ratio {r}"
             )
         try:
-            return DivergenceValue(((1.0 + r) ** p / denom) ** 0.5, "closed_form")
+            power = (1.0 + r) ** p
         except OverflowError:
             # (1 + r)^p overflows although the quotient may not: take logs.
             log_scaled = 0.5 * (p * math.log1p(r) - math.log(denom))
             return DivergenceValue(math.exp(log_scaled), "closed_form_log")
+        return DivergenceValue((power / denom) ** 0.5, "closed_form")
     n = model.n
     lead = (p - 1.0) * math.log(n + 1.0)
     # n+2 lgamma calls per order: log G(jp+1) for j <= n, and log G(np+2).

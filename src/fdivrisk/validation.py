@@ -13,9 +13,9 @@ on at most two threads; the pool starts a thread only for a submitted n, so
 one n runs on one thread.  Each n draws from its own stream, seeded with
 ``seed + n``, so the reports do not depend on the CPU count; each worker
 holds about 8 bytes per sample.  The coin-flip brute-force grid holds three
-arrays of its points, about 24 bytes a point.  Numpy, like ``concurrent.futures`` in
-``risk_reports``, is imported inside the functions that use it, so runs
-that only compute bounds never load it.
+arrays of its points, about 24 bytes a point.  Numpy, like
+``concurrent.futures`` in ``risk_reports``, is imported inside the
+functions that use it, so runs that only compute bounds never load it.
 """
 
 from __future__ import annotations
@@ -135,10 +135,9 @@ def brute_force_divergence(model: Model, g: Generator, *, grid_points: int) -> f
             np.multiply(log_w, k, out=buf)
             buf += c
             for start in range(0, grid_points, _GRID_CHUNK):
-                part = buf[start : start + _GRID_CHUNK]
-                tmp = product[: len(part)]
-                np.multiply(log_1mw[start : start + _GRID_CHUNK], n - k, out=tmp)
-                part += tmp
+                end = min(start + _GRID_CHUNK, grid_points)
+                tmp = np.multiply(log_1mw[start:end], n - k, out=product[: end - start])
+                buf[start:end] += tmp
             np.exp(buf, out=buf)
             means.append(_apply_generator(g, buf).mean())
         raw = float(np.mean(means))
@@ -234,10 +233,11 @@ def risk_reports(
     run without the GIL, so the reports are byte-identical for any worker
     count, and the caller can compute bounds while the workers draw.  Each
     coin-flip report holds about 8 bytes per sample, so the workers hold
-    about 16 in all.  The first call to ``next`` submits every model.  If a report raises, its
-    exception surfaces in order and the models not yet started are
-    cancelled; closing the generator early cancels them too.  Draws already
-    running finish on their own, and the interpreter waits for them at exit.
+    about 16 in all.  The first call to ``next`` submits every model.  If a
+    report raises, its exception surfaces in order and the models not yet
+    started are cancelled; closing the generator early cancels them too.
+    Draws already running finish on their own, and the interpreter waits for
+    them at exit.
     """
     # Imported here: a top-level import would slow every `import fdivrisk.cli`.
     from concurrent.futures import ThreadPoolExecutor

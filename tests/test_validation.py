@@ -87,7 +87,8 @@ class TestBruteForceDivergence:
         assert brute_force_divergence(BernoulliModel(n), g, grid_points=grid_points) == expected
 
     @pytest.mark.parametrize(
-        "model, g", [(BernoulliModel(1), Hellinger(2.0)), (BernoulliModel(7), HockeyStick(0.75, 2.2))]
+        "model, g",
+        [(BernoulliModel(1), Hellinger(2.0)), (BernoulliModel(7), HockeyStick(0.75, 2.2))],
     )
     def test_bernoulli_grid_memory(self, model, g):
         # tracemalloc sees numpy's data buffers.  The whole-grid expression
