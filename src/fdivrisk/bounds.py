@@ -12,8 +12,11 @@ The hockey-stick bound is invariant under scaling beta: E_{beta,gamma} =
 beta E_{1,gamma/beta}, so it depends only on tau = gamma / beta, and the
 parameter search runs over tau alone with beta = 1.
 
-``family_bound`` is the one bound every CLI command and the certification
-suite compute: the fixed-parameter bound of a family, or its searched one.
+``family_bounds`` is the one bound entry of every CLI command and of the
+certification suite: one family's column over a list of models, each the
+fixed-parameter bound of the family or its searched one.  The fixed
+hockey-stick column of the coin-flip models evaluates its divergences
+together (``e_beta_gamma_sweep``); the searches run one model at a time.
 Every parameter comes from the caller; the CLI decides the defaults.
 """
 
@@ -26,6 +29,7 @@ from .divergences import (
     DivergenceInfiniteError,
     DivergenceValue,
     e_beta_gamma_numeric,
+    e_beta_gamma_sweep,
     hellinger_divergence,
 )
 from .generators import Hellinger, HockeyStick
@@ -35,7 +39,7 @@ from .numerics import golden_section_max
 __all__ = [
     "BoundResult",
     "FAMILIES",
-    "family_bound",
+    "family_bounds",
     "hellinger_bound",
     "hockey_stick_bound",
     "optimize_parameters",
@@ -204,19 +208,28 @@ def optimize_parameters(model: Model, family: str) -> BoundResult:
 
 
 # --------------------------------------------------------------------------
-# One bound per family, as the CLI and the certification suite compute it
+# One family's bounds over a list of models, as the CLI and the certification
+# suite compute them
 # --------------------------------------------------------------------------
 
 
-def family_bound(
-    model: Model, family: str, *, p: float, beta: float, gamma: float, optimize: bool
-) -> BoundResult:
-    """The bound of one family: with ``optimize`` the searched bound of
-    :func:`optimize_parameters`, otherwise the Hellinger bound at order ``p``
-    or the hockey-stick bound at ``(beta, gamma)``."""
+def family_bounds(
+    models: list[Model], family: str, *, p: float, beta: float, gamma: float, optimize: bool
+) -> list[BoundResult]:
+    """The bounds of one family at each model, in order: with ``optimize``
+    the searched bound of :func:`optimize_parameters`, otherwise the
+    Hellinger bound at order ``p`` or the hockey-stick bound at ``(beta,
+    gamma)``, whose divergences ``e_beta_gamma_sweep`` evaluates together."""
+    key = _family_key(family)
     if optimize:
-        return optimize_parameters(model, family)
-    c = model.small_ball_coefficient()
-    if _family_key(family) == "hellinger":
-        return hellinger_bound(p, hellinger_divergence(model, p), c)
-    return hockey_stick_bound(beta, gamma, e_beta_gamma_numeric(model, beta, gamma), c)
+        return [optimize_parameters(model, key) for model in models]
+    if key == "hellinger":
+        return [
+            hellinger_bound(p, hellinger_divergence(model, p), model.small_ball_coefficient())
+            for model in models
+        ]
+    divergences = e_beta_gamma_sweep(models, beta, gamma)
+    return [
+        hockey_stick_bound(beta, gamma, divergence, model.small_ball_coefficient())
+        for model, divergence in zip(models, divergences)
+    ]

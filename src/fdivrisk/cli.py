@@ -33,7 +33,7 @@ import argparse
 import os
 import sys
 
-from .bounds import FAMILIES, _family_key, family_bound
+from .bounds import FAMILIES, _family_key, family_bounds
 from .generators import Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model, _check_samples, _check_seed
 from .svg import render_line_plot
@@ -86,21 +86,30 @@ def compute_risk_curve(
     """One row per model, in ``CSV_HEADER`` order: the bounds of
     ``families`` and, with ``oracle``, the risk oracle.
 
-    The oracle columns come from ``risk_reports``: worker threads draw them
-    while this thread computes the bounds.
+    The oracle draws of every model start first, in ``risk_reports``' worker
+    threads, and run while this thread computes the bound columns, each
+    family over all the models at once; the first error of a column in
+    ``FAMILIES`` order is the one raised, and it cancels the draws not yet
+    started.
     """
     reports = risk_reports(models, samples, seed) if oracle else None
-    rows = []
-    for model in models:
-        bounds = [
-            family_bound(model, family, p=p, beta=beta, gamma=gamma, optimize=optimize).value
+    try:
+        columns = [
+            [
+                result.value
+                for result in family_bounds(
+                    models, family, p=p, beta=beta, gamma=gamma, optimize=optimize
+                )
+            ]
             if family in families
-            else None
+            else [None] * len(models)
             for family in FAMILIES
         ]
-        risk = next(reports) if reports is not None else (None, None)
-        rows.append((model.n, *bounds, *risk))
-    return rows
+        risks = list(reports) if reports is not None else [(None, None)] * len(models)
+    finally:
+        if reports is not None:
+            reports.close()
+    return [(model.n, *bounds, *risk) for model, *bounds, risk in zip(models, *columns, risks)]
 
 
 def render_curve_svg(rows: list[tuple], title: str) -> str:
@@ -320,8 +329,8 @@ def cmd_bound(args: argparse.Namespace, family: str) -> int:
     if args.n is None:
         raise ValueError("--n is required for a single bound")
     model = build_model(args.model, args.n, args.sigma_w_sq, args.sigma_sq)
-    result = family_bound(
-        model, family, p=args.p, beta=args.beta, gamma=args.gamma, optimize=args.optimize
+    [result] = family_bounds(
+        [model], family, p=args.p, beta=args.beta, gamma=args.gamma, optimize=args.optimize
     )
 
     rows = [

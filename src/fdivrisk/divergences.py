@@ -1,14 +1,19 @@
 """f-mutual-information values between the parameter and the observations.
 
 One entry point per family: ``hellinger_divergence(model, p)`` and
-``e_beta_gamma_numeric(model, beta, gamma)``.  Closed forms where they
+``e_beta_gamma_numeric(model, beta, gamma)``, with ``e_beta_gamma_sweep``
+for the hockey-stick values of a list of models.  Closed forms where they
 exist: the Hellinger family on both models, and the coin-flip hockey-stick
 family as a closed form (incomplete-beta sum) over Hamming weights.  That
 sum runs one weight at a time in pure Python below ``_ARRAY_MIN_WEIGHTS``
-weights k <= n/2 (n < 126), and in numpy blocks of weights from there on;
-only the block functions import numpy, so smaller runs never load it.  This
-module finds the kink roots and sums the terms; each I_x(a, b) comes from
-the scalar or numpy incomplete beta of ``numerics``.
+weights k <= n/2 (n < 126), and in numpy blocks of weights from there on.
+The weights of consecutive n of a sweep share a block, so a sweep over
+large n makes one pass of numpy calls per block rather than per n, with the
+same bits as each n alone.  Only the block functions import numpy, so
+smaller runs never load it.  This module finds the kink roots and sums the
+terms; each I_x(a, b) comes from the scalar or numpy incomplete beta of
+``numerics``, given the log w and log(1 - w) that the error bound reads
+too.
 The Gaussian hockey-stick family is an adaptive quadrature over the
 parameter, with each slice in the sample mean in closed form.
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .generators import Hellinger, HockeyStick, _checked_make
@@ -40,6 +46,7 @@ __all__ = [
     "DivergenceInfiniteError",
     "DivergenceValue",
     "e_beta_gamma_numeric",
+    "e_beta_gamma_sweep",
     "hellinger_divergence",
 ]
 
@@ -196,9 +203,7 @@ def _kink_end(
     return 0.5 * (inside + outside)
 
 
-def _bernoulli_terms_scalar(
-    model: BernoulliModel, beta: float, gamma: float
-) -> tuple[list, list]:
+def _bernoulli_terms_scalar(n: int, beta: float, gamma: float) -> tuple[list, list]:
     """Per-weight terms of E_{beta,gamma} and their error bounds, one weight
     at a time (see :func:`_e_beta_gamma_bernoulli`).
 
@@ -207,7 +212,6 @@ def _bernoulli_terms_scalar(
     none).  :func:`_kink_end` finds each end from where the Gaussian
     approximation around the mode crosses the level; weight 0 peaks at w = 0.
     """
-    n = model.n
     log_tau = math.log(gamma) - math.log(beta)
     log_np1 = math.log(n + 1.0)
     log_fact = _log_factorials(n)
@@ -239,11 +243,13 @@ def _bernoulli_terms_scalar(
             if w == 0.0 or w == 1.0:
                 term += sign * beta * w  # an exact end, I_0 = 0 or I_1 = 1: nothing to bound
                 continue
-            i_w = _incomplete_beta(a, b, w, lg_ab - lg_a - lg_b)
+            log_w = math.log(w)
+            log1m_w = math.log1p(-w)
+            i_w = _incomplete_beta(a, b, w, lg_ab - lg_a - lg_b, log_w, log1m_w)
             term += sign * beta * i_w
             # The terms of log(w^a (1-w)^b / B(a, b)) are each rounded within
             # two ulps, so 4 eps times their magnitudes bounds its rounding.
-            size = lg_ab + abs(lg_a) + abs(lg_b) - a * math.log(w) - b * math.log1p(-w)
+            size = lg_ab + abs(lg_a) + abs(lg_b) - a * log_w - b * log1m_w
             tail = min(i_w, 1.0 - i_w)
             err += beta * (tail * (4.0 * _EPS * size + _BETACF_REL_ERR) + _EPS)
             slope = max(abs(k / w - rest / (1.0 - w)), _EPS)
@@ -260,9 +266,10 @@ def _bernoulli_terms_scalar(
 # break even near 51 weights; below that the arrays' fixed cost of a few
 # hundred numpy calls exceeds the scalar loop's work.
 _ARRAY_MIN_WEIGHTS = 64
-# Weights per numpy block; each temporary holds at most 2 x 4096 float64 (64
-# KiB), and the values do not depend on it.  Nine tau points on 2 vCPUs took
-# 0.22 s at n = 10^4 and 2.2 s at n = 10^5 (1024: 0.30 / 3.6 s, 8192: 0.23 / 2.3 s).
+# Weights per numpy block, the (n, k) pairs of consecutive n of a sweep
+# together; each temporary holds at most 2 x 4096 float64 (64 KiB), and the
+# values do not depend on it.  Nine tau points on 2 vCPUs took 0.22 s at
+# n = 10^4 and 2.2 s at n = 10^5 (1024: 0.30 / 3.6 s, 8192: 0.23 / 2.3 s).
 _ARRAY_BLOCK = 4096
 
 
@@ -305,107 +312,173 @@ def _kink_roots_array(excess, slope, inside, outside, x) -> np.ndarray:
     return root
 
 
-def _bernoulli_terms_array(
-    model: BernoulliModel, beta: float, gamma: float
-) -> tuple[list, list]:
-    """:func:`_bernoulli_terms_scalar` over blocks of weights in numpy.
+def _weight_blocks(ns: list[int]):
+    """The pairs (n, k) of weights k <= n/2, n after n, cut into blocks of
+    ``_ARRAY_BLOCK`` pairs (the last may be shorter).  Yields each block as a
+    list of runs (n, first k, count): consecutive n share a block, and an n
+    with more weights than fit runs on into the next."""
+    block: list = []
+    room = _ARRAY_BLOCK
+    for n in ns:
+        first = 0
+        weights = n // 2 + 1
+        while first < weights:
+            count = min(room, weights - first)
+            block.append((n, first, count))
+            first += count
+            room -= count
+            if not room:
+                yield block
+                block = []
+                room = _ARRAY_BLOCK
+    if block:
+        yield block
 
-    Each weight takes the scalar path's steps in the same order (peak test,
-    Newton kink roots, incomplete-beta ends, error bound), so the two agree
-    to within the libm and numpy rounding of log, log1p and exp.
+
+def _bernoulli_sums_array(
+    ns: list[int], beta: float, gamma: float
+) -> Iterator[tuple[float, float]]:
+    """:func:`_bernoulli_terms_scalar` over numpy blocks of weights, for each
+    n of ``ns`` in turn: yields ``math.fsum`` of n's terms and of their error
+    bounds once its last weight is done.
+
+    The weights of consecutive n fill each block (:func:`_weight_blocks`), so
+    a sweep over n makes one pass of numpy calls per block, not per n.
     """
     import numpy as np
 
-    n = model.n
     log_tau = math.log(gamma) - math.log(beta)
-    lgam = np.array(_log_factorials(n))  # lgam[i] = log i!
-    log_np1 = math.log(n + 1.0)
-    weights = n // 2 + 1
+    lgam = np.array(_log_factorials(max(ns)))  # lgam[i] = log i!
     values: list = []
     errors: list = []
-    with np.errstate(all="ignore"):  # settled and exact ends may hit log(0)
-        for first in range(0, weights, _ARRAY_BLOCK):
-            ks = np.arange(first, min(first + _ARRAY_BLOCK, weights))
-            k = ks.astype(float)
-            rest = n - k
-            logc = log_np1 + (lgam[n] - lgam[ks] - lgam[n - ks])
-            mode = k / n
-            log_mode = np.log(mode, out=np.zeros_like(mode), where=ks > 0)
-            peak = logc + k * log_mode + rest * np.log1p(-mode) - log_tau
-            keep = peak > 0.0
-            if not keep.any():
-                continue
-            ks, k, rest, logc, mode, peak = (v[keep] for v in (ks, k, rest, logc, mode, peak))
-
-            # Lower roots in the first half, upper roots in the second.
-            k2 = np.concatenate((k, k))
-            rest2 = np.concatenate((rest, rest))
-            logc2 = np.concatenate((logc, logc))
-
-            def excess(w):
-                return logc2 + k2 * np.log(w) + rest2 * np.log1p(-w) - log_tau
-
-            def slope(w):
-                return k2 / w - rest2 / (1.0 - w)
-
-            size = len(k)
-            half_width = np.sqrt(2.0 * peak * mode * (1.0 - mode) / n)
-            # Weight 0 peaks at w = 0: its lower bracket [0, 0] is already
-            # closed, so that root comes out as exactly 0.
-            inside = np.concatenate((mode, mode))
-            outside = np.concatenate((np.zeros(size), np.ones(size)))
-            start = np.concatenate((mode - half_width, mode + half_width))
-            w = _kink_roots_array(excess, slope, inside, outside, start)
-
-            a = k2 + 1.0
-            b = rest2 + 1.0
-            lg_a = np.concatenate((lgam[ks], lgam[ks]))
-            lg_b = np.concatenate((lgam[n - ks], lgam[n - ks]))
-            i_w = _incomplete_beta_array(a, b, w, lgam[n + 1] - lg_a - lg_b)
-            exact = (w == 0.0) | (w == 1.0)
-            kernel_size = lgam[n + 1] + np.abs(lg_a) + np.abs(lg_b) - a * np.log(w)
-            kernel_size -= b * np.log1p(-w)
-            tail = np.minimum(i_w, 1.0 - i_w)
-            cf_err = beta * (tail * (4.0 * _EPS * kernel_size + _BETACF_REL_ERR) + _EPS)
-            ratio_slope = np.maximum(np.abs(slope(w)), _EPS)
-            root_err = _KINK_TOL + 4.0 * _EPS * (kernel_size + abs(log_tau)) / ratio_slope
-            root_err = gamma * ratio_slope * root_err * root_err
-            cf_err = np.where(exact, 0.0, cf_err)
-            root_err = np.where(exact, 0.0, root_err)
-
-            lo, hi = w[:size], w[size:]
-            term = -gamma * (hi - lo) + -beta * i_w[:size] + beta * i_w[size:]
-            err = _EPS * (beta + gamma) + cf_err[:size] + root_err[:size]
-            err = err + cf_err[size:] + root_err[size:]
-            weight = np.where(2 * ks == n, 1.0, 2.0)
-            values.extend((weight * term).tolist())
-            errors.extend((weight * err).tolist())
-    return values, errors
+    for block in _weight_blocks(ns):
+        with np.errstate(all="ignore"):  # settled and exact ends may hit log(0)
+            cuts, block_values, block_errors = _block_terms(block, lgam, log_tau, beta, gamma)
+        start = 0
+        for (n, first, count), cut in zip(block, cuts):
+            values.extend(block_values[start:cut])
+            errors.extend(block_errors[start:cut])
+            start = cut
+            if first + count == n // 2 + 1:
+                yield math.fsum(values), math.fsum(errors)
+                values = []
+                errors = []
 
 
-def _e_beta_gamma_bernoulli(model: BernoulliModel, beta: float, gamma: float) -> DivergenceValue:
-    """E_{beta,gamma} as a finite sum over Hamming weights.
+def _block_terms(
+    block: list, lgam: np.ndarray, log_tau: float, beta: float, gamma: float
+) -> tuple[list, list, list]:
+    """The terms of one block of :func:`_weight_blocks` and their error
+    bounds, for the weights whose peak passes the level, in block order; and
+    for each run, where its weights end in those lists.
+
+    Every element carries its own n and log(n + 1), and reads the
+    log-factorial table ``lgam``, whose entries do not depend on its length,
+    so it takes the same operations whatever else shares its block.  Each
+    weight takes the scalar path's steps in the same order (peak test, Newton
+    kink roots, incomplete-beta ends, error bound), so the two agree to
+    within the libm and numpy rounding of log, log1p and exp.
+    """
+    import numpy as np
+
+    run_n, run_first, run_count = (np.array(column) for column in zip(*block))
+    run_end = np.cumsum(run_count)
+    ns = np.repeat(run_n, run_count)
+    ks = np.arange(run_end[-1]) - np.repeat(run_end - run_count - run_first, run_count)
+    log_np1 = np.repeat([math.log(n + 1.0) for n, _, _ in block], run_count)
+    n = ns.astype(float)
+    k = ks.astype(float)
+    rest = n - k
+    logc = log_np1 + (lgam[ns] - lgam[ks] - lgam[ns - ks])
+    mode = k / n
+    log_mode = np.log(mode, out=np.zeros_like(mode), where=ks > 0)
+    peak = logc + k * log_mode + rest * np.log1p(-mode) - log_tau
+    keep = peak > 0.0
+    cuts = np.searchsorted(np.flatnonzero(keep), run_end).tolist()
+    if not cuts[-1]:
+        return cuts, [], []
+    ns, n, ks, k, rest, logc, mode, peak = (
+        v[keep] for v in (ns, n, ks, k, rest, logc, mode, peak)
+    )
+
+    # Lower roots in the first half, upper roots in the second.
+    k2 = np.concatenate((k, k))
+    rest2 = np.concatenate((rest, rest))
+    logc2 = np.concatenate((logc, logc))
+
+    def excess(w):
+        return logc2 + k2 * np.log(w) + rest2 * np.log1p(-w) - log_tau
+
+    def slope(w):
+        return k2 / w - rest2 / (1.0 - w)
+
+    size = len(k)
+    half_width = np.sqrt(2.0 * peak * mode * (1.0 - mode) / n)
+    # Weight 0 peaks at w = 0: its lower bracket [0, 0] is already
+    # closed, so that root comes out as exactly 0.
+    inside = np.concatenate((mode, mode))
+    outside = np.concatenate((np.zeros(size), np.ones(size)))
+    start = np.concatenate((mode - half_width, mode + half_width))
+    w = _kink_roots_array(excess, slope, inside, outside, start)
+
+    a = k2 + 1.0
+    b = rest2 + 1.0
+    lg_a = np.concatenate((lgam[ks], lgam[ks]))
+    lg_b = np.concatenate((lgam[ns - ks], lgam[ns - ks]))
+    lg_ab = np.concatenate((lgam[ns + 1], lgam[ns + 1]))
+    log_w = np.log(w)
+    log1m_w = np.log1p(-w)
+    i_w = _incomplete_beta_array(a, b, w, lg_ab - lg_a - lg_b, log_w, log1m_w)
+    exact = (w == 0.0) | (w == 1.0)
+    kernel_size = lg_ab + np.abs(lg_a) + np.abs(lg_b) - a * log_w
+    kernel_size -= b * log1m_w
+    tail = np.minimum(i_w, 1.0 - i_w)
+    cf_err = beta * (tail * (4.0 * _EPS * kernel_size + _BETACF_REL_ERR) + _EPS)
+    ratio_slope = np.maximum(np.abs(slope(w)), _EPS)
+    root_err = _KINK_TOL + 4.0 * _EPS * (kernel_size + abs(log_tau)) / ratio_slope
+    root_err = gamma * ratio_slope * root_err * root_err
+    cf_err = np.where(exact, 0.0, cf_err)
+    root_err = np.where(exact, 0.0, root_err)
+
+    lo, hi = w[:size], w[size:]
+    term = -gamma * (hi - lo) + -beta * i_w[:size] + beta * i_w[size:]
+    err = _EPS * (beta + gamma) + cf_err[:size] + root_err[:size]
+    err = err + cf_err[size:] + root_err[size:]
+    weight = np.where(2 * ks == ns, 1.0, 2.0)
+    return cuts, (weight * term).tolist(), (weight * err).tolist()
+
+
+def _e_beta_gamma_bernoulli(
+    ns: list[int], beta: float, gamma: float
+) -> Iterator[DivergenceValue]:
+    """E_{beta,gamma} at each n of ``ns``, in order, as a finite sum over
+    Hamming weights.
 
     For weight k the density ratio is the Beta(k+1, n-k+1) density, so its
     term beta*ratio - gamma integrates over the kink interval [lo, hi] to
     beta (I_hi - I_lo) - gamma (hi - lo), with I the regularized incomplete
     beta function.  Weights k and n-k mirror each other (w <-> 1-w), so only
-    k <= n/2 is evaluated and the rest counted twice.  From
-    ``_ARRAY_MIN_WEIGHTS`` such weights on, they are evaluated in numpy
-    blocks; below it, one at a time.
+    k <= n/2 is evaluated and the rest counted twice.  An n with
+    ``_ARRAY_MIN_WEIGHTS`` such weights or more is evaluated in numpy blocks,
+    which it shares with the other such n of ``ns``; a smaller n one weight
+    at a time.
 
     The error bound covers the rounding of the incomplete-beta front factor
     and of the continued fraction, and the kink roots: the integrand vanishes
     at a root, so a root off by d moves the term by at most about
     gamma * |slope| * d^2, slope being the log-ratio's derivative there.
     """
-    n = model.n
-    if n // 2 + 1 >= _ARRAY_MIN_WEIGHTS:
-        values, errors = _bernoulli_terms_array(model, beta, gamma)
-    else:
-        values, errors = _bernoulli_terms_scalar(model, beta, gamma)
-    scale = 1.0 / (n + 1.0)
-    return DivergenceValue(scale * math.fsum(values), "closed_form", scale * math.fsum(errors))
+    packed = _bernoulli_sums_array(
+        [n for n in ns if n // 2 + 1 >= _ARRAY_MIN_WEIGHTS], beta, gamma
+    )
+    for n in ns:
+        if n // 2 + 1 >= _ARRAY_MIN_WEIGHTS:
+            total, error = next(packed)
+        else:
+            values, errors = _bernoulli_terms_scalar(n, beta, gamma)
+            total, error = math.fsum(values), math.fsum(errors)
+        scale = 1.0 / (n + 1.0)
+        yield DivergenceValue(scale * total, "closed_form", scale * error)
 
 
 # --------------------------------------------------------------------------
@@ -492,10 +565,22 @@ def e_beta_gamma_numeric(model: Model, beta: float, gamma: float) -> DivergenceV
     Coin-flip model: closed form (incomplete-beta sum) over Hamming weights,
     between the kink roots of each weight's density ratio; evaluated one
     weight at a time for n < 126, and in numpy blocks of weights from
-    n = 126 on.  Gaussian model: outer quadrature over w with the per-slice
-    x-interval handled in closed form.
+    n = 126 on (:func:`e_beta_gamma_sweep` shares them across n).  Gaussian
+    model: outer quadrature over w with the per-slice x-interval handled in
+    closed form.
     """
     HockeyStick(beta, gamma)  # checks beta and gamma
     if isinstance(model, BernoulliModel):
-        return _e_beta_gamma_bernoulli(model, beta, gamma)
+        return next(_e_beta_gamma_bernoulli([model.n], beta, gamma))
     return _e_beta_gamma_gaussian(model, beta, gamma)
+
+
+def e_beta_gamma_sweep(models: list[Model], beta: float, gamma: float) -> list[DivergenceValue]:
+    """:func:`e_beta_gamma_numeric` at each model, in order, with the same
+    values to the bit.  Coin-flip models from n = 126 on share numpy blocks
+    of weights, so a sweep over large n makes one pass of numpy calls per
+    block rather than one per n."""
+    if not all(isinstance(model, BernoulliModel) for model in models):
+        return [e_beta_gamma_numeric(model, beta, gamma) for model in models]
+    HockeyStick(beta, gamma)
+    return list(_e_beta_gamma_bernoulli([model.n for model in models], beta, gamma))

@@ -5,7 +5,8 @@ engines.  This is the one module that knows how the regularized incomplete
 beta I_x(a, b) is evaluated: ``_incomplete_beta`` for the Beta medians and
 the scalar coin-flip hockey-stick kernel, and its numpy twin
 ``_incomplete_beta_array`` for that kernel at large n.  Callers pass
-log(1 / B(a, b)), which they already have.  The numpy forms import numpy
+log(1 / B(a, b)), which they already have, and the kernel also log x and
+log(1 - x), which its error bound reads too.  The numpy forms import numpy
 themselves, so runs that never build an array do not load it.
 
 The quadrature assumes a smooth integrand: a kinked one is integrated piece
@@ -247,14 +248,25 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete-beta continued fraction stalled (a={a}, b={b}, x={x})")
 
 
-def _incomplete_beta(a: float, b: float, x: float, log_norm: float) -> float:
+def _incomplete_beta(
+    a: float,
+    b: float,
+    x: float,
+    log_norm: float,
+    log_x: float | None = None,
+    log1m_x: float | None = None,
+) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1], given log_norm = lgamma(a + b)
     - lgamma(a) - lgamma(b): the front factor x^a (1-x)^b / B(a, b) with the
     continued fraction on whichever side of (a+1)/(a+b+2) converges.  Exact,
-    x itself, at x = 0 and x = 1."""
+    x itself, at x = 0 and x = 1.  A caller that needs log x and log(1 - x)
+    itself passes them as ``log_x`` and ``log1m_x``; otherwise they are
+    computed here."""
     if x == 0.0 or x == 1.0:
         return x
-    front = math.exp(log_norm + a * math.log(x) + b * math.log1p(-x))
+    if log_x is None:
+        log_x, log1m_x = math.log(x), math.log1p(-x)
+    front = math.exp(log_norm + a * log_x + b * log1m_x)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cont_frac(a, b, x) / a
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
@@ -313,16 +325,21 @@ def _beta_cont_frac_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.nda
 
 
 def _incomplete_beta_array(
-    a: np.ndarray, b: np.ndarray, x: np.ndarray, log_norm: np.ndarray
+    a: np.ndarray,
+    b: np.ndarray,
+    x: np.ndarray,
+    log_norm: np.ndarray,
+    log_x: np.ndarray,
+    log1m_x: np.ndarray,
 ) -> np.ndarray:
     """:func:`_incomplete_beta` over arrays, element by element, with the
     same operands in the same order; numpy's log, log1p and exp may round
-    differently from libm's."""
+    differently from libm's.  The caller passes ``log_x`` = log x and
+    ``log1m_x`` = log(1 - x), which are -inf at the exact ends."""
     import numpy as np
 
     inner = (x != 0.0) & (x != 1.0)
-    with np.errstate(divide="ignore"):  # log(0) at the exact ends
-        front = np.exp(log_norm + a * np.log(x) + b * np.log1p(-x))
+    front = np.exp(log_norm + a * log_x + b * log1m_x)
     flip = ~(x < (a + 1.0) / (a + b + 2.0))
     cf_a = np.where(flip, b, a)
     cf_b = np.where(flip, a, b)

@@ -9,8 +9,9 @@ form over Hamming weights, is kept as the reference the simulation is
 checked against.
 
 The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
-on at most two threads; the pool starts a thread only for a submitted n, so
-one n runs on one thread.  Each n draws from its own stream, seeded with
+on at most two threads; every n is submitted at once, before the bound
+columns are computed, and the pool starts a thread only for a submitted n,
+so one n runs on one thread.  Each n draws from its own stream, seeded with
 ``seed + n``, so the reports do not depend on the CPU count; each worker
 holds about 8 bytes per sample.  The coin-flip brute-force grid holds three
 arrays of its points, about 24 bytes a point.  Numpy, like
@@ -25,7 +26,7 @@ import os
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-from .bounds import FAMILIES, BoundResult, family_bound
+from .bounds import FAMILIES, BoundResult, family_bounds
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
 from .generators import Generator, Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model, _beta_median_table
@@ -229,22 +230,32 @@ def risk_reports(
     in order, computed on one worker thread per available CPU, at most
     ``_MAX_WORKERS``.
 
-    Each report draws from its own seeded stream and numpy's random fills
-    run without the GIL, so the reports are byte-identical for any worker
-    count, and the caller can compute bounds while the workers draw.  Each
-    coin-flip report holds about 8 bytes per sample, so the workers hold
-    about 16 in all.  The first call to ``next`` submits every model.  If a
-    report raises, its exception surfaces in order and the models not yet
-    started are cancelled; closing the generator early cancels them too.
-    Draws already running finish on their own, and the interpreter waits for
-    them at exit.
+    Every model is submitted when this is called, so the workers draw while
+    the caller computes its bound columns.  Each report draws from its own
+    seeded stream and numpy's random fills run without the GIL, so the
+    reports are byte-identical for any worker count.  Each coin-flip report
+    holds about 8 bytes per sample, so the workers hold about 16 in all.  If
+    a report raises, its exception surfaces in order and the models not yet
+    started are cancelled; closing the returned generator cancels them too,
+    so a caller closes it on any error of its own.  Draws already running
+    finish on their own, and the interpreter waits for them at exit.
     """
+    reports = _risk_reports(models, samples, seed)
+    next(reports)  # runs up to its first yield: every model is submitted
+    return reports
+
+
+def _risk_reports(
+    models: Iterable[Model], samples: int, seed: int
+) -> Iterator[tuple[float, float]]:
     # Imported here: a top-level import would slow every `import fdivrisk.cli`.
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(max_workers=_worker_count())
     try:
-        yield from pool.map(lambda m: risk_report(m, samples, seed + m.n), models)
+        results = pool.map(lambda m: risk_report(m, samples, seed + m.n), models)
+        yield
+        yield from results
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -298,7 +309,12 @@ def certification_suite(
     optimize: bool,
 ) -> list[OracleReport]:
     """Certify closed forms against brute force at the first model, and
-    every bound against the risk oracle at each model."""
+    every bound against the risk oracle at each model.
+
+    The risk draws of every model are submitted after the brute-force
+    checks, which would otherwise hold their grids beside the draws'
+    samples, and before the bound columns, which each family computes over
+    all the models at once while the workers draw."""
     if not models:
         raise ValueError("no models to certify")
     first = models[0]
@@ -331,11 +347,14 @@ def certification_suite(
 
     risks = risk_reports(models, samples, seed)
     searches = (False, True) if optimize else (False,)
-    for model in models:
-        results = [
-            family_bound(model, family, p=p, beta=beta, gamma=gamma, optimize=search)
+    try:
+        columns = [
+            family_bounds(models, family, p=p, beta=beta, gamma=gamma, optimize=search)
             for search in searches
             for family in FAMILIES
         ]
-        reports.extend(certify_bounds(model, results, next(risks)))
+        for model, results, risk in zip(models, zip(*columns), risks):
+            reports.extend(certify_bounds(model, list(results), risk))
+    finally:
+        risks.close()
     return reports

@@ -7,7 +7,7 @@ from oracles import chi_squared_bernoulli, master_bound
 
 from fdivrisk import bounds
 from fdivrisk.bounds import (
-    family_bound,
+    family_bounds,
     hellinger_bound,
     hockey_stick_bound,
     optimize_parameters,
@@ -256,25 +256,40 @@ class TestOptimizeParameters:
         assert len(calls) == 80
 
 
-class TestFamilyBound:
+class TestFamilyBounds:
     FIXED = {"p": 1.8, "beta": 0.75, "gamma": 2.2}
 
-    @pytest.mark.parametrize("model", [BernoulliModel(4), GaussianModel(3)])
-    def test_fixed_parameters(self, model):
-        coeff = model.small_ball_coefficient()
-        hellinger = family_bound(model, "hellinger", **self.FIXED, optimize=False)
-        assert hellinger == hellinger_bound(1.8, hellinger_divergence(model, 1.8), coeff)
-        hockey = family_bound(model, "hockey-stick", **self.FIXED, optimize=False)
-        e = e_beta_gamma_numeric(model, 0.75, 2.2)
-        assert hockey == hockey_stick_bound(0.75, 2.2, e, coeff)
+    @pytest.mark.parametrize(
+        "models",
+        [
+            [BernoulliModel(4)],
+            [GaussianModel(3)],
+            [BernoulliModel(n) for n in (3, 125, 126, 400, 127)],
+            [GaussianModel(n) for n in (1, 2, 5)],
+        ],
+    )
+    def test_fixed_parameters(self, models):
+        # One bound per model, in order, each the bound of that model alone.
+        hellinger = family_bounds(models, "hellinger", **self.FIXED, optimize=False)
+        hockey = family_bounds(models, "hockey-stick", **self.FIXED, optimize=False)
+        assert len(hellinger) == len(hockey) == len(models)
+        for model, h, k in zip(models, hellinger, hockey):
+            coeff = model.small_ball_coefficient()
+            assert h == hellinger_bound(1.8, hellinger_divergence(model, 1.8), coeff)
+            e = e_beta_gamma_numeric(model, 0.75, 2.2)
+            assert k == hockey_stick_bound(0.75, 2.2, e, coeff)
 
     @pytest.mark.parametrize("family", ["hellinger", "hockey_stick"])
     def test_optimize_is_the_search(self, family):
-        model = BernoulliModel(3)
-        searched = family_bound(model, family, **self.FIXED, optimize=True)
-        assert searched == optimize_parameters(model, family)
+        models = [BernoulliModel(3), BernoulliModel(1)]
+        searched = family_bounds(models, family, **self.FIXED, optimize=True)
+        assert searched == [optimize_parameters(model, family) for model in models]
+
+    def test_no_models(self):
+        for family in ("hellinger", "hockey-stick"):
+            assert family_bounds([], family, **self.FIXED, optimize=False) == []
 
     def test_unknown_family(self):
         # The searched path is covered by test_family_name_validation.
         with pytest.raises(ValueError, match="unknown bound family 'kullback'"):
-            family_bound(BernoulliModel(2), "kullback", **self.FIXED, optimize=False)
+            family_bounds([BernoulliModel(2)], "kullback", **self.FIXED, optimize=False)

@@ -399,7 +399,7 @@ class TestSweepCommand:
             raise AssertionError("computed before --seed was checked")
 
         monkeypatch.setattr(validation, "brute_force_divergence", computed)
-        monkeypatch.setattr(cli, "family_bound", computed)
+        monkeypatch.setattr(cli, "family_bounds", computed)
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: the stream seed --seed + n must be non-negative, got -4\n"
@@ -529,11 +529,13 @@ class TestGoldenOutput:
     # speed-ups must leave it byte-identical to the stored files.  The
     # --optimize cases pin the parameter search over p and tau; n = 1000..1039
     # pins the coin-flip hockey-stick kernel's numpy path (n >= 126) and the
-    # Hellinger sum at large n.
+    # Hellinger sum at large n; n = 120..400 crosses the switch to the numpy
+    # path and packs many n into each block of weights.
     ARGS = {
         "bernoulli": ("--model", "bernoulli", "--n-range", "1..50"),
         "gaussian": ("--model", "gaussian", "--n-range", "1..50"),
         "bernoulli_1000": ("--model", "bernoulli", "--n-range", "1000..1039"),
+        "bernoulli_120_400": ("--model", "bernoulli", "--n-range", "120..400"),
         "bernoulli_optimize": ("--model", "bernoulli", "--n-range", "1..12", "--optimize"),
         "gaussian_optimize": ("--model", "gaussian", "--n-range", "1..8", "--optimize"),
     }
@@ -551,6 +553,27 @@ class TestGoldenOutput:
         golden = Path(__file__).parent / "golden" / f"compare_{model}.csv"
         code, out, _ = run(capsys, "compare", "--model", model)
         assert code == EXIT_OK
+        assert out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            # n = 8190 fills exactly one block of weights, n = 8192 needs two.
+            (
+                "sweep_bernoulli_hockey_stick_8188_8193.csv",
+                "--family hockey-stick --n-range 8188..8193",
+            ),
+            # Searched bound columns beside the seeded oracle columns.
+            (
+                "sweep_bernoulli_oracle_optimize_1_3.csv",
+                "--n-range 1..3 --oracle --optimize --samples 20000",
+            ),
+        ],
+    )
+    def test_sweep_matches_golden_file(self, capsys, name, argv):
+        golden = Path(__file__).parent / "golden" / name
+        code, out, err = run(capsys, "sweep", "--model", "bernoulli", *argv.split())
+        assert (code, err) == (EXIT_OK, "")
         assert out.encode() == golden.read_bytes()
 
     def test_oracle_sweep_matches_golden_file(self, capsys):
@@ -577,6 +600,96 @@ class TestGoldenOutput:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (EXIT_OK, "")
         assert out.encode() == golden.read_bytes()
+
+
+class TestOracleOrder:
+    # The bound columns are computed family by family over every n, so the
+    # oracle draws of every n are submitted first and run meanwhile.
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            (cli, "sweep --model bernoulli --n-range 1..4 --oracle --samples 2000"),
+            (validation, "validate --model bernoulli --n-range 1..4 --samples 2000"),
+        ],
+    )
+    def test_draws_submitted_before_the_first_bound(self, capsys, monkeypatch, module, argv):
+        import concurrent.futures
+
+        monkeypatch.setattr(validation, "_worker_count", lambda: 1)
+        submitted = []
+        seen_at_first_bound = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        def family_bounds(*args, real=module.family_bounds, **kwargs):
+            if not seen_at_first_bound:
+                seen_at_first_bound.append(len(submitted))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(module, "family_bounds", family_bounds)
+        code, _, err = run(capsys, *argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        assert seen_at_first_bound == [4]
+
+    def test_bound_error_at_a_later_n_cancels_the_draws_not_started(self, capsys, monkeypatch):
+        import threading
+
+        from fdivrisk import bounds
+
+        monkeypatch.setattr(validation, "_worker_count", lambda: 1)
+        started = []
+        workers = set()
+        release = threading.Event()
+
+        def risk_report(model, samples, seed):
+            started.append(model.n)
+            workers.add(threading.current_thread())
+            release.wait(10.0)
+            return 0.25, 0.01
+
+        def hellinger_divergence(model, p, real=bounds.hellinger_divergence):
+            if model.n == 3:
+                raise ArithmeticError("no divergence at n = 3")
+            return real(model, p)
+
+        monkeypatch.setattr(validation, "risk_report", risk_report)
+        monkeypatch.setattr(bounds, "hellinger_divergence", hellinger_divergence)
+        try:
+            code, out, err = run(capsys, *"sweep --n-range 1..6 --oracle --samples 100".split())
+        finally:
+            release.set()
+        for worker in workers:
+            worker.join(10.0)
+            assert not worker.is_alive()
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: numerical failure (ArithmeticError): no divergence at n = 3\n"
+        # The one worker may have started n = 1; every later n was cancelled.
+        assert set(started) <= {1}
+
+    def test_first_error_in_column_order(self, capsys, monkeypatch):
+        # The Hellinger column is computed first, so its error at n = 4 is
+        # the one reported, although the hockey-stick bound fails at every n.
+        from fdivrisk import bounds
+
+        def hellinger_divergence(model, p, real=bounds.hellinger_divergence):
+            if model.n == 4:
+                raise ArithmeticError("no Hellinger divergence at n = 4")
+            return real(model, p)
+
+        def e_beta_gamma_sweep(models, beta, gamma):
+            raise ArithmeticError("no hockey-stick divergence")
+
+        monkeypatch.setattr(bounds, "hellinger_divergence", hellinger_divergence)
+        monkeypatch.setattr(bounds, "e_beta_gamma_sweep", e_beta_gamma_sweep)
+        code, out, err = run(capsys, *"compare --n-range 1..5".split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: numerical failure (ArithmeticError): no Hellinger divergence at n = 4\n"
+        )
 
 
 class TestConfigFile:

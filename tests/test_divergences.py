@@ -250,21 +250,115 @@ class TestBernoulliArrayPath:
         model = BernoulliModel(n)
         # The last two tau sit just inside and outside the k = 0 peak n + 1.
         for tau in (1.0, 1.5, 2.9333, 40.0, 160.0, n + 1.0 - 1e-9, n + 1.0 + 1e-9):
-            values, errors = divergences._bernoulli_terms_scalar(model, 1.0, tau)
-            array_values, array_errors = divergences._bernoulli_terms_array(model, 1.0, tau)
-            assert len(array_values) == len(values), tau
+            values, errors = divergences._bernoulli_terms_scalar(n, 1.0, tau)
+            [(array_sum, array_error)] = divergences._bernoulli_sums_array([n], 1.0, tau)
             scalar_sum = math.fsum(values)
-            array_sum = math.fsum(array_values)
-            tolerance = math.fsum(errors) + math.fsum(array_errors)
+            tolerance = math.fsum(errors) + array_error
             assert abs(array_sum - scalar_sum) <= tolerance, (tau, array_sum, scalar_sum)
             expected = array_sum if n // 2 + 1 >= crossover else scalar_sum
             value = e_beta_gamma_numeric(model, 1.0, tau).value
             assert value == (1.0 / (n + 1.0)) * expected, tau
 
+    # value.hex() and error_estimate.hex() of E_{1,tau} before the two
+    # coin-flip kernels took log w and log(1 - w) once per kink end: the
+    # scalar path below n = 126 and the numpy path from there on.
+    PINNED = {
+        (7, 1.5): ("0x1.4774920f1f369p-2", "0x1.0488785be947cp-42"),
+        (7, 2.9333): ("0x1.3a870c09d2bf6p-4", "0x1.1cecdeaacf917p-42"),
+        (7, 40.0): ("0x0.0p+0", "0x0.0p+0"),
+        (50, 1.5): ("0x1.482423bc09258p-1", "0x1.ab8c2b03bc23dp-44"),
+        (50, 2.9333): ("0x1.9e638a1b23205p-2", "0x1.003b20ffadf12p-42"),
+        (50, 40.0): ("0x1.07326cab323bap-10", "0x1.97b374e55fb7ap-47"),
+        (125, 1.5): ("0x1.7f6bab62803ecp-1", "0x1.7330c1ecc2caep-44"),
+        (125, 2.9333): ("0x1.2420455b0b23cp-1", "0x1.a590ea2e2dba8p-43"),
+        (125, 40.0): ("0x1.742bce00b6930p-8", "0x1.eeaed09d4ec6ep-46"),
+        (126, 1.5): ("0x1.7fd52e0a774c3p-1", "0x1.733364ec3e814p-44"),
+        (126, 2.9333): ("0x1.24c8781b25b5dp-1", "0x1.a56fb052c9d5ep-43"),
+        (126, 40.0): ("0x1.771a5a8155ff6p-8", "0x1.ea0515490cac7p-46"),
+        (1000, 1.5): ("0x1.ca6bd85463e79p-1", "0x1.5c9dd7526428bp-43"),
+        (1000, 2.9333): ("0x1.a0a48cdf06044p-1", "0x1.77d754367d56cp-42"),
+        (1000, 40.0): ("0x1.4d09234c7866ap-5", "0x1.4346709b09fe8p-40"),
+    }
+
+    @pytest.mark.parametrize("n, tau", list(PINNED))
+    def test_pinned_bits(self, n, tau):
+        value = e_beta_gamma_numeric(BernoulliModel(n), 1.0, tau)
+        assert (value.value.hex(), value.error_estimate.hex()) == self.PINNED[n, tau]
+
     def test_continued_fraction_stall_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
         with pytest.raises(ArithmeticError, match="continued fraction stalled"):
             e_beta_gamma_numeric(BernoulliModel(400), 0.75, 2.2)
+
+
+class TestPackedBlocks:
+    # e_beta_gamma_sweep packs the weights of consecutive n into shared numpy
+    # blocks; each value must keep the bits of its n evaluated alone.
+    @staticmethod
+    def blocks(ns):
+        return list(divergences._weight_blocks(ns))
+
+    @staticmethod
+    def assert_same_bits(ns, beta, gamma):
+        models = [BernoulliModel(n) for n in ns]
+        packed = divergences.e_beta_gamma_sweep(models, beta, gamma)
+        assert len(packed) == len(models)
+        for model, value in zip(models, packed):
+            alone = e_beta_gamma_numeric(model, beta, gamma)
+            assert value.value.hex() == alone.value.hex(), model.n
+            assert value.error_estimate.hex() == alone.error_estimate.hex(), model.n
+
+    def test_weights_fill_a_block_exactly(self):
+        # n = 168..210 have 4096 weights k <= n/2, so 211 starts the second block.
+        blocks = self.blocks(range(168, 230))
+        assert sum(count for _, _, count in blocks[0]) == divergences._ARRAY_BLOCK
+        assert blocks[0][-1] == (210, 0, 106) and blocks[1][0] == (211, 0, 106)
+        self.assert_same_bits(range(168, 230), 1.0, 2.9333)
+
+    def test_n_that_does_not_fit_runs_into_the_next_block(self):
+        # n = 1000..1007 fill 4020 of 4096; n = 1008 straddles two blocks.
+        blocks = self.blocks(range(1000, 1040))
+        assert blocks[0][-1] == (1008, 0, 76) and blocks[1][0] == (1008, 76, 429)
+        self.assert_same_bits(range(1000, 1040), 0.75, 2.2)
+
+    def test_n_larger_than_a_block_between_smaller_ones(self):
+        # n = 9000 has 4501 weights, n = 8192 one more than a block.
+        ns = [*range(126, 140), 9000, *range(140, 160), 8192, 160]
+        blocks = self.blocks(ns)
+        assert [[run for run in block if run[0] in (8192, 9000)] for block in blocks] == [
+            [(9000, 0, 3158)],
+            [(9000, 3158, 1343), (8192, 0, 1243)],
+            [(8192, 1243, 2854)],
+        ]
+        assert len(blocks[1]) > 2  # 9000 shares its second block with smaller n
+        self.assert_same_bits(ns, 1.0, 40.0)
+
+    def test_level_above_some_peaks(self):
+        # At tau = 200 every weight of n < 199 fails the peak test (its
+        # highest density ratio is n + 1), so the first block keeps nothing,
+        # and the second mixes emptied n with kept ones.
+        ns = range(126, 300)
+        models = [BernoulliModel(n) for n in ns]
+        values = divergences.e_beta_gamma_sweep(models, 1.0, 200.0)
+        assert {v.value for v, n in zip(values, ns) if n < 199} == {0.0}
+        assert all(v.value > 0.0 for v, n in zip(values, ns) if n >= 200)
+        assert sum(n // 2 + 1 for n in range(126, 199)) > divergences._ARRAY_BLOCK
+        self.assert_same_bits(ns, 1.0, 200.0)
+
+    @pytest.mark.parametrize("beta, gamma", [(2.5, 3.0), (0.3, 77.0)])
+    def test_beta_other_than_one(self, beta, gamma):
+        self.assert_same_bits(range(120, 260), beta, gamma)
+
+    def test_mixed_models_and_scalar_path(self):
+        # Below n = 126 the scalar path; a Gaussian list goes model by model.
+        self.assert_same_bits([3, 200, 60, 126, 125, 1], 0.75, 2.2)
+        models = [GaussianModel(1), GaussianModel(4)]
+        assert divergences.e_beta_gamma_sweep(models, 0.75, 2.2) == [
+            e_beta_gamma_numeric(model, 0.75, 2.2) for model in models
+        ]
+        assert divergences.e_beta_gamma_sweep([], 0.75, 2.2) == []
+        with pytest.raises(ValueError):
+            divergences.e_beta_gamma_sweep([BernoulliModel(200)], 2.0, 1.0)
 
 
 class TestGenericEngine:
