@@ -86,15 +86,14 @@ def compute_risk_curve(
     """One row per model, in ``CSV_HEADER`` order: the bounds of
     ``families`` and, with ``oracle``, the risk oracle.
 
-    The oracle draws of every model start first, in ``risk_reports``' worker
-    threads, and run while this thread computes the bound columns, each
-    family over all the models at once; the first error of a column in
-    ``FAMILIES`` order is the one raised, and it cancels the draws not yet
-    started.
+    With ``oracle``, ``risk_reports`` starts the draws of every model on its
+    worker threads and then computes the bound columns, each family over all
+    the models at once; the first error of a column in ``FAMILIES`` order is
+    the one raised, and it cancels the draws not yet started.
     """
-    reports = risk_reports(models, samples, seed) if oracle else None
-    try:
-        columns = [
+
+    def bound_columns() -> list[list]:
+        return [
             [
                 result.value
                 for result in family_bounds(
@@ -105,10 +104,11 @@ def compute_risk_curve(
             else [None] * len(models)
             for family in FAMILIES
         ]
-        risks = list(reports) if reports is not None else [(None, None)] * len(models)
-    finally:
-        if reports is not None:
-            reports.close()
+
+    if oracle:
+        columns, risks = risk_reports(models, samples, seed, bound_columns)
+    else:
+        columns, risks = bound_columns(), [(None, None)] * len(models)
     return [(model.n, *bounds, *risk) for model, *bounds, risk in zip(models, *columns, risks)]
 
 

@@ -1,19 +1,19 @@
 """f-mutual-information values between the parameter and the observations.
 
-One entry point per family: ``hellinger_divergence(model, p)`` and
-``e_beta_gamma_numeric(model, beta, gamma)``, with ``e_beta_gamma_sweep``
-for the hockey-stick values of a list of models.  Closed forms where they
-exist: the Hellinger family on both models, and the coin-flip hockey-stick
-family as a closed form (incomplete-beta sum) over Hamming weights.  That
-sum runs one weight at a time in pure Python below ``_ARRAY_MIN_WEIGHTS``
-weights k <= n/2 (n < 126), and in numpy blocks of weights from there on.
-The weights of consecutive n of a sweep share a block, so a sweep over
-large n makes one pass of numpy calls per block rather than per n, with the
-same bits as each n alone.  Only the block functions import numpy, so
-smaller runs never load it.  This module finds the kink roots and sums the
-terms; each I_x(a, b) comes from the scalar or numpy incomplete beta of
-``numerics``, given the log w and log(1 - w) that the error bound reads
-too.
+One entry point per family: ``hellinger_divergence(model, p)``, and
+``e_beta_gamma_sweep(models, beta, gamma)``, which picks the kernel of each
+model of a list; ``e_beta_gamma_numeric`` is its one-model form.  Closed
+forms where they exist: the Hellinger family on both models, and the
+coin-flip hockey-stick family as a closed form (incomplete-beta sum) over
+Hamming weights.  That sum runs one weight at a time in pure Python below
+``_ARRAY_MIN_WEIGHTS`` weights k <= n/2 (n < 126), and in numpy blocks of
+weights from there on.  The weights of consecutive n of a sweep share a
+block, so a sweep over large n makes one pass of numpy calls per block
+rather than per n, with the same bits as each n alone.  Only the block
+functions import numpy, so smaller runs never load it.  This module finds
+the kink roots and sums the terms; each I_x(a, b) comes from the scalar or
+numpy incomplete beta of ``numerics``, given the log w and log(1 - w) that
+the error bound reads too.
 The Gaussian hockey-stick family is an adaptive quadrature over the
 parameter, with each slice in the sample mean in closed form.
 
@@ -205,7 +205,7 @@ def _kink_end(
 
 def _bernoulli_terms_scalar(n: int, beta: float, gamma: float) -> tuple[list, list]:
     """Per-weight terms of E_{beta,gamma} and their error bounds, one weight
-    at a time (see :func:`_e_beta_gamma_bernoulli`).
+    at a time (see :func:`e_beta_gamma_sweep`).
 
     Weight k's density ratio (n+1) C(n, k) w^k (1-w)^(n-k) is log-concave
     with its peak at the mode w = k/n, so it exceeds tau on one interval (or
@@ -448,39 +448,6 @@ def _block_terms(
     return cuts, (weight * term).tolist(), (weight * err).tolist()
 
 
-def _e_beta_gamma_bernoulli(
-    ns: list[int], beta: float, gamma: float
-) -> Iterator[DivergenceValue]:
-    """E_{beta,gamma} at each n of ``ns``, in order, as a finite sum over
-    Hamming weights.
-
-    For weight k the density ratio is the Beta(k+1, n-k+1) density, so its
-    term beta*ratio - gamma integrates over the kink interval [lo, hi] to
-    beta (I_hi - I_lo) - gamma (hi - lo), with I the regularized incomplete
-    beta function.  Weights k and n-k mirror each other (w <-> 1-w), so only
-    k <= n/2 is evaluated and the rest counted twice.  An n with
-    ``_ARRAY_MIN_WEIGHTS`` such weights or more is evaluated in numpy blocks,
-    which it shares with the other such n of ``ns``; a smaller n one weight
-    at a time.
-
-    The error bound covers the rounding of the incomplete-beta front factor
-    and of the continued fraction, and the kink roots: the integrand vanishes
-    at a root, so a root off by d moves the term by at most about
-    gamma * |slope| * d^2, slope being the log-ratio's derivative there.
-    """
-    packed = _bernoulli_sums_array(
-        [n for n in ns if n // 2 + 1 >= _ARRAY_MIN_WEIGHTS], beta, gamma
-    )
-    for n in ns:
-        if n // 2 + 1 >= _ARRAY_MIN_WEIGHTS:
-            total, error = next(packed)
-        else:
-            values, errors = _bernoulli_terms_scalar(n, beta, gamma)
-            total, error = math.fsum(values), math.fsum(errors)
-        scale = 1.0 / (n + 1.0)
-        yield DivergenceValue(scale * total, "closed_form", scale * error)
-
-
 # --------------------------------------------------------------------------
 # Gaussian model: quadrature over w, each slice in the sample mean in closed form
 # --------------------------------------------------------------------------
@@ -560,27 +527,52 @@ def _e_beta_gamma_gaussian(model: GaussianModel, beta: float, gamma: float) -> D
 
 
 def e_beta_gamma_numeric(model: Model, beta: float, gamma: float) -> DivergenceValue:
-    """E_{beta,gamma} mutual information between the parameter and the data.
-
-    Coin-flip model: closed form (incomplete-beta sum) over Hamming weights,
-    between the kink roots of each weight's density ratio; evaluated one
-    weight at a time for n < 126, and in numpy blocks of weights from
-    n = 126 on (:func:`e_beta_gamma_sweep` shares them across n).  Gaussian
-    model: outer quadrature over w with the per-slice x-interval handled in
-    closed form.
-    """
-    HockeyStick(beta, gamma)  # checks beta and gamma
-    if isinstance(model, BernoulliModel):
-        return next(_e_beta_gamma_bernoulli([model.n], beta, gamma))
-    return _e_beta_gamma_gaussian(model, beta, gamma)
+    """E_{beta,gamma} mutual information between the parameter and the data:
+    :func:`e_beta_gamma_sweep` of the one model."""
+    return e_beta_gamma_sweep([model], beta, gamma)[0]
 
 
 def e_beta_gamma_sweep(models: list[Model], beta: float, gamma: float) -> list[DivergenceValue]:
-    """:func:`e_beta_gamma_numeric` at each model, in order, with the same
-    values to the bit.  Coin-flip models from n = 126 on share numpy blocks
-    of weights, so a sweep over large n makes one pass of numpy calls per
-    block rather than one per n."""
-    if not all(isinstance(model, BernoulliModel) for model in models):
-        return [e_beta_gamma_numeric(model, beta, gamma) for model in models]
-    HockeyStick(beta, gamma)
-    return list(_e_beta_gamma_bernoulli([model.n for model in models], beta, gamma))
+    """E_{beta,gamma} mutual information at each model, in order.
+
+    Coin-flip model: a finite sum over Hamming weights.  For weight k the
+    density ratio is the Beta(k+1, n-k+1) density, so its term
+    beta*ratio - gamma integrates over the kink interval [lo, hi] to
+    beta (I_hi - I_lo) - gamma (hi - lo), with I the regularized incomplete
+    beta function.  Weights k and n-k mirror each other (w <-> 1-w), so only
+    k <= n/2 is evaluated and the rest counted twice.  An n with
+    ``_ARRAY_MIN_WEIGHTS`` such weights or more (n >= 126) is evaluated in
+    numpy blocks, which it shares with the other such n of ``models``, with
+    the bits of its n alone; a smaller n one weight at a time.  The error
+    bound covers the rounding of the incomplete-beta front factor and of the
+    continued fraction, and the kink roots: the integrand vanishes at a
+    root, so a root off by d moves the term by at most about
+    gamma * |slope| * d^2, slope being the log-ratio's derivative there.
+
+    Gaussian model: outer quadrature over w with the per-slice x-interval
+    handled in closed form.
+    """
+    HockeyStick(beta, gamma)  # checks beta and gamma
+    packed = _bernoulli_sums_array(
+        [
+            model.n
+            for model in models
+            if isinstance(model, BernoulliModel) and model.n // 2 + 1 >= _ARRAY_MIN_WEIGHTS
+        ],
+        beta,
+        gamma,
+    )
+    results = []
+    for model in models:
+        if isinstance(model, GaussianModel):
+            results.append(_e_beta_gamma_gaussian(model, beta, gamma))
+            continue
+        n = model.n
+        if n // 2 + 1 >= _ARRAY_MIN_WEIGHTS:
+            total, error = next(packed)
+        else:
+            values, errors = _bernoulli_terms_scalar(n, beta, gamma)
+            total, error = math.fsum(values), math.fsum(errors)
+        scale = 1.0 / (n + 1.0)
+        results.append(DivergenceValue(scale * total, "closed_form", scale * error))
+    return results

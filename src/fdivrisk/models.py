@@ -162,11 +162,18 @@ class GaussianModel(namedtuple("GaussianModel", "n sigma_w_sq sigma_sq", default
 
     @property
     def posterior_var(self) -> float:
-        return self.sigma_w_sq / (1.0 + self.n * self.sigma_w_sq / self.sigma_sq)
+        spread = self.n * self.sigma_w_sq
+        # Where n * sigma_w_sq overflows, r = sigma_w_sq / noise_var does not.
+        r = spread / self.sigma_sq if math.isfinite(spread) else self.sigma_w_sq / self.noise_var
+        return self.sigma_w_sq / (1.0 + r)
 
     def small_ball_coefficient(self) -> float:
-        # Peak prior density times interval length.
-        return 2.0 / math.sqrt(2.0 * math.pi * self.sigma_w_sq)
+        # Peak prior density times interval length; where 2 pi sigma_w_sq
+        # overflows, the square roots are taken apart.
+        spread = 2.0 * math.pi * self.sigma_w_sq
+        if math.isfinite(spread):
+            return 2.0 / math.sqrt(spread)
+        return math.sqrt(2.0 / math.pi) / math.sqrt(self.sigma_w_sq)
 
     def bayes_risk_reference(self) -> RiskReference:
         """Exact Bayes risk under absolute loss.

@@ -9,14 +9,15 @@ form over Hamming weights, is kept as the reference the simulation is
 checked against.
 
 The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
-on at most two threads; every n is submitted at once, before the bound
-columns are computed, and the pool starts a thread only for a submitted n,
-so one n runs on one thread.  Each n draws from its own stream, seeded with
-``seed + n``, so the reports do not depend on the CPU count; each worker
-holds about 8 bytes per sample.  The coin-flip brute-force grid holds three
-arrays of its points, about 24 bytes a point.  Numpy, like
-``concurrent.futures`` in ``risk_reports``, is imported inside the
-functions that use it, so runs that only compute bounds never load it.
+on at most two threads; every n is submitted at once, and then the caller's
+bound columns run on its own thread beside the draws.  The pool starts a
+thread only for a submitted n, so one n runs on one thread.  Each n draws
+from its own stream, seeded with ``seed + n``, so the reports do not depend
+on the CPU count; each worker holds about 8 bytes per sample.  The
+coin-flip brute-force grid holds three arrays of its points, about 24 bytes
+a point.  Numpy, like ``concurrent.futures`` in ``risk_reports``, is
+imported inside the functions that use it, so runs that only compute bounds
+never load it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable
 
 from .bounds import FAMILIES, BoundResult, family_bounds
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
@@ -116,51 +117,55 @@ def brute_force_divergence(model: Model, g: Generator, *, grid_points: int) -> f
         raise ValueError("grid_points must be at least 1000")
     import numpy as np
 
-    if isinstance(model, BernoulliModel):
-        n = model.n
-        w = (np.arange(grid_points) + 0.5) / grid_points
-        log_w = np.log(w)
-        # log1p(-w) in w's buffer, which is not read again.
-        log_1mw = np.log1p(np.negative(w, out=w), out=w)
-        # Each k's log-ratio (c + k log w) + (n-k) log(1-w), built in one
-        # buffer with the whole-grid expression's operations in its order.
-        # The second product runs a chunk at a time: element-wise results do
-        # not depend on chunking, while each mean is over the whole buffer.
-        buf = np.empty(grid_points)
-        product = np.empty(min(grid_points, _GRID_CHUNK))
-        means = []
-        for k in range(n + 1):
-            c = math.log(n + 1.0) + (
-                math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-            )
-            np.multiply(log_w, k, out=buf)
-            buf += c
-            for start in range(0, grid_points, _GRID_CHUNK):
-                end = min(start + _GRID_CHUNK, grid_points)
-                tmp = np.multiply(log_1mw[start:end], n - k, out=product[: end - start])
-                buf[start:end] += tmp
-            np.exp(buf, out=buf)
-            means.append(_apply_generator(g, buf).mean())
-        raw = float(np.mean(means))
-        return _canonical(g, raw)
+    # An overflow or a nan on the grid raises FloatingPointError.
+    with np.errstate(over="raise", invalid="raise"):
+        if isinstance(model, BernoulliModel):
+            n = model.n
+            w = (np.arange(grid_points) + 0.5) / grid_points
+            log_w = np.log(w)
+            # log1p(-w) in w's buffer, which is not read again.
+            log_1mw = np.log1p(np.negative(w, out=w), out=w)
+            # Each k's log-ratio (c + k log w) + (n-k) log(1-w), built in one
+            # buffer with the whole-grid expression's operations in its order.
+            # The second product runs a chunk at a time: element-wise results do
+            # not depend on chunking, while each mean is over the whole buffer.
+            buf = np.empty(grid_points)
+            product = np.empty(min(grid_points, _GRID_CHUNK))
+            means = []
+            for k in range(n + 1):
+                c = math.log(n + 1.0) + (
+                    math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                )
+                np.multiply(log_w, k, out=buf)
+                buf += c
+                for start in range(0, grid_points, _GRID_CHUNK):
+                    end = min(start + _GRID_CHUNK, grid_points)
+                    tmp = np.multiply(log_1mw[start:end], n - k, out=product[: end - start])
+                    buf[start:end] += tmp
+                np.exp(buf, out=buf)
+                means.append(_apply_generator(g, buf).mean())
+            raw = float(np.mean(means))
+            return _canonical(g, raw)
 
-    side = max(32, int(round(math.sqrt(grid_points))))
-    sw = math.sqrt(model.sigma_w_sq)
-    m2 = model.marginal_var
-    s2 = model.noise_var
-    m = math.sqrt(m2)
-    w_edge, x_edge = 8.0 * sw, 8.0 * m
-    w_grid = -w_edge + (np.arange(side) + 0.5) * (2.0 * w_edge / side)
-    x_grid = -x_edge + (np.arange(side) + 0.5) * (2.0 * x_edge / side)
-    dw = 2.0 * w_edge / side
-    dx = 2.0 * x_edge / side
-    pdf_x = np.exp(-0.5 * x_grid**2 / m2) / math.sqrt(2.0 * math.pi * m2)
-    total = 0.0
-    for w in w_grid:
-        log_ratio = 0.5 * math.log(m2 / s2) - 0.5 * (x_grid - w) ** 2 / s2 + 0.5 * x_grid**2 / m2
-        row = float(np.sum(pdf_x * _apply_generator(g, np.exp(log_ratio))))
-        total += math.exp(-0.5 * w * w / (sw * sw)) / math.sqrt(2.0 * math.pi * sw * sw) * row
-    return _canonical(g, total * dw * dx)
+        side = max(32, int(round(math.sqrt(grid_points))))
+        sw = math.sqrt(model.sigma_w_sq)
+        m2 = model.marginal_var
+        s2 = model.noise_var
+        m = math.sqrt(m2)
+        w_edge, x_edge = 8.0 * sw, 8.0 * m
+        w_grid = -w_edge + (np.arange(side) + 0.5) * (2.0 * w_edge / side)
+        x_grid = -x_edge + (np.arange(side) + 0.5) * (2.0 * x_edge / side)
+        dw = 2.0 * w_edge / side
+        dx = 2.0 * x_edge / side
+        pdf_x = np.exp(-0.5 * x_grid**2 / m2) / math.sqrt(2.0 * math.pi * m2)
+        total = 0.0
+        for w in w_grid:
+            log_ratio = (
+                0.5 * math.log(m2 / s2) - 0.5 * (x_grid - w) ** 2 / s2 + 0.5 * x_grid**2 / m2
+            )
+            row = float(np.sum(pdf_x * _apply_generator(g, np.exp(log_ratio))))
+            total += math.exp(-0.5 * w * w / (sw * sw)) / math.sqrt(2.0 * math.pi * sw * sw) * row
+        return _canonical(g, total * dw * dx)
 
 
 # --------------------------------------------------------------------------
@@ -224,38 +229,28 @@ def _worker_count() -> int:
 
 
 def risk_reports(
-    models: Iterable[Model], samples: int, seed: int
-) -> Iterator[tuple[float, float]]:
-    """Yield ``risk_report(model, samples, seed + model.n)`` for each model,
-    in order, computed on one worker thread per available CPU, at most
-    ``_MAX_WORKERS``.
+    models: list[Model], samples: int, seed: int, alongside: Callable[[], object]
+) -> tuple[object, list[tuple[float, float]]]:
+    """``alongside()`` and ``risk_report(model, samples, seed + model.n)`` for
+    each model, in order, the reports computed on one worker thread per
+    available CPU, at most ``_MAX_WORKERS``.
 
-    Every model is submitted when this is called, so the workers draw while
-    the caller computes its bound columns.  Each report draws from its own
-    seeded stream and numpy's random fills run without the GIL, so the
-    reports are byte-identical for any worker count.  Each coin-flip report
-    holds about 8 bytes per sample, so the workers hold about 16 in all.  If
-    a report raises, its exception surfaces in order and the models not yet
-    started are cancelled; closing the returned generator cancels them too,
-    so a caller closes it on any error of its own.  Draws already running
-    finish on their own, and the interpreter waits for them at exit.
+    Every model is submitted first, so the workers draw while this thread
+    runs ``alongside``.  Each report draws from its own seeded stream and
+    numpy's random fills run without the GIL, so the reports are
+    byte-identical for any worker count.  Each coin-flip report holds about
+    8 bytes per sample, so the workers hold about 16 in all.  An error of
+    ``alongside``, then the first error of a report in model order, is
+    raised, and it cancels the models not yet started.  Draws already
+    running finish on their own, and the interpreter waits for them at exit.
     """
-    reports = _risk_reports(models, samples, seed)
-    next(reports)  # runs up to its first yield: every model is submitted
-    return reports
-
-
-def _risk_reports(
-    models: Iterable[Model], samples: int, seed: int
-) -> Iterator[tuple[float, float]]:
     # Imported here: a top-level import would slow every `import fdivrisk.cli`.
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(max_workers=_worker_count())
     try:
-        results = pool.map(lambda m: risk_report(m, samples, seed + m.n), models)
-        yield
-        yield from results
+        draws = [pool.submit(risk_report, m, samples, seed + m.n) for m in models]
+        return alongside(), [draw.result() for draw in draws]
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -311,10 +306,10 @@ def certification_suite(
     """Certify closed forms against brute force at the first model, and
     every bound against the risk oracle at each model.
 
-    The risk draws of every model are submitted after the brute-force
-    checks, which would otherwise hold their grids beside the draws'
-    samples, and before the bound columns, which each family computes over
-    all the models at once while the workers draw."""
+    The risk draws of every model start after the brute-force checks,
+    which would otherwise hold their grids beside the draws' samples;
+    ``risk_reports`` then runs the bound columns, each family over all the
+    models at once, while the workers draw."""
     if not models:
         raise ValueError("no models to certify")
     first = models[0]
@@ -345,16 +340,17 @@ def certification_suite(
         )
     )
 
-    risks = risk_reports(models, samples, seed)
     searches = (False, True) if optimize else (False,)
-    try:
-        columns = [
+    columns, risks = risk_reports(
+        models,
+        samples,
+        seed,
+        lambda: [
             family_bounds(models, family, p=p, beta=beta, gamma=gamma, optimize=search)
             for search in searches
             for family in FAMILIES
-        ]
-        for model, results, risk in zip(models, zip(*columns), risks):
-            reports.extend(certify_bounds(model, list(results), risk))
-    finally:
-        risks.close()
+        ],
+    )
+    for model, results, risk in zip(models, zip(*columns), risks):
+        reports.extend(certify_bounds(model, list(results), risk))
     return reports

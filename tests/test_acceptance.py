@@ -169,17 +169,23 @@ def test_criterion_5_soundness_against_risk_oracle():
     start = time.time()
     failures = []
     models = [m for n in range(1, 51) for m in (BernoulliModel(n), GaussianModel(n, 1.0, 2.0))]
-    # The oracle of model m draws with seed SEED + m.n, on worker threads
-    # while this thread runs the parameter searches.
-    for model, (risk, std_err) in zip(models, risk_reports(models, samples=10**6, seed=SEED)):
+
+    def bounds(model):
         coeff = model.small_ball_coefficient()
         p = 2.0 if isinstance(model, BernoulliModel) else 1.5
-        results = [
+        return [
             hellinger_bound(p, hellinger_divergence(model, p), coeff),
             hockey_stick_bound(0.75, 2.2, e_beta_gamma_numeric(model, 0.75, 2.2), coeff),
             optimize_parameters(model, "hellinger"),
             optimize_parameters(model, "hockey_stick"),
         ]
+
+    # The oracle of model m draws with seed SEED + m.n, on worker threads
+    # while this thread runs the parameter searches.
+    all_results, risks = risk_reports(
+        models, samples=10**6, seed=SEED, alongside=lambda: [bounds(m) for m in models]
+    )
+    for model, results, (risk, std_err) in zip(models, all_results, risks):
         ceiling = risk + 3.0 * std_err
         for result in results:
             if result.value > ceiling:

@@ -53,14 +53,17 @@ class TestBoundCommand:
         [
             ("--sigma-w-sq 3.5e254 --p 1.41", GaussianModel(1, 3.5e254)),
             ("--sigma-sq 1e-300 --p 1.5", GaussianModel(1, 1.0, 1e-300)),
+            # 2 pi sigma_w_sq overflows too; the small-ball coefficient does not.
+            ("--sigma-w-sq 3e307", GaussianModel(1, 3e307)),
         ],
     )
     def test_gaussian_hellinger_power_overflow_gives_a_bound(self, capsys, argv, model):
-        # (1 + r)^p overflows a float; the divergence, 1.4e52 and 1.2e75, does not.
+        # (1 + r)^p overflows a float; the divergence, 1.4e52, 1.2e75 and
+        # 7.2e76, does not.
         code, out, err = run(capsys, "bound", "--model", "gaussian", "--n", "1", *argv.split())
         assert (code, err) == (EXIT_OK, "")
         assert "(closed_form_log)" in out
-        assert float(out.splitlines()[0].split()[-1]) <= model.bayes_risk_reference().value
+        assert 0.0 < float(out.splitlines()[0].split()[-1]) <= model.bayes_risk_reference().value
 
     @pytest.mark.parametrize(
         "model, label", [("bernoulli", "hellinger(p=2)"), ("gaussian", "hellinger(p=1.5)")]
@@ -265,6 +268,19 @@ class TestSweepCommand:
         ).value
         assert float(cells[1]) == pytest.approx(expected_h, rel=1e-15)
         assert float(cells[2]) == pytest.approx(expected_hs, rel=1e-15)
+
+    def test_gaussian_exact_risk_where_n_sigma_w_sq_overflows(self, capsys):
+        # 7 * 2.8e307 and 8 * 2.8e307 overflow; the variance ratio r = n does not.
+        argv = (
+            "sweep --model gaussian --n-range 6..8 --sigma-w-sq 2.8e307 --sigma-sq 2.8e307 "
+            "--family hellinger --oracle"
+        )
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        for n, line in zip((6, 7, 8), out.splitlines()[1:]):
+            risk = float(line.split(",")[3])
+            exact = math.sqrt(2.0 / math.pi) * math.sqrt(2.8e307 / (1.0 + n))
+            assert risk == pytest.approx(exact, rel=1e-15), n
 
     def test_deterministic_with_oracle(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -561,18 +577,20 @@ class TestGoldenOutput:
             # n = 8190 fills exactly one block of weights, n = 8192 needs two.
             (
                 "sweep_bernoulli_hockey_stick_8188_8193.csv",
-                "--family hockey-stick --n-range 8188..8193",
+                "--model bernoulli --family hockey-stick --n-range 8188..8193",
             ),
             # Searched bound columns beside the seeded oracle columns.
             (
                 "sweep_bernoulli_oracle_optimize_1_3.csv",
-                "--n-range 1..3 --oracle --optimize --samples 20000",
+                "--model bernoulli --n-range 1..3 --oracle --optimize --samples 20000",
             ),
+            # The exact Gaussian risk, to 17 digits.
+            ("sweep_gaussian_oracle_1_50.csv", "--model gaussian --n-range 1..50 --oracle"),
         ],
     )
     def test_sweep_matches_golden_file(self, capsys, name, argv):
         golden = Path(__file__).parent / "golden" / name
-        code, out, err = run(capsys, "sweep", "--model", "bernoulli", *argv.split())
+        code, out, err = run(capsys, "sweep", *argv.split())
         assert (code, err) == (EXIT_OK, "")
         assert out.encode() == golden.read_bytes()
 
@@ -795,6 +813,17 @@ class TestValidateCommand:
         assert "hellinger(p=1.5)" in lines[0]
         assert "gaussian(n=20," in lines[-2]
         assert lines[-1] == "42/42 checks passed"
+
+    def test_brute_force_grid_overflow_is_one_line_usage_error(self, capsys):
+        # x squared out to 8 marginal standard deviations overflows a float.
+        argv = (
+            "validate --model gaussian --n-range 10..11 --sigma-w-sq 2.0358453095027424e304 "
+            "--sigma-sq 3.760231154043166e307 --samples 2000"
+        )
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: numerical failure (FloatingPointError): ")
+        assert len(err.splitlines()) == 1
 
     def test_self_test_negate_fails(self, capsys):
         code, out, _ = run(

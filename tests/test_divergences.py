@@ -349,6 +349,18 @@ class TestPackedBlocks:
     def test_beta_other_than_one(self, beta, gamma):
         self.assert_same_bits(range(120, 260), beta, gamma)
 
+    def test_coin_flips_packed_around_a_gaussian_model(self):
+        # n = 130 and 131 share a block across the Gaussian model between
+        # them; n = 5 takes the scalar path.
+        models = [BernoulliModel(130), GaussianModel(3), BernoulliModel(131), BernoulliModel(5)]
+        values = divergences.e_beta_gamma_sweep(models, 0.75, 2.2)
+        assert len(values) == len(models)
+        for model, value in zip(models, values):
+            alone = e_beta_gamma_numeric(model, 0.75, 2.2)
+            assert value.value.hex() == alone.value.hex(), model
+            assert value.error_estimate.hex() == alone.error_estimate.hex(), model
+            assert value.method == alone.method
+
     def test_mixed_models_and_scalar_path(self):
         # Below n = 126 the scalar path; a Gaussian list goes model by model.
         self.assert_same_bits([3, 200, 60, 126, 125, 1], 0.75, 2.2)

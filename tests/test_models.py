@@ -142,6 +142,13 @@ class TestGaussianModel:
         flat = GaussianModel(10, 1.0 / (2.0 * math.pi), 1.0)
         assert flat.small_ball_coefficient() == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("sigma_w_sq", [2.8e307, 3e307, 1.7e308])
+    def test_small_ball_coefficient_where_2_pi_var_overflows(self, sigma_w_sq):
+        # 2 pi sigma_w_sq overflows above about 2.9e307, sqrt(2 / pi) / sigma_w does not.
+        c = GaussianModel(1, sigma_w_sq, 1e308).small_ball_coefficient()
+        expected = math.sqrt(2.0 / math.pi) / math.sqrt(sigma_w_sq)
+        assert c == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_small_ball_bound_dominates_exact_mass(self):
         model = GaussianModel(3, 1.7, 0.9)
         c = model.small_ball_coefficient()

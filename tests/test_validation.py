@@ -199,13 +199,14 @@ class TestRiskReports:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads as often as possible
         try:
-            reports = list(risk_reports(models, 10**5, 11))
+            alongside, reports = risk_reports(models, 10**5, 11, lambda: "columns")
         finally:
             sys.setswitchinterval(interval)
+        assert alongside == "columns"
         assert reports == [risk_report(m, 10**5, 11 + m.n) for m in models]
 
     def test_empty(self):
-        assert list(risk_reports([], 10**5, 11)) == []
+        assert risk_reports([], 10**5, 11, lambda: "columns") == ("columns", [])
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 2)])
     def test_worker_count_is_capped(self, monkeypatch, cpus, workers):
@@ -231,11 +232,10 @@ class TestRiskReports:
             return 0.25, 0.01
 
         monkeypatch.setattr(BernoulliModel, "simulate_risk", simulate_risk)
-        reports = risk_reports([BernoulliModel(n) for n in range(1, 9)], 10, 0)
+        models = [BernoulliModel(n) for n in range(1, 9)]
         try:
-            assert next(reports) == (0.25, 0.01)
             with pytest.raises(ArithmeticError, match="no risk at n = 2"):
-                next(reports)
+                risk_reports(models, 10, 0, lambda: None)
         finally:
             release.set()
         (worker,) = workers
