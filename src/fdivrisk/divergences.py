@@ -40,7 +40,7 @@ from functools import lru_cache
 
 from .generators import Hellinger, HockeyStick, _checked_make
 from .models import BernoulliModel, GaussianModel, Model
-from .numerics import _incomplete_beta, _incomplete_beta_array, adaptive_quadrature, norm_cdf
+from .numerics import _incomplete_beta, _incomplete_beta_array, adaptive_quadrature
 
 __all__ = [
     "DivergenceInfiniteError",
@@ -477,8 +477,9 @@ def _e_beta_gamma_gaussian(model: GaussianModel, beta: float, gamma: float) -> D
     mu = math.log(gamma / beta) - 0.5 * math.log(m2 / s2)
     w_min = math.sqrt(2.0 * sw2 * mu) if mu > 0.0 else 0.0
     a = 0.5 / m2 - 0.5 / s2  # < 0 since the noise variance is the smaller one
-    # ``outer`` writes out norm_cdf(x) = 0.5 erfc(-x / sqrt(2)) and the prior
-    # density exp(-0.5 (log(2 pi sw2) + w^2 / sw2)), constants formed once.
+    # ``outer`` and the tail write out the normal CDF 0.5 erfc(-x / sqrt(2)),
+    # and ``outer`` the prior density exp(-0.5 (log(2 pi sw2) + w^2 / sw2)),
+    # constants formed once.
     erfc = math.erfc
     exp = math.exp
     root2 = math.sqrt(2.0)
@@ -514,7 +515,7 @@ def _e_beta_gamma_gaussian(model: GaussianModel, beta: float, gamma: float) -> D
     w_hi = _GAUSSIAN_BOX_SD * sw
     # Everything beyond the integration window is bounded by beta times the
     # prior tail mass there.
-    tail = 2.0 * beta * (1.0 - norm_cdf(max(w_min, w_hi) / sw))
+    tail = 2.0 * beta * (1.0 - 0.5 * erfc(-(max(w_min, w_hi) / sw) / root2))
     if w_min >= w_hi:
         return DivergenceValue(0.0, "quadrature", tail)
     val, err = adaptive_quadrature(outer, w_min, w_hi, rel_tol=_GAUSSIAN_REL_TOL, abs_tol=1e-18)

@@ -1,13 +1,16 @@
-"""Scalar numerical kernels: nested quadrature, root finding, special functions.
+"""Numerical kernels: adaptive quadrature, root finding, the incomplete beta.
 
 Deterministic pure-Python building blocks shared by the divergence and bound
-engines.  This is the one module that knows how the regularized incomplete
-beta I_x(a, b) is evaluated: ``_incomplete_beta`` for the Beta medians and
-the scalar coin-flip hockey-stick kernel, and its numpy twin
+engines; only the kernels a run evaluates live here, and the references
+that only the tests use live in ``tests/oracles.py``.  This is the one
+module that knows how the regularized incomplete beta I_x(a, b) is
+evaluated: ``_incomplete_beta`` for the Beta medians, the scalar coin-flip
+hockey-stick kernel and the exact coin-flip risk, and its numpy twin
 ``_incomplete_beta_array`` for that kernel at large n.  Callers pass
-log(1 / B(a, b)), which they already have, and the kernel also log x and
-log(1 - x), which its error bound reads too.  The numpy forms import numpy
-themselves, so runs that never build an array do not load it.
+log(1 / B(a, b)), which they already have, and the kernels also log x and
+log(1 - x), which their error bound or their own terms read too.  The numpy
+forms import numpy themselves, so runs that never build an array do not
+load it.
 
 The quadrature assumes a smooth integrand: a kinked one is integrated piece
 by piece, one call per smooth piece.  The bisection and the golden-section
@@ -25,8 +28,6 @@ __all__ = [
     "beta_median",
     "bisect_root",
     "golden_section_max",
-    "norm_cdf",
-    "regularized_incomplete_beta",
 ]
 
 
@@ -197,13 +198,8 @@ def golden_section_max(f, lo: float, hi: float, *, tol: float) -> tuple[float, f
 
 
 # --------------------------------------------------------------------------
-# Special functions
+# Regularized incomplete beta and the Beta median
 # --------------------------------------------------------------------------
-
-
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF, accurate in both tails."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 _BETACF_MAX_ITER = 500
@@ -347,15 +343,6 @@ def _incomplete_beta_array(
     frac = np.zeros_like(x)
     frac[inner] = _beta_cont_frac_array(cf_a[inner], cf_b[inner], cf_x[inner])
     return np.where(inner, np.where(flip, 1.0 - front * frac / b, front * frac / a), x)
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("shape parameters must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    return _incomplete_beta(a, b, x, math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
 
 
 def beta_median(a: float, b: float) -> float:

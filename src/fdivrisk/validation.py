@@ -6,7 +6,8 @@ divergence definition, and the Bayes risk, the risk of the posterior median
 (simulated for the coin flips, exact for the Gaussian model), that every
 emitted lower bound must stay below.  The exact coin-flip risk, a closed
 form over Hamming weights, is kept as the reference the simulation is
-checked against.
+checked against; it evaluates I_m(a, b) with the package's one scalar
+incomplete-beta kernel, passing the log terms its own kernel already holds.
 
 The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
 on at most two threads; every n is submitted at once, and then the caller's
@@ -31,7 +32,7 @@ from .bounds import FAMILIES, BoundResult, family_bounds
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
 from .generators import Generator, Hellinger, HockeyStick
 from .models import BernoulliModel, GaussianModel, Model, _beta_median_table
-from .numerics import regularized_incomplete_beta
+from .numerics import _incomplete_beta
 
 __all__ = [
     "OracleReport",
@@ -191,17 +192,11 @@ def exact_bernoulli_risk(model: BernoulliModel) -> float:
     for k, m in enumerate(_beta_median_table(n)):
         a = k + 1.0
         b = n - k + 1.0
-        log_kernel = (
-            a * math.log(m)
-            + b * math.log1p(-m)
-            + math.lgamma(a + b)
-            - math.lgamma(a)
-            - math.lgamma(b)
-        )
-        terms.append(
-            (2.0 * regularized_incomplete_beta(a, b, m) - 1.0) * (m - a / (a + b))
-            + 2.0 * math.exp(log_kernel) / (a + b)
-        )
+        log_m, log1m_m = math.log(m), math.log1p(-m)
+        lgamma_ab, lgamma_a, lgamma_b = math.lgamma(a + b), math.lgamma(a), math.lgamma(b)
+        log_kernel = a * log_m + b * log1m_m + lgamma_ab - lgamma_a - lgamma_b
+        i_m = _incomplete_beta(a, b, m, lgamma_ab - lgamma_a - lgamma_b, log_m, log1m_m)
+        terms.append((2.0 * i_m - 1.0) * (m - a / (a + b)) + 2.0 * math.exp(log_kernel) / (a + b))
     return math.fsum(terms) / (n + 1.0)
 
 

@@ -14,6 +14,10 @@ or states an identity of the paper that the package's closed forms rest on:
 - the joint-vs-product density ratios of both models, which only the
   generic quadrature needs, and the log binomial coefficient and normal
   density they are built from;
+- ``norm_cdf``, the normal CDF, and ``regularized_incomplete_beta``, a
+  front end to the package's scalar incomplete-beta kernel that checks its
+  arguments and computes log(1 / B(a, b)) itself: the package writes both
+  out in place, with terms its callers already hold;
 - ``e_beta_gamma_bernoulli_decimal``: the coin-flip hockey-stick
   information to 40 digits, from Decimal kink roots and binomial tails.
 
@@ -35,7 +39,7 @@ import numpy as np
 from fdivrisk.divergences import DivergenceInfiniteError, DivergenceValue
 from fdivrisk.generators import Generator, Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel, Model, make_rng
-from fdivrisk.numerics import adaptive_quadrature, bisect_root, norm_cdf
+from fdivrisk.numerics import _incomplete_beta, adaptive_quadrature, bisect_root
 
 # --------------------------------------------------------------------------
 # Generator functions and the master bound
@@ -156,6 +160,20 @@ def norm_pdf(x: float, mean: float, var: float) -> float:
     """Density of the normal law N(mean, var) at x."""
     d = x - mean
     return math.exp(-0.5 * (math.log(2.0 * math.pi * var) + d * d / var))
+
+
+def norm_cdf(x: float) -> float:
+    """Standard normal CDF, accurate in both tails."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b), its arguments checked."""
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("shape parameters must be positive")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x must lie in [0, 1]")
+    return _incomplete_beta(a, b, x, math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
 
 
 @lru_cache(maxsize=None)

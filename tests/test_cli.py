@@ -73,6 +73,10 @@ class TestBoundCommand:
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[3].split() == ["parameters", label]
 
+    def test_unknown_model_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bound", "--n", "3", "--model", "foo")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: unknown model 'foo'\n")
+
     def test_bad_order_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound", "--family", "hellinger", "--p", "0.5")
         assert code == EXIT_USAGE
@@ -402,13 +406,14 @@ class TestSweepCommand:
         assert err == "error: samples must be at least 2 (the standard error needs two)\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, got",
         [
-            "validate --model bernoulli --n-range 1..2 --samples 100 --seed -5",
-            "sweep --model bernoulli --n-range 1..3 --oracle --samples 100 --seed -5",
+            ("validate --model bernoulli --n-range 1..2 --samples 100 --seed -5", -4),
+            ("sweep --model bernoulli --n-range 1..3 --oracle --samples 100 --seed -5", -4),
+            ("sweep --n 2 --oracle --samples 1000 --seed -3", -1),
         ],
     )
-    def test_seed_checked_before_any_computation(self, capsys, monkeypatch, argv):
+    def test_seed_checked_before_any_computation(self, capsys, monkeypatch, argv, got):
         # validate computes its brute-force grids, and sweep the first n's
         # bounds, before any stream is drawn.
         def computed(*args, **kwargs):
@@ -418,7 +423,20 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "family_bounds", computed)
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: the stream seed --seed + n must be non-negative, got -4\n"
+        assert err == f"error: the stream seed --seed + n must be non-negative, got {got}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sweep --model gaussian --oracle",
+            "compare --model bernoulli",
+            "validate --model bernoulli --samples 2000",
+        ],
+    )
+    def test_n_is_the_one_point_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--n", "3")
+        assert (code, err) == (EXIT_OK, "")
+        assert run(capsys, *argv.split(), "--n-range", "3..3") == (code, out, err)
 
     def test_compare_fills_both_families(self, capsys):
         code, out, _ = run(capsys, "compare", "--model", "bernoulli", "--n-range", "1..2")
@@ -612,12 +630,32 @@ class TestGoldenOutput:
         assert (code, err) == (EXIT_OK, "")
         assert out.encode() == golden.read_bytes()
 
-    def test_large_n_hellinger_bound_matches_golden_file(self, capsys):
-        golden = Path(__file__).parent / "golden" / "bound_bernoulli_100000_hellinger.txt"
-        argv = ("bound", "--model", "bernoulli", "--n", "100000", "--family", "hellinger")
-        code, out, err = run(capsys, *argv)
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("bound_bernoulli_100000_hellinger.txt", "--n 100000 --family hellinger"),
+            # One n whose weights span 13 numpy blocks.
+            ("bound_bernoulli_100000_hockey_stick.txt", "--n 100000 --family hockey-stick"),
+            # 80 one-n evaluations of the numpy path, one per search step.
+            (
+                "bound_bernoulli_10000_hockey_stick_optimize.txt",
+                "--n 10000 --family hockey-stick --optimize",
+            ),
+        ],
+    )
+    def test_large_n_bound_matches_golden_file(self, capsys, name, argv):
+        golden = Path(__file__).parent / "golden" / name
+        code, out, err = run(capsys, "bound", "--model", "bernoulli", *argv.split())
         assert (code, err) == (EXIT_OK, "")
         assert out.encode() == golden.read_bytes()
+
+    def test_svg_matches_golden_file(self, capsys, tmp_path):
+        golden = Path(__file__).parent / "golden" / "sweep_bernoulli_1_12.svg"
+        svg = tmp_path / "plot.svg"
+        argv = ("sweep", "--model", "bernoulli", "--n-range", "1..12", "--svg", str(svg))
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert svg.read_bytes() == golden.read_bytes()
 
 
 class TestOracleOrder:
@@ -727,6 +765,13 @@ class TestConfigFile:
         code_b, out_b, _ = run(capsys, "sweep", "--config", str(config), "--n-range", "1..4")
         assert code_b == EXIT_OK
         assert len(out_b.splitlines()) == 5
+
+    def test_line_without_equals_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("seed 5\n")
+        code, out, err = run(capsys, "sweep", "--config", str(config))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {config}:1: expected key = value\n"
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

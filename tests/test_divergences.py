@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from oracles import (
     renyi_from_hellinger,
 )
 
-from fdivrisk import divergences, numerics
+from fdivrisk import bounds, divergences, numerics
 from fdivrisk.divergences import (
     DivergenceInfiniteError,
     DivergenceValue,
@@ -224,10 +225,11 @@ class TestHockeyStickNumeric:
         value = e_beta_gamma_numeric(BernoulliModel(n), 0.75, 2.2)
         assert abs(value.value - reference) <= value.error_estimate <= 1e-10
 
-    # The scalar path below n = 126 and the numpy path from n = 126 on.
+    # The scalar path below n = 126 and the numpy path from n = 126 on, over
+    # the search's whole tau grid where the Decimal reference is cheap.
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 125, 126, 200])
     def test_bernoulli_error_estimate_bounds_decimal_reference(self, n):
-        for tau in (1.5, 2.9333, 40.0):
+        for tau in (1.5, 2.9333, 40.0) if n in (125, 200) else bounds._TAU_GRID:
             value = e_beta_gamma_numeric(BernoulliModel(n), 1.0, tau)
             reference = e_beta_gamma_bernoulli_decimal(n, tau)
             assert abs(Decimal(value.value) - reference) <= Decimal(value.error_estimate), tau
@@ -360,6 +362,21 @@ class TestPackedBlocks:
             assert value.value.hex() == alone.value.hex(), model
             assert value.error_estimate.hex() == alone.error_estimate.hex(), model
             assert value.method == alone.method
+
+    def test_peak_memory_does_not_grow_with_the_sweep(self):
+        # The blocks stream: a sweep holds a few blocks of weights at a time,
+        # not every weight of every n.  tracemalloc sees numpy's data buffers.
+        def peak(ns):
+            models = [BernoulliModel(n) for n in ns]
+            tracemalloc.start()
+            try:
+                divergences.e_beta_gamma_sweep(models, 0.75, 2.2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        divergences.e_beta_gamma_sweep([BernoulliModel(126)], 0.75, 2.2)  # first-call allocations
+        assert peak(range(126, 501)) <= 1.1 * peak(range(126, 301))
 
     def test_mixed_models_and_scalar_path(self):
         # Below n = 126 the scalar path; a Gaussian list goes model by model.

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bernoulli_density_ratio, gaussian_density_ratio, norm_pdf
+from oracles import bernoulli_density_ratio, gaussian_density_ratio, norm_cdf, norm_pdf
 
 from fdivrisk.models import BernoulliModel, GaussianModel, _beta_median_table, make_rng
-from fdivrisk.numerics import adaptive_quadrature, norm_cdf
+from fdivrisk.numerics import adaptive_quadrature
 
 
 class TestBernoulliModel:

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import log_comb, norm_pdf
+from oracles import log_comb, norm_cdf, norm_pdf, regularized_incomplete_beta
 
 from fdivrisk.numerics import (
     QuadratureError,
@@ -17,8 +17,6 @@ from fdivrisk.numerics import (
     beta_median,
     bisect_root,
     golden_section_max,
-    norm_cdf,
-    regularized_incomplete_beta,
 )
 
 
