@@ -9,8 +9,9 @@ gives the coefficient c of a linear small-ball envelope, P(|W - w| <= rho)
 <= c * rho, and the simulated risk of the posterior median, which every
 emitted bound is certified against; the Gaussian model also gives that risk
 exactly.  The coin-flip posterior medians come from
-``_beta_median_table(n)``, which the simulation and the exact risk in
-``validation`` each build once per call; a run reads each n's table once,
+``_beta_median_table(n)``, n + 1 calls of ``numerics.beta_median`` (40
+incomplete-beta evaluations each), which the simulation and the exact risk
+in ``validation`` each build once per call; a run reads each n's table once,
 so none is kept.  The coin-flip density ratio, which only the test oracles
 integrate, lives in ``tests/oracles.py``.  The simulations import numpy
 themselves, so runs that only compute bounds never load it.

@@ -19,11 +19,14 @@ or states an identity of the paper that the package's closed forms rest on:
   arguments and computes log(1 / B(a, b)) itself: the package writes both
   out in place, with terms its callers already hold;
 - ``e_beta_gamma_bernoulli_decimal``: the coin-flip hockey-stick
-  information to 40 digits, from Decimal kink roots and binomial tails.
+  information to 40 digits, from Decimal kink roots and binomial tails;
+- ``bisect_root``, a generic bisection, which finds the quadrature's kinks
+  and, on the package's incomplete beta, recomputes each Beta median from
+  its bracket's evaluated ends.
 
 The oracles share no code path with what they certify: the quadrature finds
-its own kinks by bisection, integrates between them piece by piece, and
-imports nothing private from ``fdivrisk.divergences`` (a test in
+its own kinks by its own bisection, integrates between them piece by piece,
+and imports nothing private from ``fdivrisk.divergences`` (a test in
 ``test_divergences.py`` checks this).
 """
 
@@ -39,7 +42,7 @@ import numpy as np
 from fdivrisk.divergences import DivergenceInfiniteError, DivergenceValue
 from fdivrisk.generators import Generator, Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel, Model, make_rng
-from fdivrisk.numerics import _incomplete_beta, adaptive_quadrature, bisect_root
+from fdivrisk.numerics import _incomplete_beta, adaptive_quadrature
 
 # --------------------------------------------------------------------------
 # Generator functions and the master bound
@@ -210,6 +213,39 @@ def gaussian_log_density_ratio(model: GaussianModel, w: float, xbar: float) -> f
 
 def gaussian_density_ratio(model: GaussianModel, w: float, xbar: float) -> float:
     return math.exp(gaussian_log_density_ratio(model, w, xbar))
+
+
+# --------------------------------------------------------------------------
+# Root finding
+# --------------------------------------------------------------------------
+
+
+def bisect_root(f, lo: float, hi: float, *, tol: float) -> float:
+    """Bisection root of ``f`` on [lo, hi]; endpoints must straddle zero.
+
+    ``tol`` is absolute in the abscissa, and at most 256 steps are taken.
+    Infinite endpoint values are fine, only their sign is used.
+    """
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    fhi = f(hi)
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError(f"root not bracketed on [{lo}, {hi}]")
+    for _ in range(256):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for the bound engine."""
 
+import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from oracles import chi_squared_bernoulli, master_bound
@@ -13,7 +16,12 @@ from fdivrisk.bounds import (
     optimize_parameters,
     optimize_rho_closed_form,
 )
-from fdivrisk.divergences import DivergenceValue, e_beta_gamma_numeric, hellinger_divergence
+from fdivrisk.divergences import (
+    DivergenceInfiniteError,
+    DivergenceValue,
+    e_beta_gamma_numeric,
+    hellinger_divergence,
+)
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
 
@@ -226,13 +234,22 @@ class TestOptimizeParameters:
         b = optimize_parameters(model, "hockey_stick")
         assert a == b
 
+    # The 80 parameters of each search, as float.hex(), in evaluation order.
+    TRAJECTORIES = json.loads(
+        (Path(__file__).parent / "golden" / "search_trajectories.json").read_text()
+    )
+
     @pytest.mark.parametrize(
         "model",
         [
             BernoulliModel(1),
+            BernoulliModel(7),
             BernoulliModel(12),
+            # The first n of the packed numpy kernel is 126.
+            BernoulliModel(130),
             BernoulliModel(200),
             GaussianModel(1),
+            GaussianModel(3),
             GaussianModel(8),
             GaussianModel(8, 10.0, 0.1),
         ],
@@ -242,7 +259,8 @@ class TestOptimizeParameters:
     def test_search_evaluates_the_divergence_80_times(self, monkeypatch, model, family):
         # 33 grid points, the 2 golden-section starting points, 44 golden
         # steps until the bracket is 1e-9 of its width, and the final point;
-        # orders whose divergence is infinite count too.
+        # orders whose divergence is infinite count too.  The points and
+        # their order are pinned bit for bit.
         calls = []
         for name in ("hellinger_divergence", "e_beta_gamma_numeric"):
             divergence = getattr(bounds, name)
@@ -254,6 +272,57 @@ class TestOptimizeParameters:
             monkeypatch.setattr(bounds, name, counted)
         optimize_parameters(model, family)
         assert len(calls) == 80
+        points = [args[1] if family == "hellinger" else args[2] for args in calls]
+        assert [x.hex() for x in points] == self.TRAJECTORIES[f"{model!r} {family}"]
+
+
+class TestSearch:
+    # On [0, 1], with stand-in bounds: the search reads only ``.value``.
+    GRID = tuple(i / 32 for i in range(33))
+
+    @staticmethod
+    def bound_at(f, seen=None):
+        def at(x):
+            if seen is not None:
+                seen.append(x)
+            return SimpleNamespace(value=f(x), x=x)
+
+        return at
+
+    def test_asymmetric_maximum(self):
+        # Comparison-based search cannot localise a flat maximum beyond
+        # ~sqrt(machine eps) of the value's scale; here the value is near 0.
+        seen = []
+        best = bounds._search(self.GRID, self.bound_at(lambda x: -((x - 0.123456) ** 2), seen))
+        assert best.x == pytest.approx(0.123456, abs=1e-9)
+        assert len(seen) == 80
+        assert 3 / 32 < min(seen[33:]) and max(seen[33:]) < 5 / 32
+
+    def test_first_of_equal_results_wins(self):
+        assert bounds._search(self.GRID, self.bound_at(lambda x: 1.0)).x == 0.0
+
+    def test_refinement_never_returns_less_than_the_grid(self):
+        # A spike at one grid point: the section between its neighbours finds
+        # nothing as good.
+        best = bounds._search(self.GRID, self.bound_at(lambda x: float(x == 0.5)))
+        assert (best.x, best.value) == (0.5, 1.0)
+
+    def test_infinite_divergence_counts_as_minus_infinity(self):
+        def at(x):
+            if x > 0.3:
+                raise DivergenceInfiniteError("diverges")
+            return SimpleNamespace(value=x, x=x)
+
+        best = bounds._search(self.GRID, at)
+        assert best.x <= 0.3
+        assert best.x == pytest.approx(0.3, abs=1e-9)
+
+    def test_no_feasible_point(self):
+        def at(x):
+            raise DivergenceInfiniteError("diverges")
+
+        with pytest.raises(ValueError, match="no feasible point in the search grid"):
+            bounds._search(self.GRID, at)
 
 
 class TestFamilyBounds:

@@ -161,6 +161,22 @@ class TestBoundCommand:
         assert len(err.splitlines()) == 1
         assert err.endswith(f"variance ratio r = sigma_w_sq / (sigma_sq / n) = {r}\n")
 
+    @pytest.mark.parametrize("n", [7, 50])
+    def test_gaussian_hockey_stick_at_large_gamma_gives_a_bound(self, capsys, n):
+        # E is nearly 0, and its quadrature stops at the rounding floor.
+        argv = f"bound --model gaussian --n {n} --sigma-w-sq 40 --sigma-sq 1 --family hockey-stick"
+        code, out, err = run(capsys, *argv.split(), "--beta", "1", "--gamma", "1e12")
+        assert (code, err) == (EXIT_OK, "")
+        bound = float(out.splitlines()[0].split()[-1])
+        assert 0.0 < bound <= GaussianModel(n, 40.0, 1.0).bayes_risk_reference().value
+
+    def test_gaussian_hockey_stick_stall_above_rounding_floor_is_usage_error(self, capsys):
+        argv = "bound --model gaussian --n 1 --sigma-w-sq 1e20 --sigma-sq 1 --family hockey-stick"
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: numerical failure (QuadratureError): integration stalled")
+        assert len(err.splitlines()) == 1
+
     def test_continued_fraction_stall_is_one_line_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
         code, out, err = run(
@@ -561,16 +577,24 @@ class TestOptionTable:
 class TestGoldenOutput:
     # Bound-only output, which draws no random numbers: refactors and
     # speed-ups must leave it byte-identical to the stored files.  The
-    # --optimize cases pin the parameter search over p and tau; n = 1000..1039
-    # pins the coin-flip hockey-stick kernel's numpy path (n >= 126) and the
-    # Hellinger sum at large n; n = 120..400 crosses the switch to the numpy
-    # path and packs many n into each block of weights.
+    # --optimize cases pin the parameter search over p and tau, on both sides
+    # of the switch to the numpy path at n = 126; n = 1000..1039 pins the
+    # coin-flip hockey-stick kernel's numpy path and the Hellinger sum at
+    # large n; n = 120..400 crosses the switch and packs many n into each
+    # block of weights.
     ARGS = {
         "bernoulli": ("--model", "bernoulli", "--n-range", "1..50"),
         "gaussian": ("--model", "gaussian", "--n-range", "1..50"),
         "bernoulli_1000": ("--model", "bernoulli", "--n-range", "1000..1039"),
         "bernoulli_120_400": ("--model", "bernoulli", "--n-range", "120..400"),
         "bernoulli_optimize": ("--model", "bernoulli", "--n-range", "1..12", "--optimize"),
+        "bernoulli_124_129_optimize": (
+            "--model",
+            "bernoulli",
+            "--n-range",
+            "124..129",
+            "--optimize",
+        ),
         "gaussian_optimize": ("--model", "gaussian", "--n-range", "1..8", "--optimize"),
     }
 

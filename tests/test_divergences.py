@@ -199,6 +199,28 @@ class TestHockeyStickNumeric:
         assert value.value == 0.0
         assert value.error_estimate < 1e-14
 
+    @pytest.mark.parametrize("n", [7, 50])
+    def test_gaussian_stall_at_rounding_floor_is_accepted(self, monkeypatch, n):
+        # At gamma / beta = 1e12, E is about 1e-12: the outer quadrature
+        # stalls above abs_tol, within the rounding floor of its normal-CDF
+        # differences, and the value it stopped at stands.
+        stalls = []
+
+        def recorded(*args, **kwargs):
+            try:
+                return numerics.adaptive_quadrature(*args, **kwargs)
+            except numerics.QuadratureError as exc:
+                stalls.append(exc)
+                raise
+
+        monkeypatch.setattr(divergences, "adaptive_quadrature", recorded)
+        model = GaussianModel(n, 40.0, 1.0)
+        value = e_beta_gamma_numeric(model, 1.0, 1e12)
+        generic = f_mi_numeric(model, HockeyStick(1.0, 1e12))
+        assert len(stalls) == 1
+        assert value.value > 0.0
+        assert abs(value.value - generic.value) <= value.error_estimate + generic.error_estimate
+
     def test_monotone_in_gamma_and_beta(self):
         model = BernoulliModel(8)
         gammas = [1.0, 1.5, 2.0, 3.0, 4.5]

@@ -5,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import log_comb, norm_cdf, norm_pdf, regularized_incomplete_beta
+from oracles import bisect_root, log_comb, norm_cdf, norm_pdf, regularized_incomplete_beta
 
+from fdivrisk import numerics
+from fdivrisk.models import _beta_median_table
 from fdivrisk.numerics import (
     QuadratureError,
     _beta_cont_frac,
@@ -15,8 +17,6 @@ from fdivrisk.numerics import (
     _incomplete_beta_array,
     adaptive_quadrature,
     beta_median,
-    bisect_root,
-    golden_section_max,
 )
 
 
@@ -55,8 +55,12 @@ class TestAdaptiveQuadrature:
     def test_budget_exhaustion_raises(self):
         # sin(1/x) oscillates without end near 0, so no panel budget meets
         # the tolerance; the search must fail loudly once it runs out.
-        with pytest.raises(QuadratureError, match="after 4096 panels"):
+        with pytest.raises(QuadratureError, match="after 4096 panels") as stall:
             adaptive_quadrature(lambda x: math.sin(1.0 / x), 0.0, 1.0, rel_tol=1e-10, abs_tol=0.0)
+        # The partial integral and its estimate ride on the error; the
+        # integral of sin(1/x) over [0, 1] is sin 1 - Ci(1) = 0.5040670619.
+        assert f"stalled at error {stall.value.error:.3e} after" in str(stall.value)
+        assert abs(stall.value.value - 0.5040670619069283) <= stall.value.error
 
 
 class TestRootFinding:
@@ -71,19 +75,6 @@ class TestRootFinding:
     def test_unbracketed_rejected(self):
         with pytest.raises(ValueError):
             bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-13)
-
-
-class TestGoldenSection:
-    def test_parabola(self):
-        # Comparison-based search cannot localise a flat maximum beyond
-        # ~sqrt(machine eps), but the value there is accurate to full precision.
-        x, fx = golden_section_max(lambda x: x * (1.0 - x), 0.0, 1.0, tol=1e-12)
-        assert x == pytest.approx(0.5, abs=1e-7)
-        assert fx == pytest.approx(0.25, rel=1e-12)
-
-    def test_asymmetric_maximum(self):
-        x, _ = golden_section_max(lambda x: -((x - 0.123456) ** 2), 0.0, 1.0, tol=1e-12)
-        assert x == pytest.approx(0.123456, abs=1e-7)
 
 
 class TestSpecialFunctions:
@@ -181,3 +172,29 @@ class TestSpecialFunctions:
         for a, b in [(3.0, 11.0), (26.0, 26.0), (1.0, 51.0)]:
             m = beta_median(a, b)
             assert regularized_incomplete_beta(a, b, m) == pytest.approx(0.5, abs=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 500])
+    def test_beta_median_table_matches_oracle_bisection(self, monkeypatch, n):
+        # The generic bisection evaluates the bracket's ends too, I_0 = 0 and
+        # I_1 = 1; the median's own loop skips them, and must take the same
+        # midpoints to the same bits.  Each median evaluates its 40 midpoints,
+        # unless one is the median exactly (I_1/2(a, a) = 1/2 at small a).
+        calls = []
+
+        def counted(a, b, x, log_norm):
+            calls.append((a, b))
+            return _incomplete_beta(a, b, x, log_norm)
+
+        monkeypatch.setattr(numerics, "_incomplete_beta", counted)
+        table = _beta_median_table(n)
+        monkeypatch.undo()
+        for k, median in enumerate(table):
+            a, b = k + 1.0, n - k + 1.0
+            log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            expected = bisect_root(
+                lambda x: _incomplete_beta(a, b, x, log_norm) - 0.5, 0.0, 1.0, tol=1e-12
+            )
+            assert median.hex() == expected.hex()
+            evaluations = calls.count((a, b))
+            exact = _incomplete_beta(a, b, median, log_norm) == 0.5
+            assert evaluations == 40 or (exact and evaluations < 40)
