@@ -11,7 +11,10 @@ family instantiations are checked against.
 The hockey-stick bound is invariant under scaling beta: E_{beta,gamma} =
 beta E_{1,gamma/beta}, so it depends only on tau = gamma / beta, and the
 parameter search runs over tau alone with beta = 1.  ``_search`` scans a
-grid of p or tau and refines it by golden section: 80 evaluations.
+grid of p or tau and refines it by golden section: 80 candidate points.  The
+tau scan skips a grid point whose bound at E = 0, a ceiling on its bound, is
+already below the best one evaluated, so a hockey-stick search evaluates
+fewer divergences; the Hellinger search evaluates all 80.
 
 ``family_bounds`` is the one bound entry of every CLI command and of the
 certification suite: one family's column over a list of models, each the
@@ -153,12 +156,25 @@ _P_GRID = tuple(1.0 + x for x in _log_grid(2.0**-6, 7.0, 33))
 _TAU_GRID = _log_grid(1.0, 160.0, 33)
 
 
-def _search(grid: tuple[float, ...], bound_at) -> BoundResult:
+# The scan skips a grid point only when its ceiling, times this factor, is
+# below the best value.  The ceiling and the bound are each a few rounded
+# operations, one of them a pow with exponent 2.0, so they can differ by a few
+# ulps; the margin keeps every point whose bound could tie the best.
+_CEILING_MARGIN = 1.0 + 1e-12
+
+
+def _search(grid: tuple[float, ...], bound_at, ceiling) -> BoundResult:
     """Scan ``grid``, golden-section between the winner's neighbours until
     the bracket is 1e-9 of its width (at most 256 steps), and evaluate its
     midpoint.  Return the first best result seen anywhere, so a non-unimodal
     stretch cannot make refinement return less than the grid.  A point whose
-    divergence is infinite counts as -inf."""
+    divergence is infinite counts as -inf.
+
+    ``ceiling(x)`` is an upper bound on ``bound_at(x).value``.  The scan
+    skips a grid point whose ceiling is below the best value evaluated so
+    far: it counts as -inf and ``bound_at`` never sees it.  Such a point can
+    be neither the grid's winner nor the first best result, so the skipping
+    changes the number of evaluations and never the result."""
     seen: list[tuple[float, BoundResult | None]] = []
 
     def at(x: float) -> float:
@@ -170,7 +186,10 @@ def _search(grid: tuple[float, ...], bound_at) -> BoundResult:
             seen.append((result.value, result))
         return seen[-1][0]
 
-    values = [at(x) for x in grid]
+    values: list[float] = []
+    for x in grid:
+        skip = ceiling(x) * _CEILING_MARGIN < max(values, default=-math.inf)
+        values.append(-math.inf if skip else at(x))
     i = max(range(len(grid)), key=values.__getitem__)
     if values[i] == -math.inf:
         raise ValueError("no feasible point in the search grid")
@@ -211,16 +230,22 @@ def optimize_parameters(model: Model, family: str) -> BoundResult:
     hockey-stick bound depends on (beta, gamma) only through tau = gamma /
     beta, since E_{beta,gamma} = beta E_{1,tau} makes (beta - E)^2 / (4 gamma
     beta c) equal (1 - E_{1,tau})^2 / (4 tau c); so the search runs over tau
-    with beta = 1.  The inner rho maximisation is always exact.
+    with beta = 1.  Since E >= 0, no tau gives more than its bound at E = 0,
+    1 / (4 tau c), and the tau scan skips the grid points where that ceiling
+    is below the best bound found.  The Hellinger search has no such ceiling
+    and evaluates every point.  The inner rho maximisation is always exact.
     """
     c = model.small_ball_coefficient()
     if _family_key(family) == "hellinger":
         return _search(
-            _P_GRID, lambda p: hellinger_bound(p, hellinger_divergence(model, p), c)
+            _P_GRID,
+            lambda p: hellinger_bound(p, hellinger_divergence(model, p), c),
+            lambda p: math.inf,
         )
     return _search(
         _TAU_GRID,
         lambda tau: hockey_stick_bound(1.0, tau, e_beta_gamma_numeric(model, 1.0, tau), c),
+        lambda tau: optimize_rho_closed_form(tau * c, 1.0)[1],
     )
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import chi_squared_bernoulli, master_bound
 
 from fdivrisk import bounds
@@ -234,10 +236,25 @@ class TestOptimizeParameters:
         b = optimize_parameters(model, "hockey_stick")
         assert a == b
 
-    # The 80 parameters of each search, as float.hex(), in evaluation order.
+    # The 80 candidate parameters of each search, as float.hex(), in order:
+    # 33 grid points, the 2 golden-section starting points, 44 golden steps
+    # until the bracket is 1e-9 of its width, and the final point.
     TRAJECTORIES = json.loads(
         (Path(__file__).parent / "golden" / "search_trajectories.json").read_text()
     )
+    # Divergence evaluations of each hockey-stick search: the 80 candidates
+    # minus the grid points whose ceiling is below the best bound found.
+    HOCKEY_STICK_EVALUATIONS = {
+        "BernoulliModel(n=1)": 51,
+        "BernoulliModel(n=7)": 55,
+        "BernoulliModel(n=12)": 56,
+        "BernoulliModel(n=130)": 63,
+        "BernoulliModel(n=200)": 64,
+        "GaussianModel(n=1, sigma_w_sq=1.0, sigma_sq=2.0)": 50,
+        "GaussianModel(n=3, sigma_w_sq=1.0, sigma_sq=2.0)": 53,
+        "GaussianModel(n=8, sigma_w_sq=1.0, sigma_sq=2.0)": 55,
+        "GaussianModel(n=8, sigma_w_sq=10.0, sigma_sq=0.1)": 71,
+    }
 
     @pytest.mark.parametrize(
         "model",
@@ -257,10 +274,10 @@ class TestOptimizeParameters:
     )
     @pytest.mark.parametrize("family", ["hellinger", "hockey_stick"])
     def test_search_evaluates_the_divergence_80_times(self, monkeypatch, model, family):
-        # 33 grid points, the 2 golden-section starting points, 44 golden
-        # steps until the bracket is 1e-9 of its width, and the final point;
-        # orders whose divergence is infinite count too.  The points and
-        # their order are pinned bit for bit.
+        # The Hellinger search evaluates all 80 candidates, orders whose
+        # divergence is infinite included; the hockey-stick search evaluates
+        # them minus the skipped grid points.  The points and their order are
+        # pinned bit for bit.
         calls = []
         for name in ("hellinger_divergence", "e_beta_gamma_numeric"):
             divergence = getattr(bounds, name)
@@ -270,15 +287,74 @@ class TestOptimizeParameters:
                 return divergence(*args)
 
             monkeypatch.setattr(bounds, name, counted)
-        optimize_parameters(model, family)
-        assert len(calls) == 80
-        points = [args[1] if family == "hellinger" else args[2] for args in calls]
-        assert [x.hex() for x in points] == self.TRAJECTORIES[f"{model!r} {family}"]
+        best = optimize_parameters(model, family)
+        points = [(args[1] if family == "hellinger" else args[2]).hex() for args in calls]
+        candidates = self.TRAJECTORIES[f"{model!r} {family}"]
+        assert len(candidates) == 80
+        if family == "hellinger":
+            assert points == candidates
+            return
+        assert len(points) == self.HOCKEY_STICK_EVALUATIONS[repr(model)]
+        skipped = [x for x in candidates[:33] if x not in points]
+        assert points == [x for x in candidates if x not in skipped]
+        # Each skipped point's ceiling, its bound at E = 0, is below the result.
+        c = model.small_ball_coefficient()
+        for x in skipped:
+            assert optimize_rho_closed_form(float.fromhex(x) * c, 1.0)[1] < best.value
+
+
+def _unskipped_hockey_stick_search(model):
+    c = model.small_ball_coefficient()
+    return bounds._search(
+        bounds._TAU_GRID,
+        lambda tau: hockey_stick_bound(1.0, tau, e_beta_gamma_numeric(model, 1.0, tau), c),
+        ceiling=lambda tau: math.inf,
+    )
+
+
+def _bits(result):
+    return (
+        result.value.hex(),
+        result.rho_star.hex(),
+        result.generator.gamma.hex(),
+        result.divergence.value.hex(),
+        result.divergence.error_estimate.hex(),
+        result.vacuous,
+    )
+
+
+class TestSkippingKeepsTheResult:
+    # The hockey-stick search skips grid points by their ceiling; the search
+    # that evaluates all 80 candidates must return the same bits.
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        log_sigma_w_sq=st.floats(min_value=-4.0, max_value=4.0),
+        log_sigma_sq=st.floats(min_value=-4.0, max_value=4.0),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_gaussian(self, n, log_sigma_w_sq, log_sigma_sq):
+        model = GaussianModel(n, 10.0**log_sigma_w_sq, 10.0**log_sigma_sq)
+        searched = optimize_parameters(model, "hockey_stick")
+        assert _bits(searched) == _bits(_unskipped_hockey_stick_search(model))
+
+    # The packed numpy kernel starts at n = 126.
+    @given(n=st.integers(min_value=1, max_value=140))
+    @example(n=125)
+    @example(n=126)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_bernoulli(self, n):
+        model = BernoulliModel(n)
+        searched = optimize_parameters(model, "hockey_stick")
+        assert _bits(searched) == _bits(_unskipped_hockey_stick_search(model))
 
 
 class TestSearch:
     # On [0, 1], with stand-in bounds: the search reads only ``.value``.
     GRID = tuple(i / 32 for i in range(33))
+
+    @staticmethod
+    def no_ceiling(x):
+        return math.inf
 
     @staticmethod
     def bound_at(f, seen=None):
@@ -293,18 +369,19 @@ class TestSearch:
         # Comparison-based search cannot localise a flat maximum beyond
         # ~sqrt(machine eps) of the value's scale; here the value is near 0.
         seen = []
-        best = bounds._search(self.GRID, self.bound_at(lambda x: -((x - 0.123456) ** 2), seen))
+        f = self.bound_at(lambda x: -((x - 0.123456) ** 2), seen)
+        best = bounds._search(self.GRID, f, self.no_ceiling)
         assert best.x == pytest.approx(0.123456, abs=1e-9)
         assert len(seen) == 80
         assert 3 / 32 < min(seen[33:]) and max(seen[33:]) < 5 / 32
 
     def test_first_of_equal_results_wins(self):
-        assert bounds._search(self.GRID, self.bound_at(lambda x: 1.0)).x == 0.0
+        assert bounds._search(self.GRID, self.bound_at(lambda x: 1.0), self.no_ceiling).x == 0.0
 
     def test_refinement_never_returns_less_than_the_grid(self):
         # A spike at one grid point: the section between its neighbours finds
         # nothing as good.
-        best = bounds._search(self.GRID, self.bound_at(lambda x: float(x == 0.5)))
+        best = bounds._search(self.GRID, self.bound_at(lambda x: float(x == 0.5)), self.no_ceiling)
         assert (best.x, best.value) == (0.5, 1.0)
 
     def test_infinite_divergence_counts_as_minus_infinity(self):
@@ -313,7 +390,7 @@ class TestSearch:
                 raise DivergenceInfiniteError("diverges")
             return SimpleNamespace(value=x, x=x)
 
-        best = bounds._search(self.GRID, at)
+        best = bounds._search(self.GRID, at, self.no_ceiling)
         assert best.x <= 0.3
         assert best.x == pytest.approx(0.3, abs=1e-9)
 
@@ -322,7 +399,26 @@ class TestSearch:
             raise DivergenceInfiniteError("diverges")
 
         with pytest.raises(ValueError, match="no feasible point in the search grid"):
-            bounds._search(self.GRID, at)
+            bounds._search(self.GRID, at, self.no_ceiling)
+
+    def test_skipped_point_never_reaches_bound_at(self):
+        # The value falls with x and the ceiling is the value itself, so once
+        # x = 0 is evaluated every later grid point is skipped: the points
+        # from 0.5 on, where the stand-in raises, are never evaluated.
+        seen = []
+
+        def at(x):
+            if x >= 0.5:
+                raise RuntimeError("evaluated a skipped point")
+            seen.append(x)
+            return SimpleNamespace(value=1.0 - x, x=x)
+
+        best = bounds._search(self.GRID, at, lambda x: 1.0 - x)
+        assert (best.x, best.value) == (0.0, 1.0)
+        # The grid's first point, then the 47 points of the section between
+        # the winner and its right neighbour.
+        assert len(seen) == 48
+        assert seen[0] == 0.0 and all(0.0 <= x <= 1 / 32 for x in seen[1:])
 
 
 class TestFamilyBounds:

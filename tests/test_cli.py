@@ -578,10 +578,11 @@ class TestGoldenOutput:
     # Bound-only output, which draws no random numbers: refactors and
     # speed-ups must leave it byte-identical to the stored files.  The
     # --optimize cases pin the parameter search over p and tau, on both sides
-    # of the switch to the numpy path at n = 126; n = 1000..1039 pins the
-    # coin-flip hockey-stick kernel's numpy path and the Hellinger sum at
-    # large n; n = 120..400 crosses the switch and packs many n into each
-    # block of weights.
+    # of the switch to the numpy path at n = 126, and at Gaussian variances
+    # away from the defaults, where the tau scan skips other grid points;
+    # n = 1000..1039 pins the coin-flip hockey-stick kernel's numpy path and
+    # the Hellinger sum at large n; n = 120..400 crosses the switch and packs
+    # many n into each block of weights.
     ARGS = {
         "bernoulli": ("--model", "bernoulli", "--n-range", "1..50"),
         "gaussian": ("--model", "gaussian", "--n-range", "1..50"),
@@ -596,6 +597,14 @@ class TestGoldenOutput:
             "--optimize",
         ),
         "gaussian_optimize": ("--model", "gaussian", "--n-range", "1..8", "--optimize"),
+        "gaussian_1_30_optimize_wide_prior": (
+            *("--model", "gaussian", "--n-range", "1..30", "--optimize"),
+            *("--sigma-w-sq", "10", "--sigma-sq", "0.1"),
+        ),
+        "gaussian_1_30_optimize_narrow_prior": (
+            *("--model", "gaussian", "--n-range", "1..30", "--optimize"),
+            *("--sigma-w-sq", "0.01", "--sigma-sq", "30"),
+        ),
     }
 
     @pytest.mark.parametrize("name", list(ARGS))
@@ -660,7 +669,8 @@ class TestGoldenOutput:
             ("bound_bernoulli_100000_hellinger.txt", "--n 100000 --family hellinger"),
             # One n whose weights span 13 numpy blocks.
             ("bound_bernoulli_100000_hockey_stick.txt", "--n 100000 --family hockey-stick"),
-            # 80 one-n evaluations of the numpy path, one per search step.
+            # 77 one-n evaluations of the numpy path, one per search step
+            # except 3 skipped grid points.
             (
                 "bound_bernoulli_10000_hockey_stick_optimize.txt",
                 "--n 10000 --family hockey-stick --optimize",
