@@ -20,13 +20,18 @@ fewer divergences; the Hellinger search evaluates all 80.
 certification suite: one family's column over a list of models, each the
 fixed-parameter bound of the family or its searched one.  The fixed
 hockey-stick column of the coin-flip models evaluates its divergences
-together (``e_beta_gamma_sweep``); the searches run one model at a time.
-Every parameter comes from the caller; the CLI decides the defaults.
+together (``e_beta_gamma_sweep``).  A searched column runs on two processes
+where it can: a forked child searches every other model while this process
+searches the rest.  Each search is a pure function of its model, so the
+column's bits do not depend on the CPU count.  Every parameter comes from
+the caller; the CLI decides the defaults.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import namedtuple
 
 from .divergences import (
@@ -50,6 +55,22 @@ __all__ = [
 ]
 
 FAMILIES = ("hellinger", "hockey_stick")
+
+# Workers at most: the processes of a searched column and the threads of the
+# risk oracles (``validation.risk_reports``).  Whatever the host's CPU count, a
+# search starts at most one child, and the oracles hold about 16 bytes per
+# sample: a coin-flip risk worker holds about 8.
+_MAX_WORKERS = 2
+
+
+def _worker_count() -> int:
+    """Workers of a searched column or of the risk oracles: one per CPU this
+    process may run on, at most ``_MAX_WORKERS``."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 class BoundResult(
@@ -255,16 +276,115 @@ def optimize_parameters(model: Model, family: str) -> BoundResult:
 # --------------------------------------------------------------------------
 
 
+def _fork_search(models: list[Model], key: str):
+    """Fork a child that searches ``models`` in order and writes the pickled
+    list of its results, up to its first failure, to a pipe.  Return the
+    child's pid and the pipe's read end as a file, or None when no child
+    could start."""
+    # Imported here, before the fork: only a run that forks pays for it.
+    import pickle
+
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid:
+        os.close(write_end)
+        return pid, open(read_end, "rb")
+    # The child writes nothing but its pipe, and leaves by os._exit: it never
+    # flushes the parent's buffered output or runs its exit handlers.
+    code = 1
+    try:
+        os.close(read_end)
+        results = []
+        try:
+            for model in models:
+                results.append(optimize_parameters(model, key))
+        except Exception:
+            pass  # the parent searches this model again and raises its error
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _abandon(pid: int) -> None:
+    """Kill the child ``pid`` and reap it."""
+    import signal  # imported here: only an abandoned child needs it
+
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _searched_column(models: list[Model], key: str) -> list[BoundResult]:
+    """``optimize_parameters`` at each model, in order, on two processes when
+    the column has two models, this process may run on two CPUs and no other
+    thread is alive (a fork beside running threads could copy a held lock).
+
+    A forked child searches the models at odd positions and this process the
+    rest.  The child sends its results back through a pipe, so no exception
+    crosses it (some, such as ``QuadratureError``, do not unpickle).  A model
+    the child did not return is searched here, so a child that fails, dies or
+    cannot start changes nothing but the time.  The first failing model in
+    model order raises its own exception, as in a column run on one process.
+    The child is reaped on every path, and killed first when abandoned.
+    """
+    child = None
+    if len(models) >= 2 and hasattr(os, "fork") and _worker_count() >= 2:
+        if threading.active_count() == 1:
+            child = _fork_search(models[1::2], key)
+    if child is None:
+        return [optimize_parameters(model, key) for model in models]
+    import pickle
+
+    pid, pipe = child
+    try:
+        ours = []
+        for i, model in enumerate(models[0::2]):
+            try:
+                ours.append(optimize_parameters(model, key))
+            except Exception:
+                # A child model before this one may fail first: search those
+                # here, and raise this model's error if none does.
+                _abandon(pid)
+                pid = None
+                for earlier in models[1 : 2 * i : 2]:
+                    optimize_parameters(earlier, key)
+                raise
+        payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        pid = None
+        theirs = pickle.loads(payload) if status == 0 and payload else []
+        theirs += [optimize_parameters(model, key) for model in models[1::2][len(theirs) :]]
+    finally:
+        pipe.close()
+        if pid is not None:
+            _abandon(pid)
+    column = [None] * len(models)
+    column[0::2] = ours
+    column[1::2] = theirs
+    return column
+
+
 def family_bounds(
     models: list[Model], family: str, *, p: float, beta: float, gamma: float, optimize: bool
 ) -> list[BoundResult]:
     """The bounds of one family at each model, in order: with ``optimize``
-    the searched bound of :func:`optimize_parameters`, otherwise the
-    Hellinger bound at order ``p`` or the hockey-stick bound at ``(beta,
-    gamma)``, whose divergences ``e_beta_gamma_sweep`` evaluates together."""
+    the searched bound of :func:`optimize_parameters`, split between this
+    process and a forked child where two CPUs are free (the same bits on
+    one process or two), otherwise the Hellinger bound at order ``p`` or the
+    hockey-stick bound at ``(beta, gamma)``, whose divergences
+    ``e_beta_gamma_sweep`` evaluates together."""
     key = _family_key(family)
     if optimize:
-        return [optimize_parameters(model, key) for model in models]
+        return _searched_column(models, key)
     if key == "hellinger":
         return [
             hellinger_bound(p, hellinger_divergence(model, p), model.small_ball_coefficient())

@@ -24,10 +24,10 @@ never load it.
 from __future__ import annotations
 
 import math
-import os
 from collections import namedtuple
 from collections.abc import Callable
 
+from . import bounds
 from .bounds import FAMILIES, BoundResult, family_bounds
 from .divergences import e_beta_gamma_numeric, hellinger_divergence
 from .generators import Generator, Hellinger, HockeyStick
@@ -44,11 +44,6 @@ __all__ = [
     "risk_report",
     "risk_reports",
 ]
-
-# Worker threads of risk_reports at most.  A Bernoulli report holds about 8
-# bytes per sample, so two workers hold about 16, whatever the host's CPU
-# count: below the 40 bytes per sample of the one-shot draw they replaced.
-_MAX_WORKERS = 2
 
 # Grid points per chunk of brute_force_divergence's coin-flip product.
 _GRID_CHUNK = 65_536
@@ -213,22 +208,12 @@ def risk_report(model: Model, samples: int, seed: int) -> tuple[float, float]:
     return model.simulate_risk(samples, seed)
 
 
-def _worker_count() -> int:
-    """Oracle worker threads: one per CPU this process may run on, at most
-    ``_MAX_WORKERS``."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
 def risk_reports(
     models: list[Model], samples: int, seed: int, alongside: Callable[[], object]
 ) -> tuple[object, list[tuple[float, float]]]:
     """``alongside()`` and ``risk_report(model, samples, seed + model.n)`` for
     each model, in order, the reports computed on one worker thread per
-    available CPU, at most ``_MAX_WORKERS``.
+    available CPU, at most ``bounds._MAX_WORKERS``.
 
     Every model is submitted first, so the workers draw while this thread
     runs ``alongside``.  Each report draws from its own seeded stream and
@@ -242,7 +227,7 @@ def risk_reports(
     # Imported here: a top-level import would slow every `import fdivrisk.cli`.
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(max_workers=_worker_count())
+    pool = ThreadPoolExecutor(max_workers=bounds._worker_count())
     try:
         draws = [pool.submit(risk_report, m, samples, seed + m.n) for m in models]
         return alongside(), [draw.result() for draw in draws]

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +17,7 @@ from oracles import chi_squared_bernoulli, master_bound
 
 from fdivrisk import bounds
 from fdivrisk.bounds import (
+    FAMILIES,
     family_bounds,
     hellinger_bound,
     hockey_stick_bound,
@@ -26,6 +32,8 @@ from fdivrisk.divergences import (
 )
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
+from fdivrisk.numerics import QuadratureError
+from fdivrisk.validation import risk_reports
 
 
 class TestRhoOptimizer:
@@ -313,12 +321,15 @@ def _unskipped_hockey_stick_search(model):
 
 
 def _bits(result):
+    generator, divergence = result.generator, result.divergence
     return (
         result.value.hex(),
         result.rho_star.hex(),
-        result.generator.gamma.hex(),
-        result.divergence.value.hex(),
-        result.divergence.error_estimate.hex(),
+        type(generator).__name__,
+        *(field.hex() for field in generator),
+        divergence.value.hex(),
+        divergence.error_estimate.hex(),
+        divergence.method,
         result.vacuous,
     )
 
@@ -458,3 +469,166 @@ class TestFamilyBounds:
         # The searched path is covered by test_family_name_validation.
         with pytest.raises(ValueError, match="unknown bound family 'kullback'"):
             family_bounds([BernoulliModel(2)], "kullback", **self.FIXED, optimize=False)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSearchedColumnOnTwoProcesses:
+    # With two workers, family_bounds(optimize=True) forks a child that
+    # searches the models at odd positions; with one, it forks nothing.
+    FIXED = {"p": 1.8, "beta": 0.75, "gamma": 2.2}
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children forked while the test runs, once the
+        threads of earlier tests have ended (no fork happens beside them)."""
+        for thread in threading.enumerate():
+            if thread is not threading.main_thread():
+                thread.join(10.0)
+        assert threading.active_count() == 1
+        made = []
+
+        def fork(real=os.fork):
+            pid = real()
+            if pid:
+                made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return made
+
+    def column(self, monkeypatch, workers, models, family):
+        monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
+        return family_bounds(models, family, **self.FIXED, optimize=True)
+
+    MODELS = {
+        # An odd count across the switch to the packed kernel at n = 126.
+        "bernoulli_123_127": [BernoulliModel(n) for n in range(123, 128)],
+        "gaussian_default": [GaussianModel(n) for n in range(1, 6)],
+        "gaussian_wide_prior": [GaussianModel(n, 40.0, 1.0) for n in (1, 3, 8)],
+        "gaussian_narrow_prior": [GaussianModel(n, 0.01, 3.0) for n in (2, 5, 9, 30)],
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_same_bits_on_one_process_and_two(self, monkeypatch, forks, name, family):
+        models = self.MODELS[name]
+        one = self.column(monkeypatch, 1, models, family)
+        assert forks == []
+        two = self.column(monkeypatch, 2, models, family)
+        assert len(forks) == 1
+        assert [_bits(result) for result in two] == [_bits(result) for result in one]
+        assert two == one
+        _assert_no_child()
+
+    def test_quadrature_error_does_not_unpickle(self):
+        # Why no exception crosses the pipe.
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(QuadratureError("stalled", 0.5, 1e-3)))
+
+    # Models n = 1..6: this process searches n = 1, 3, 5 and the child
+    # n = 2, 4, 6.
+    @pytest.mark.parametrize(
+        "failing, first",
+        [
+            ((2, 5), 2),  # the child's, before one of this process's
+            ((4,), 4),  # only the child's
+            ((3, 6), 3),  # this process's, before one of the child's
+            ((1, 2), 1),  # this process's first model
+        ],
+    )
+    @pytest.mark.parametrize("error", [ArithmeticError, QuadratureError])
+    def test_first_failing_model_raises_its_own_error(self, monkeypatch, forks, failing, first, error):
+        def hellinger_divergence(model, p, real=bounds.hellinger_divergence):
+            if model.n in failing:
+                if error is QuadratureError:
+                    raise QuadratureError(f"stalled at n = {model.n}", 0.5, 1e-3)
+                raise error(f"no divergence at n = {model.n}")
+            return real(model, p)
+
+        monkeypatch.setattr(bounds, "hellinger_divergence", hellinger_divergence)
+        models = [BernoulliModel(n) for n in range(1, 7)]
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(error) as info:
+                self.column(monkeypatch, workers, models, "hellinger")
+            raised.append((type(info.value), str(info.value)))
+            _assert_no_child()
+        assert len(forks) == 1
+        assert raised[1] == raised[0]
+        assert raised[0][1].endswith(f"at n = {first}")
+
+    @pytest.mark.parametrize("how", ["exits", "is killed", "fails at n = 4"])
+    def test_a_share_the_child_does_not_return_is_searched_here(self, monkeypatch, forks, how):
+        parent = os.getpid()
+        searched = []
+
+        def search(model, family):
+            if os.getpid() != parent:
+                if how == "exits":
+                    os._exit(0)
+                if how == "is killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if model.n == 4:
+                    raise ArithmeticError("the child alone fails")
+            else:
+                searched.append(model.n)
+            return optimize_parameters(model, family)
+
+        monkeypatch.setattr(bounds, "optimize_parameters", search)
+        models = [BernoulliModel(n) for n in range(1, 7)]
+        column = self.column(monkeypatch, 2, models, "hockey_stick")
+        assert len(forks) == 1
+        assert searched == ([1, 3, 5, 4, 6] if how == "fails at n = 4" else [1, 3, 5, 2, 4, 6])
+        assert column == [optimize_parameters(model, "hockey_stick") for model in models]
+        _assert_no_child()
+
+    def test_a_failed_fork_searches_every_model_here(self, monkeypatch, forks):
+        def fork():
+            raise OSError("no process for the child")
+
+        monkeypatch.setattr(os, "fork", fork)
+        models = [BernoulliModel(n) for n in range(1, 5)]
+        column = self.column(monkeypatch, 2, models, "hellinger")
+        assert column == [optimize_parameters(model, "hellinger") for model in models]
+
+    def test_interrupt_kills_and_reaps_the_child(self, monkeypatch, forks):
+        parent = os.getpid()
+
+        def search(model, family):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bounds, "optimize_parameters", search)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.column(monkeypatch, 2, [BernoulliModel(1), BernoulliModel(2)], "hellinger")
+        assert time.monotonic() - start < 30.0
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_no_fork_beside_the_oracle_threads(self, monkeypatch, forks):
+        monkeypatch.setattr(bounds, "_worker_count", lambda: 2)
+        models = [GaussianModel(n) for n in range(1, 5)]
+        column, _ = risk_reports(
+            models,
+            10,
+            1,
+            lambda: family_bounds(models, "hellinger", **self.FIXED, optimize=True),
+        )
+        assert forks == []
+        assert column == [optimize_parameters(model, "hellinger") for model in models]
+
+    @pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1), (64, 1)])
+    def test_one_child_at_most_and_none_on_one_cpu(self, monkeypatch, forks, cpus, children):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        models = [BernoulliModel(n) for n in range(1, 6)]
+        column = family_bounds(models, "hellinger", **self.FIXED, optimize=True)
+        assert len(forks) == children
+        assert column == [optimize_parameters(model, "hellinger") for model in models]
+        _assert_no_child()

@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import math
+import os
 from pathlib import Path
 
 import pytest
 
-from fdivrisk import cli, numerics, validation
+from fdivrisk import bounds, cli, numerics, validation
 from fdivrisk.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -343,6 +344,21 @@ class TestSweepCommand:
         code, out, err = run(capsys, *argv, *(["--csv", str(csv)] if to_csv else []))
         assert (code, out, err) == (EXIT_USAGE, "", "error: no positive values to plot\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_searched_column_fails_at_its_first_n_on_any_process_count(self, capsys, monkeypatch, workers):
+        # Every n fails; with two workers n = 1 is this process's and n = 2
+        # the forked child's.
+        monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
+        argv = "compare --model gaussian --n-range 1..4 --sigma-w-sq 1e-16 --sigma-sq 1 --optimize"
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: numerical failure (ArithmeticError): Gaussian hockey-stick slice quadratic"
+            " lost to rounding at variance ratio r = sigma_w_sq / (sigma_sq / n) = 1e-16\n"
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_gaussian_sweep(self, capsys):
         code, out, _ = run(
@@ -705,7 +721,7 @@ class TestOracleOrder:
     def test_draws_submitted_before_the_first_bound(self, capsys, monkeypatch, module, argv):
         import concurrent.futures
 
-        monkeypatch.setattr(validation, "_worker_count", lambda: 1)
+        monkeypatch.setattr(bounds, "_worker_count", lambda: 1)
         submitted = []
         seen_at_first_bound = []
 
@@ -728,9 +744,7 @@ class TestOracleOrder:
     def test_bound_error_at_a_later_n_cancels_the_draws_not_started(self, capsys, monkeypatch):
         import threading
 
-        from fdivrisk import bounds
-
-        monkeypatch.setattr(validation, "_worker_count", lambda: 1)
+        monkeypatch.setattr(bounds, "_worker_count", lambda: 1)
         started = []
         workers = set()
         release = threading.Event()

@@ -1,5 +1,6 @@
 """Runs that only compute bounds load neither numpy, typing, dataclasses nor
-inspect.
+inspect, and a searched column that forks loads neither multiprocessing nor
+concurrent.futures.
 
 Each case starts a fresh interpreter with ``-S``, so no site-packages
 ``.pth`` file imports a module before the package does; it finds the
@@ -20,21 +21,27 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 WATCHED = ("dataclasses", "inspect", "numpy", "typing")
 
 SCRIPT = """
+import os
 import sys
 sys.path[:0] = {path!r}
 preloaded = set({watched!r}) & set(sys.modules)
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
 import fdivrisk
 from fdivrisk.cli import main
+{setup}
 codes = [main(argv.split()) for argv in {runs!r}]
-print(repr((sorted(preloaded), codes, sorted(set({watched!r}) & set(sys.modules)))))
+print(repr((sorted(preloaded), codes, sorted(set({watched!r}) & set(sys.modules)), len(forks))))
 """
 
 
-def run_fresh(runs: list[str]) -> tuple[list[str], list[int], list[str]]:
-    """Exit codes of ``main`` on each argv in one fresh interpreter, with the
-    modules of ``WATCHED`` loaded before ``import fdivrisk`` and at the
-    end."""
-    script = SCRIPT.format(path=[str(SRC), *sys.path], runs=runs, watched=WATCHED)
+def run_fresh(
+    runs: list[str], watched: tuple[str, ...] = WATCHED, setup: str = ""
+) -> tuple[list[str], list[int], list[str], int]:
+    """Exit codes of ``main`` on each argv in one fresh interpreter, after
+    the statement ``setup``, with the modules of ``watched`` loaded before
+    ``import fdivrisk`` and at the end, and the number of forks made."""
+    script = SCRIPT.format(path=[str(SRC), *sys.path], runs=runs, watched=watched, setup=setup)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=300
     )
@@ -50,7 +57,15 @@ def test_scalar_only_runs_load_none_of_the_watched_modules():
         # The Gaussian risk oracle is exact: it runs on the worker threads without numpy.
         "sweep --model gaussian --n-range 1..3 --oracle",
     ]
-    assert run_fresh(runs) == ([], [0, 0, 0, 0], [])
+    assert run_fresh(runs)[:3] == ([], [0, 0, 0, 0], [])
+
+
+def test_forked_search_loads_no_process_pool():
+    # Each of the two searched columns forks one child, through os.fork alone.
+    watched = (*WATCHED, "concurrent.futures", "multiprocessing")
+    argv = "compare --model bernoulli --n-range 1..12 --optimize"
+    setup = "fdivrisk.bounds._worker_count = lambda: 2"
+    assert run_fresh([argv], watched, setup) == ([], [0], [], 2)
 
 
 @pytest.mark.parametrize(
@@ -63,6 +78,6 @@ def test_scalar_only_runs_load_none_of_the_watched_modules():
     ],
 )
 def test_array_runs_load_numpy(argv):
-    preloaded, codes, loaded = run_fresh([argv])
+    preloaded, codes, loaded, _ = run_fresh([argv])
     assert (preloaded, codes) == ([], [0])
     assert "numpy" in loaded

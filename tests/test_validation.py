@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import bernoulli_density_ratio, chi_squared_bernoulli, monte_carlo_divergence
 
-from fdivrisk import validation
+from fdivrisk import bounds, validation
 from fdivrisk.bounds import hellinger_bound, hockey_stick_bound
 from fdivrisk.divergences import DivergenceValue, e_beta_gamma_numeric
 from fdivrisk.generators import Hellinger, HockeyStick
@@ -194,7 +194,7 @@ class TestRiskReports:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
     def test_equal_to_one_report_per_model(self, monkeypatch, workers, kind):
-        monkeypatch.setattr(validation, "_worker_count", lambda: workers)
+        monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
         models = self.MODELS[kind]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads as often as possible
@@ -210,14 +210,15 @@ class TestRiskReports:
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 2)])
     def test_worker_count_is_capped(self, monkeypatch, cpus, workers):
-        # Each worker holds about 16 bytes per sample, so the pool must not
+        # Each oracle worker holds about 8 bytes per sample, and each searched
+        # column forks one process per worker after the first, so neither may
         # grow with the host's CPU count.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert validation._worker_count() == workers
+        assert bounds._worker_count() == workers
 
     def test_error_at_one_n_surfaces_and_cancels_the_rest(self, monkeypatch):
-        monkeypatch.setattr(validation, "_worker_count", lambda: 1)
+        monkeypatch.setattr(bounds, "_worker_count", lambda: 1)
         started = []
         workers = set()
         release = threading.Event()
