@@ -21,10 +21,11 @@ certification suite: one family's column over a list of models, each the
 fixed-parameter bound of the family or its searched one.  The fixed
 hockey-stick column of the coin-flip models evaluates its divergences
 together (``e_beta_gamma_sweep``).  A searched column runs on two processes
-where it can: a forked child searches every other model while this process
-searches the rest.  Each search is a pure function of its model, so the
-column's bits do not depend on the CPU count.  Every parameter comes from
-the caller; the CLI decides the defaults.
+where it can (``_split_map``, which the risk oracles of
+``validation.risk_reports`` use too): a forked child searches every other
+model while this process searches the rest.  Each search is a pure function
+of its model, so the column's bits do not depend on the CPU count.  Every
+parameter comes from the caller; the CLI decides the defaults.
 """
 
 from __future__ import annotations
@@ -56,16 +57,16 @@ __all__ = [
 
 FAMILIES = ("hellinger", "hockey_stick")
 
-# Workers at most: the processes of a searched column and the threads of the
-# risk oracles (``validation.risk_reports``).  Whatever the host's CPU count, a
-# search starts at most one child, and the oracles hold about 16 bytes per
-# sample: a coin-flip risk worker holds about 8.
+# Processes at most of ``_split_map``, for a searched column or the risk
+# oracles (``validation.risk_reports``).  Whatever the host's CPU count, it
+# starts at most one child, so the oracles hold about 16 bytes per sample: a
+# coin-flip risk report holds about 8 in each process.
 _MAX_WORKERS = 2
 
 
 def _worker_count() -> int:
-    """Workers of a searched column or of the risk oracles: one per CPU this
-    process may run on, at most ``_MAX_WORKERS``."""
+    """Processes of ``_split_map``: one per CPU this process may run on, at
+    most ``_MAX_WORKERS``."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -276,43 +277,84 @@ def optimize_parameters(model: Model, family: str) -> BoundResult:
 # --------------------------------------------------------------------------
 
 
-def _fork_search(models: list[Model], key: str):
-    """Fork a child that searches ``models`` in order and writes the pickled
-    list of its results, up to its first failure, to a pipe.  Return the
-    child's pid and the pipe's read end as a file, or None when no child
-    could start."""
-    # Imported here, before the fork: only a run that forks pays for it.
-    import pickle
+def _split_map(fn, items: list) -> list:
+    """``fn`` at each item, in order, on two processes when there are two
+    items or more, this process may run on two CPUs and no other thread is
+    alive (a fork beside running threads could copy a held lock).
 
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid:
-        os.close(write_end)
-        return pid, open(read_end, "rb")
-    # The child writes nothing but its pipe, and leaves by os._exit: it never
-    # flushes the parent's buffered output or runs its exit handlers.
-    code = 1
-    try:
-        os.close(read_end)
-        results = []
+    A forked child computes the items at odd positions and this process the
+    rest.  The child sends its results back pickled through a pipe, so no
+    exception crosses it (some, such as ``QuadratureError``, do not
+    unpickle).  An item the child did not return is computed here, so a
+    child that fails, dies or cannot start changes nothing but the time.
+    The first failing item in order raises its own exception, as on one
+    process.  The child is reaped on every path, and killed first when
+    abandoned.  Where ``fn`` is a pure function of its item, the results do
+    not depend on the CPU count.
+    """
+    pid = None
+    if len(items) >= 2 and hasattr(os, "fork") and _worker_count() >= 2:
+        if threading.active_count() == 1:
+            # Imported here, before the fork: only a run that forks pays for it.
+            import pickle
+
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:
+                pass
+            else:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+    if pid is None:
+        return [fn(item) for item in items]
+    if pid == 0:
+        # The child writes nothing but its pipe, and leaves by os._exit: it
+        # never flushes the parent's buffered output or runs its exit handlers.
+        code = 1
         try:
-            for model in models:
-                results.append(optimize_parameters(model, key))
-        except Exception:
-            pass  # the parent searches this model again and raises its error
-        with open(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
-        code = 0
+            os.close(read_end)
+            theirs = []
+            try:
+                for item in items[1::2]:
+                    theirs.append(fn(item))
+            except Exception:
+                pass  # the parent computes this item again and raises its error
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(theirs, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+    try:
+        ours = []
+        for i, item in enumerate(items[0::2]):
+            try:
+                ours.append(fn(item))
+            except Exception:
+                # A child item before this one may fail first: compute those
+                # here, and raise this item's error if none does.
+                _abandon(pid)
+                pid = None
+                for earlier in items[1 : 2 * i : 2]:
+                    fn(earlier)
+                raise
+        payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        pid = None
+        theirs = pickle.loads(payload) if status == 0 and payload else []
+        theirs += [fn(item) for item in items[1::2][len(theirs) :]]
     finally:
-        os._exit(code)
+        pipe.close()
+        if pid is not None:
+            _abandon(pid)
+    results = [None] * len(items)
+    results[0::2] = ours
+    results[1::2] = theirs
+    return results
 
 
 def _abandon(pid: int) -> None:
@@ -321,56 +363,6 @@ def _abandon(pid: int) -> None:
 
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
-
-
-def _searched_column(models: list[Model], key: str) -> list[BoundResult]:
-    """``optimize_parameters`` at each model, in order, on two processes when
-    the column has two models, this process may run on two CPUs and no other
-    thread is alive (a fork beside running threads could copy a held lock).
-
-    A forked child searches the models at odd positions and this process the
-    rest.  The child sends its results back through a pipe, so no exception
-    crosses it (some, such as ``QuadratureError``, do not unpickle).  A model
-    the child did not return is searched here, so a child that fails, dies or
-    cannot start changes nothing but the time.  The first failing model in
-    model order raises its own exception, as in a column run on one process.
-    The child is reaped on every path, and killed first when abandoned.
-    """
-    child = None
-    if len(models) >= 2 and hasattr(os, "fork") and _worker_count() >= 2:
-        if threading.active_count() == 1:
-            child = _fork_search(models[1::2], key)
-    if child is None:
-        return [optimize_parameters(model, key) for model in models]
-    import pickle
-
-    pid, pipe = child
-    try:
-        ours = []
-        for i, model in enumerate(models[0::2]):
-            try:
-                ours.append(optimize_parameters(model, key))
-            except Exception:
-                # A child model before this one may fail first: search those
-                # here, and raise this model's error if none does.
-                _abandon(pid)
-                pid = None
-                for earlier in models[1 : 2 * i : 2]:
-                    optimize_parameters(earlier, key)
-                raise
-        payload = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        pid = None
-        theirs = pickle.loads(payload) if status == 0 and payload else []
-        theirs += [optimize_parameters(model, key) for model in models[1::2][len(theirs) :]]
-    finally:
-        pipe.close()
-        if pid is not None:
-            _abandon(pid)
-    column = [None] * len(models)
-    column[0::2] = ours
-    column[1::2] = theirs
-    return column
 
 
 def family_bounds(
@@ -384,7 +376,7 @@ def family_bounds(
     ``e_beta_gamma_sweep`` evaluates together."""
     key = _family_key(family)
     if optimize:
-        return _searched_column(models, key)
+        return _split_map(lambda model: optimize_parameters(model, key), models)
     if key == "hellinger":
         return [
             hellinger_bound(p, hellinger_divergence(model, p), model.small_ball_coefficient())

@@ -86,29 +86,22 @@ def compute_risk_curve(
     """One row per model, in ``CSV_HEADER`` order: the bounds of
     ``families`` and, with ``oracle``, the risk oracle.
 
-    With ``oracle``, ``risk_reports`` starts the draws of every model on its
-    worker threads and then computes the bound columns, each family over all
-    the models at once; the first error of a column in ``FAMILIES`` order is
-    the one raised, and it cancels the draws not yet started.
+    The bound columns come first, each family over all the models at once,
+    so the first error of a column in ``FAMILIES`` order is the one raised
+    and it starts no draw; then ``risk_reports`` runs the oracle.
     """
-
-    def bound_columns() -> list[list]:
-        return [
-            [
-                result.value
-                for result in family_bounds(
-                    models, family, p=p, beta=beta, gamma=gamma, optimize=optimize
-                )
-            ]
-            if family in families
-            else [None] * len(models)
-            for family in FAMILIES
+    columns = [
+        [
+            result.value
+            for result in family_bounds(
+                models, family, p=p, beta=beta, gamma=gamma, optimize=optimize
+            )
         ]
-
-    if oracle:
-        columns, risks = risk_reports(models, samples, seed, bound_columns)
-    else:
-        columns, risks = bound_columns(), [(None, None)] * len(models)
+        if family in families
+        else [None] * len(models)
+        for family in FAMILIES
+    ]
+    risks = risk_reports(models, samples, seed) if oracle else [(None, None)] * len(models)
     return [(model.n, *bounds, *risk) for model, *bounds, risk in zip(models, *columns, risks)]
 
 
@@ -441,6 +434,8 @@ def main(argv: "list[str] | None" = None) -> int:
         _check_parameters(args)
         if unread:
             raise ValueError(f"{args.command} does not take {', '.join(unread)}")
+        if args.csv and args.svg and os.path.realpath(args.csv) == os.path.realpath(args.svg):
+            raise ValueError(f"--csv and --svg name the same file {args.svg!r}")
         _check_samples(args.samples)
         if args.model == "bernoulli" and (args.command == "validate" or args.oracle):
             # Each n draws from the stream of --seed + n, so the first n's is

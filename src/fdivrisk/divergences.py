@@ -18,10 +18,9 @@ The Gaussian hockey-stick family is an adaptive quadrature over the
 parameter, with each slice in the sample mean in closed form.
 
 The searches evaluate these kernels 80 times per optimum.  The three
-coin-flip sums read their log-factorials from one table per n
-(``_log_factorials``), built once for a whole search, and the Gaussian slice
-writes out the normal CDF and density, keeping every float operation and
-its order.
+coin-flip sums read their log-factorials from one table (``_log_factorials``)
+that grows to the largest n asked for, and the Gaussian slice writes out
+the normal CDF and density, keeping every float operation and its order.
 
 Value convention: Hellinger-family results are stored "scaled" as
 (p-1) * H_p + 1, which is exactly what the bound formulas consume; the raw
@@ -36,7 +35,6 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache
 
 from .generators import Hellinger, HockeyStick, _checked_make
 from .models import BernoulliModel, GaussianModel, Model
@@ -93,12 +91,22 @@ class DivergenceValue(
         return self
 
 
-@lru_cache(maxsize=1)
+_LOG_FACTORIALS: tuple[float, ...] = ()
+
+
 def _log_factorials(n: int) -> tuple[float, ...]:
-    """lgamma(i + 1) = log i! for i = 0..n+1: the log-factorials of the
-    coin-flip sums at n, and lgamma of their Beta shapes.  Kept for the last
-    n only, which is all a search or a sweep step reads."""
-    return tuple(map(math.lgamma, range(1, n + 3)))
+    """lgamma(i + 1) = log i! for i = 0..n+1 at least: the log-factorials of
+    the coin-flip sums at n, and lgamma of their Beta shapes.  One table,
+    grown to the largest n asked for; a caller reads its prefix, whose
+    entries do not depend on the table's length."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) < n + 2:
+        # A new tuple bound at once, so a caller on another thread reads
+        # either table whole.
+        table += tuple(map(math.lgamma, range(len(table) + 1, n + 3)))
+        _LOG_FACTORIALS = table
+    return table
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +361,7 @@ def _bernoulli_sums_array(
     import numpy as np
 
     log_tau = math.log(gamma) - math.log(beta)
-    lgam = np.array(_log_factorials(max(ns)))  # lgam[i] = log i!
+    lgam = np.array(_log_factorials(max(ns))[: max(ns) + 2])  # lgam[i] = log i!
     values: list = []
     errors: list = []
     for block in _weight_blocks(ns):

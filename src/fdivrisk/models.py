@@ -98,7 +98,7 @@ class BernoulliModel(namedtuple("BernoulliModel", "n")):
         of ``seed``.  The call holds one array of ``samples`` floats, about 8
         bytes per sample: the standard deviation is taken in place.  Its
         result depends only on the arguments, so calls for different seeds
-        may run on different threads.
+        may run in different processes.
         """
         _check_samples(samples)
         import numpy as np

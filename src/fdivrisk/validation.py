@@ -9,23 +9,20 @@ form over Hamming weights, is kept as the reference the simulation is
 checked against; it evaluates I_m(a, b) with the package's one scalar
 incomplete-beta kernel, passing the log terms its own kernel already holds.
 
-The risk oracles of a sweep (``risk_reports``) run one n per available CPU,
-on at most two threads; every n is submitted at once, and then the caller's
-bound columns run on its own thread beside the draws.  The pool starts a
-thread only for a submitted n, so one n runs on one thread.  Each n draws
-from its own stream, seeded with ``seed + n``, so the reports do not depend
-on the CPU count; each worker holds about 8 bytes per sample.  The
-coin-flip brute-force grid holds three arrays of its points, about 24 bytes
-a point.  Numpy, like ``concurrent.futures`` in ``risk_reports``, is
-imported inside the functions that use it, so runs that only compute bounds
-never load it.
+The risk oracles of a sweep (``risk_reports``) run after its bound columns,
+on two processes where the process may run on two CPUs: a forked child
+draws every other n (``bounds._split_map``, as a searched column does).
+Each n draws from its own stream, seeded with ``seed + n``, so the reports
+do not depend on the CPU count; each process holds about 8 bytes per sample.
+The coin-flip brute-force grid holds three arrays of its points, about 24
+bytes a point.  Numpy is imported inside the functions that use it, so runs
+that only compute bounds never load it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
 
 from . import bounds
 from .bounds import FAMILIES, BoundResult, family_bounds
@@ -208,31 +205,18 @@ def risk_report(model: Model, samples: int, seed: int) -> tuple[float, float]:
     return model.simulate_risk(samples, seed)
 
 
-def risk_reports(
-    models: list[Model], samples: int, seed: int, alongside: Callable[[], object]
-) -> tuple[object, list[tuple[float, float]]]:
-    """``alongside()`` and ``risk_report(model, samples, seed + model.n)`` for
-    each model, in order, the reports computed on one worker thread per
-    available CPU, at most ``bounds._MAX_WORKERS``.
+def risk_reports(models: list[Model], samples: int, seed: int) -> list[tuple[float, float]]:
+    """``risk_report(model, samples, seed + model.n)`` for each model, in
+    order, on this process and a forked child where two CPUs are free
+    (``bounds._split_map``).
 
-    Every model is submitted first, so the workers draw while this thread
-    runs ``alongside``.  Each report draws from its own seeded stream and
-    numpy's random fills run without the GIL, so the reports are
-    byte-identical for any worker count.  Each coin-flip report holds about
-    8 bytes per sample, so the workers hold about 16 in all.  An error of
-    ``alongside``, then the first error of a report in model order, is
-    raised, and it cancels the models not yet started.  Draws already
-    running finish on their own, and the interpreter waits for them at exit.
+    Each report draws from its own seeded stream, so the reports are
+    byte-identical on one process or two.  Each coin-flip report holds about
+    8 bytes per sample, so the two processes hold about 16 in all.  The
+    first error of a report in model order is raised, and it kills the
+    child.
     """
-    # Imported here: a top-level import would slow every `import fdivrisk.cli`.
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=bounds._worker_count())
-    try:
-        draws = [pool.submit(risk_report, m, samples, seed + m.n) for m in models]
-        return alongside(), [draw.result() for draw in draws]
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    return bounds._split_map(lambda model: risk_report(model, samples, seed + model.n), models)
 
 
 def certify_bounds(
@@ -286,10 +270,9 @@ def certification_suite(
     """Certify closed forms against brute force at the first model, and
     every bound against the risk oracle at each model.
 
-    The risk draws of every model start after the brute-force checks,
-    which would otherwise hold their grids beside the draws' samples;
-    ``risk_reports`` then runs the bound columns, each family over all the
-    models at once, while the workers draw."""
+    The brute-force checks run first, then the bound columns, each family
+    over all the models at once, and then the risk draws of every model
+    (``risk_reports``): a check or a bound that fails starts no draw."""
     if not models:
         raise ValueError("no models to certify")
     first = models[0]
@@ -321,16 +304,12 @@ def certification_suite(
     )
 
     searches = (False, True) if optimize else (False,)
-    columns, risks = risk_reports(
-        models,
-        samples,
-        seed,
-        lambda: [
-            family_bounds(models, family, p=p, beta=beta, gamma=gamma, optimize=search)
-            for search in searches
-            for family in FAMILIES
-        ],
-    )
+    columns = [
+        family_bounds(models, family, p=p, beta=beta, gamma=gamma, optimize=search)
+        for search in searches
+        for family in FAMILIES
+    ]
+    risks = risk_reports(models, samples, seed)
     for model, results, risk in zip(models, zip(*columns), risks):
         reports.extend(certify_bounds(model, list(results), risk))
     return reports

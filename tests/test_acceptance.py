@@ -180,11 +180,9 @@ def test_criterion_5_soundness_against_risk_oracle():
             optimize_parameters(model, "hockey_stick"),
         ]
 
-    # The oracle of model m draws with seed SEED + m.n, on worker threads
-    # while this thread runs the parameter searches.
-    all_results, risks = risk_reports(
-        models, samples=10**6, seed=SEED, alongside=lambda: [bounds(m) for m in models]
-    )
+    # The oracle of model m draws with seed SEED + m.n, after the bounds.
+    all_results = [bounds(m) for m in models]
+    risks = risk_reports(models, samples=10**6, seed=SEED)
     for model, results, (risk, std_err) in zip(models, all_results, risks):
         ceiling = risk + 3.0 * std_err
         for result in results:

@@ -33,7 +33,6 @@ from fdivrisk.divergences import (
 from fdivrisk.generators import Hellinger, HockeyStick
 from fdivrisk.models import BernoulliModel, GaussianModel
 from fdivrisk.numerics import QuadratureError
-from fdivrisk.validation import risk_reports
 
 
 class TestRhoOptimizer:
@@ -481,25 +480,6 @@ class TestSearchedColumnOnTwoProcesses:
     # searches the models at odd positions; with one, it forks nothing.
     FIXED = {"p": 1.8, "beta": 0.75, "gamma": 2.2}
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids of the children forked while the test runs, once the
-        threads of earlier tests have ended (no fork happens beside them)."""
-        for thread in threading.enumerate():
-            if thread is not threading.main_thread():
-                thread.join(10.0)
-        assert threading.active_count() == 1
-        made = []
-
-        def fork(real=os.fork):
-            pid = real()
-            if pid:
-                made.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return made
-
     def column(self, monkeypatch, workers, models, family):
         monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
         return family_bounds(models, family, **self.FIXED, optimize=True)
@@ -611,15 +591,18 @@ class TestSearchedColumnOnTwoProcesses:
         assert len(forks) == 1
         _assert_no_child()
 
-    def test_no_fork_beside_the_oracle_threads(self, monkeypatch, forks):
-        monkeypatch.setattr(bounds, "_worker_count", lambda: 2)
-        models = [GaussianModel(n) for n in range(1, 5)]
-        column, _ = risk_reports(
-            models,
-            10,
-            1,
-            lambda: family_bounds(models, "hellinger", **self.FIXED, optimize=True),
-        )
+    def test_no_fork_beside_another_thread(self, monkeypatch, forks):
+        # A fork beside a running thread could copy a lock that thread holds.
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10.0,))
+        thread.start()
+        try:
+            models = [GaussianModel(n) for n in range(1, 5)]
+            column = self.column(monkeypatch, 2, models, "hellinger")
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
         assert forks == []
         assert column == [optimize_parameters(model, "hellinger") for model in models]
 

@@ -345,6 +345,19 @@ class TestSweepCommand:
         assert (code, out, err) == (EXIT_USAGE, "", "error: no positive values to plot\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_csv_and_svg_on_one_file_is_rejected(self, capsys, monkeypatch, tmp_path, command, exists):
+        # The SVG would overwrite the CSV; "./out" and "out" are one file.
+        monkeypatch.chdir(tmp_path)
+        if exists:
+            (tmp_path / "out").write_text("kept\n")
+        code, out, err = run(capsys, command, "--n-range", "1..2", "--csv", "./out", "--svg", "out")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --csv and --svg name the same file 'out'\n")
+        assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == (
+            [("out", "kept\n")] if exists else []
+        )
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_searched_column_fails_at_its_first_n_on_any_process_count(self, capsys, monkeypatch, workers):
         # Every n fails; with two workers n = 1 is this process's and n = 2
@@ -709,8 +722,8 @@ class TestGoldenOutput:
 
 
 class TestOracleOrder:
-    # The bound columns are computed family by family over every n, so the
-    # oracle draws of every n are submitted first and run meanwhile.
+    # The bound columns are computed family by family over every n, and the
+    # oracle draws of every n after them.
     @pytest.mark.parametrize(
         "module, argv",
         [
@@ -718,41 +731,31 @@ class TestOracleOrder:
             (validation, "validate --model bernoulli --n-range 1..4 --samples 2000"),
         ],
     )
-    def test_draws_submitted_before_the_first_bound(self, capsys, monkeypatch, module, argv):
-        import concurrent.futures
-
+    def test_every_bound_before_the_first_draw(self, capsys, monkeypatch, module, argv):
         monkeypatch.setattr(bounds, "_worker_count", lambda: 1)
-        submitted = []
-        seen_at_first_bound = []
-
-        class Pool(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                submitted.append(fn)
-                return super().submit(fn, *args, **kwargs)
+        events = []
 
         def family_bounds(*args, real=module.family_bounds, **kwargs):
-            if not seen_at_first_bound:
-                seen_at_first_bound.append(len(submitted))
+            events.append("bound")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        def risk_report(*args, real=validation.risk_report):
+            events.append("draw")
+            return real(*args)
+
         monkeypatch.setattr(module, "family_bounds", family_bounds)
+        monkeypatch.setattr(validation, "risk_report", risk_report)
         code, _, err = run(capsys, *argv.split())
         assert (code, err) == (EXIT_OK, "")
-        assert seen_at_first_bound == [4]
+        assert events == ["bound", "bound", "draw", "draw", "draw", "draw"]
 
-    def test_bound_error_at_a_later_n_cancels_the_draws_not_started(self, capsys, monkeypatch):
-        import threading
-
-        monkeypatch.setattr(bounds, "_worker_count", lambda: 1)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bound_error_starts_no_draw(self, capsys, monkeypatch, forks, workers):
+        monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
         started = []
-        workers = set()
-        release = threading.Event()
 
         def risk_report(model, samples, seed):
             started.append(model.n)
-            workers.add(threading.current_thread())
-            release.wait(10.0)
             return 0.25, 0.01
 
         def hellinger_divergence(model, p, real=bounds.hellinger_divergence):
@@ -762,17 +765,10 @@ class TestOracleOrder:
 
         monkeypatch.setattr(validation, "risk_report", risk_report)
         monkeypatch.setattr(bounds, "hellinger_divergence", hellinger_divergence)
-        try:
-            code, out, err = run(capsys, *"sweep --n-range 1..6 --oracle --samples 100".split())
-        finally:
-            release.set()
-        for worker in workers:
-            worker.join(10.0)
-            assert not worker.is_alive()
+        code, out, err = run(capsys, *"sweep --n-range 1..6 --oracle --samples 100".split())
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: numerical failure (ArithmeticError): no divergence at n = 3\n"
-        # The one worker may have started n = 1; every later n was cancelled.
-        assert set(started) <= {1}
+        assert (started, forks) == ([], [])
 
     def test_first_error_in_column_order(self, capsys, monkeypatch):
         # The Hellinger column is computed first, so its error at n = 4 is

@@ -1,6 +1,6 @@
 """Runs that only compute bounds load neither numpy, typing, dataclasses nor
-inspect, and a searched column that forks loads neither multiprocessing nor
-concurrent.futures.
+inspect, and a searched column or a risk oracle that forks loads neither
+multiprocessing nor concurrent.futures, and starts no thread.
 
 Each case starts a fresh interpreter with ``-S``, so no site-packages
 ``.pth`` file imports a module before the package does; it finds the
@@ -54,18 +54,31 @@ def test_scalar_only_runs_load_none_of_the_watched_modules():
         "bound --model bernoulli --n 10 --family hockey-stick --optimize",
         "compare --model bernoulli --n-range 1..12 --optimize",
         "compare --model gaussian --n-range 1..8 --optimize",
-        # The Gaussian risk oracle is exact: it runs on the worker threads without numpy.
+        # The Gaussian risk oracle is exact: it runs without numpy.
         "sweep --model gaussian --n-range 1..3 --oracle",
     ]
     assert run_fresh(runs)[:3] == ([], [0, 0, 0, 0], [])
 
 
-def test_forked_search_loads_no_process_pool():
-    # Each of the two searched columns forks one child, through os.fork alone.
+def test_forked_search_and_oracle_load_no_process_pool():
+    # Each of the two searched columns forks one child, and so does the
+    # oracle column, through os.fork alone; no run starts a thread.
     watched = (*WATCHED, "concurrent.futures", "multiprocessing")
-    argv = "compare --model bernoulli --n-range 1..12 --optimize"
-    setup = "fdivrisk.bounds._worker_count = lambda: 2"
-    assert run_fresh([argv], watched, setup) == ([], [0], [], 2)
+    runs = [
+        "compare --model bernoulli --n-range 1..12 --optimize",
+        "sweep --model bernoulli --n-range 1..4 --oracle --samples 2000",
+    ]
+    setup = (
+        "fdivrisk.bounds._worker_count = lambda: 2\n"
+        "import threading\n"
+        "def start(thread): raise AssertionError('a thread started')\n"
+        "threading.Thread.start = start"
+    )
+    preloaded, codes, loaded, forks = run_fresh(runs, watched, setup)
+    assert (preloaded, codes, forks) == ([], [0, 0], 3)
+    # The coin-flip draws load numpy, and numpy some of WATCHED.
+    assert "numpy" in loaded
+    assert not {"concurrent.futures", "multiprocessing"} & set(loaded)
 
 
 @pytest.mark.parametrize(

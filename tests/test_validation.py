@@ -2,8 +2,7 @@
 
 import math
 import os
-import sys
-import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -191,59 +190,65 @@ class TestRiskReports:
         "gaussian": [GaussianModel(n, 1.0, 2.0) for n in range(1, 8)],
     }
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
-    def test_equal_to_one_report_per_model(self, monkeypatch, workers, kind):
-        monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
+    def test_equal_on_one_process_and_two(self, monkeypatch, forks, kind):
         models = self.MODELS[kind]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads as often as possible
-        try:
-            alongside, reports = risk_reports(models, 10**5, 11, lambda: "columns")
-        finally:
-            sys.setswitchinterval(interval)
-        assert alongside == "columns"
-        assert reports == [risk_report(m, 10**5, 11 + m.n) for m in models]
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
+            reports.append(risk_reports(models, 10**5, 11))
+        assert len(forks) == 1
+        assert reports[0] == reports[1] == [risk_report(m, 10**5, 11 + m.n) for m in models]
+        _assert_no_child()
 
     def test_empty(self):
-        assert risk_reports([], 10**5, 11, lambda: "columns") == ("columns", [])
+        assert risk_reports([], 10**5, 11) == []
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 2)])
     def test_worker_count_is_capped(self, monkeypatch, cpus, workers):
-        # Each oracle worker holds about 8 bytes per sample, and each searched
-        # column forks one process per worker after the first, so neither may
-        # grow with the host's CPU count.
+        # Each process of the risk oracles holds about 8 bytes per sample, so
+        # the number of processes may not grow with the host's CPU count.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert bounds._worker_count() == workers
 
-    def test_error_at_one_n_surfaces_and_cancels_the_rest(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_worker_count", lambda: 1)
-        started = []
-        workers = set()
-        release = threading.Event()
-
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_n_raises_its_own_error(self, monkeypatch, forks, workers):
+        # On two processes, n = 2 is the child's and n = 3 this process's.
         def simulate_risk(model, samples, seed):
-            started.append(model.n)
-            workers.add(threading.current_thread())
-            if model.n == 2:
-                raise ArithmeticError("no risk at n = 2")
-            if model.n > 2:
-                release.wait(10.0)
+            if model.n in (2, 3):
+                raise ArithmeticError(f"no risk at n = {model.n}")
             return 0.25, 0.01
 
         monkeypatch.setattr(BernoulliModel, "simulate_risk", simulate_risk)
-        models = [BernoulliModel(n) for n in range(1, 9)]
-        try:
-            with pytest.raises(ArithmeticError, match="no risk at n = 2"):
-                risk_reports(models, 10, 0, lambda: None)
-        finally:
-            release.set()
-        (worker,) = workers
-        worker.join(10.0)
-        assert not worker.is_alive()
-        # The one worker may have started n = 3; every later n was cancelled.
-        assert set(started) <= {1, 2, 3}
+        monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
+        with pytest.raises(ArithmeticError, match="no risk at n = 2$"):
+            risk_reports([BernoulliModel(n) for n in range(1, 7)], 10, 0)
+        assert len(forks) == workers - 1
+        _assert_no_child()
+
+    @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
+    def test_error_in_the_draws_kills_and_reaps_the_child(self, monkeypatch, forks, error):
+        parent = os.getpid()
+
+        def simulate_risk(model, samples, seed):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+            raise error(f"stopped at n = {model.n}")
+
+        monkeypatch.setattr(BernoulliModel, "simulate_risk", simulate_risk)
+        monkeypatch.setattr(bounds, "_worker_count", lambda: 2)
+        start = time.monotonic()
+        with pytest.raises(error, match="stopped at n = 1$"):
+            risk_reports([BernoulliModel(n) for n in range(1, 5)], 10, 0)
+        assert time.monotonic() - start < 10.0
+        assert len(forks) == 1
+        _assert_no_child()
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestCertifyBounds:
