@@ -13,8 +13,8 @@ beta E_{1,gamma/beta}, so it depends only on tau = gamma / beta, and the
 parameter search runs over tau alone with beta = 1.  ``_search`` scans a
 grid of p or tau and refines it by golden section: 80 candidate points.  The
 tau scan skips a grid point whose bound at E = 0, a ceiling on its bound, is
-already below the best one evaluated, so a hockey-stick search evaluates
-fewer divergences; the Hellinger search evaluates all 80.
+already below the best one evaluated, so a hockey-stick search evaluates 50
+to 80 divergences; the Hellinger search evaluates all 80.
 
 ``family_bounds`` is the one bound entry of every CLI command and of the
 certification suite: one family's column over a list of models, each the
@@ -23,9 +23,12 @@ hockey-stick column of the coin-flip models evaluates its divergences
 together (``e_beta_gamma_sweep``).  A searched column runs on two processes
 where it can (``_split_map``, which the risk oracles of
 ``validation.risk_reports`` use too): a forked child searches every other
-model while this process searches the rest.  Each search is a pure function
-of its model, so the column's bits do not depend on the CPU count.  Every
-parameter comes from the caller; the CLI decides the defaults.
+model while this process searches the rest.  If either share falls short,
+the child is killed and this process searches the whole column again, so
+the first model that fails raises its own error.  Each search is a pure
+function of its model, so the column's bits and its first error do not
+depend on the CPU count.  Every parameter comes from the caller; the CLI
+decides the defaults.
 """
 
 from __future__ import annotations
@@ -57,21 +60,13 @@ __all__ = [
 
 FAMILIES = ("hellinger", "hockey_stick")
 
-# Processes at most of ``_split_map``, for a searched column or the risk
-# oracles (``validation.risk_reports``).  Whatever the host's CPU count, it
-# starts at most one child, so the oracles hold about 16 bytes per sample: a
-# coin-flip risk report holds about 8 in each process.
-_MAX_WORKERS = 2
-
 
 def _worker_count() -> int:
-    """Processes of ``_split_map``: one per CPU this process may run on, at
-    most ``_MAX_WORKERS``."""
+    """CPUs this process may run on; ``_split_map`` forks its one child only
+    where there are two or more."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class BoundResult(
@@ -283,14 +278,16 @@ def _split_map(fn, items: list) -> list:
     alive (a fork beside running threads could copy a held lock).
 
     A forked child computes the items at odd positions and this process the
-    rest.  The child sends its results back pickled through a pipe, so no
-    exception crosses it (some, such as ``QuadratureError``, do not
-    unpickle).  An item the child did not return is computed here, so a
-    child that fails, dies or cannot start changes nothing but the time.
-    The first failing item in order raises its own exception, as on one
-    process.  The child is reaped on every path, and killed first when
-    abandoned.  Where ``fn`` is a pure function of its item, the results do
-    not depend on the CPU count.
+    rest.  The child sends the pickled list of all its results through a
+    pipe, or exits non-zero without sending anything, so no exception
+    crosses it (some, such as ``QuadratureError``, do not unpickle).
+    Anything short of two complete shares (an item that fails on either
+    process, a child that dies, a short or unreadable payload) kills and
+    reaps the child and maps the whole list on this process, as where no
+    child can start: the first failing item in order then raises its own
+    exception.  Any other exception, such as ``KeyboardInterrupt``, kills
+    and reaps the child and propagates.  Where ``fn`` is a pure function of
+    its item, the results do not depend on the CPU count.
     """
     pid = None
     if len(items) >= 2 and hasattr(os, "fork") and _worker_count() >= 2:
@@ -308,61 +305,40 @@ def _split_map(fn, items: list) -> list:
                 except OSError:
                     os.close(read_end)
                     os.close(write_end)
-    if pid is None:
-        return [fn(item) for item in items]
     if pid == 0:
         # The child writes nothing but its pipe, and leaves by os._exit: it
         # never flushes the parent's buffered output or runs its exit handlers.
         code = 1
         try:
             os.close(read_end)
-            theirs = []
-            try:
-                for item in items[1::2]:
-                    theirs.append(fn(item))
-            except Exception:
-                pass  # the parent computes this item again and raises its error
+            payload = pickle.dumps([fn(item) for item in items[1::2]], pickle.HIGHEST_PROTOCOL)
             with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(theirs, pickle.HIGHEST_PROTOCOL))
+                pipe.write(payload)
             code = 0
         finally:
             os._exit(code)
-    os.close(write_end)
-    pipe = open(read_end, "rb")
-    try:
-        ours = []
-        for i, item in enumerate(items[0::2]):
-            try:
-                ours.append(fn(item))
-            except Exception:
-                # A child item before this one may fail first: compute those
-                # here, and raise this item's error if none does.
-                _abandon(pid)
-                pid = None
-                for earlier in items[1 : 2 * i : 2]:
-                    fn(earlier)
-                raise
-        payload = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        pid = None
-        theirs = pickle.loads(payload) if status == 0 and payload else []
-        theirs += [fn(item) for item in items[1::2][len(theirs) :]]
-    finally:
-        pipe.close()
-        if pid is not None:
-            _abandon(pid)
-    results = [None] * len(items)
-    results[0::2] = ours
-    results[1::2] = theirs
-    return results
+    if pid is not None:
+        os.close(write_end)
+        try:
+            with open(read_end, "rb") as pipe:
+                ours = [fn(item) for item in items[0::2]]
+                theirs = pickle.loads(pipe.read())
+            _, status = os.waitpid(pid, 0)
+            pid = None
+            if status == 0:
+                results = [None] * len(items)
+                results[0::2] = ours
+                results[1::2] = theirs
+                return results
+        except Exception:
+            pass  # the whole list is mapped below, as where no child starts
+        finally:
+            if pid is not None:
+                import signal  # imported here: only an abandoned child needs it
 
-
-def _abandon(pid: int) -> None:
-    """Kill the child ``pid`` and reap it."""
-    import signal  # imported here: only an abandoned child needs it
-
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [fn(item) for item in items]
 
 
 def family_bounds(

@@ -17,7 +17,7 @@ the error bound reads too.
 The Gaussian hockey-stick family is an adaptive quadrature over the
 parameter, with each slice in the sample mean in closed form.
 
-The searches evaluate these kernels 80 times per optimum.  The three
+A search evaluates these kernels 50 to 80 times per optimum.  The three
 coin-flip sums read their log-factorials from one table (``_log_factorials``)
 that grows to the largest n asked for, and the Gaussian slice writes out
 the normal CDF and density, keeping every float operation and its order.

@@ -9,11 +9,13 @@ form over Hamming weights, is kept as the reference the simulation is
 checked against; it evaluates I_m(a, b) with the package's one scalar
 incomplete-beta kernel, passing the log terms its own kernel already holds.
 
-The risk oracles of a sweep (``risk_reports``) run after its bound columns,
-on two processes where the process may run on two CPUs: a forked child
-draws every other n (``bounds._split_map``, as a searched column does).
-Each n draws from its own stream, seeded with ``seed + n``, so the reports
-do not depend on the CPU count; each process holds about 8 bytes per sample.
+The risk oracles of a sweep (``risk_reports``) run after its bound columns.
+The coin-flip draws run on two processes where the process may run on two
+CPUs: a forked child draws every other n (``bounds._split_map``, as a
+searched column does), and any failure draws every n again here.  Each n
+draws from its own stream, seeded with ``seed + n``, so the reports do not
+depend on the CPU count; each process holds about 8 bytes per sample.  The
+exact Gaussian reports draw nothing and run on this process alone.
 The coin-flip brute-force grid holds three arrays of its points, about 24
 bytes a point.  Numpy is imported inside the functions that use it, so runs
 that only compute bounds never load it.
@@ -207,15 +209,20 @@ def risk_report(model: Model, samples: int, seed: int) -> tuple[float, float]:
 
 def risk_reports(models: list[Model], samples: int, seed: int) -> list[tuple[float, float]]:
     """``risk_report(model, samples, seed + model.n)`` for each model, in
-    order, on this process and a forked child where two CPUs are free
-    (``bounds._split_map``).
+    order.  Exact reports run on this process; draws run on this process
+    and a forked child where two CPUs are free (``bounds._split_map``),
+    which inherits numpy, imported here before the fork.
 
     Each report draws from its own seeded stream, so the reports are
     byte-identical on one process or two.  Each coin-flip report holds about
-    8 bytes per sample, so the two processes hold about 16 in all.  The
-    first error of a report in model order is raised, and it kills the
-    child.
+    8 bytes per sample, so the two processes hold about 16 in all.  A
+    report that fails on either process kills the child, and every report
+    is drawn again here, so the first error in model order is raised.
     """
+    if all(isinstance(model, GaussianModel) for model in models):
+        return [risk_report(model, samples, seed + model.n) for model in models]
+    import numpy  # noqa: F401
+
     return bounds._split_map(lambda model: risk_report(model, samples, seed + model.n), models)
 
 

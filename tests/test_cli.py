@@ -358,17 +358,27 @@ class TestSweepCommand:
             [("out", "kept\n")] if exists else []
         )
 
+    @pytest.mark.parametrize(
+        "n_range, sigma_w_sq, r",
+        [
+            # Only n = 1 fails, the first n of this process's share.
+            ("1..4", "1e-16", "1e-16"),
+            # Only n = 5 fails; with two workers it is the first n of the
+            # forked child's share.
+            ("4..7", "5.62e-17", "2.8100000000000003e-16"),
+        ],
+    )
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_searched_column_fails_at_its_first_n_on_any_process_count(self, capsys, monkeypatch, workers):
-        # Every n fails; with two workers n = 1 is this process's and n = 2
-        # the forked child's.
+    def test_searched_column_fails_at_its_first_n_on_any_process_count(
+        self, capsys, monkeypatch, workers, n_range, sigma_w_sq, r
+    ):
         monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
-        argv = "compare --model gaussian --n-range 1..4 --sigma-w-sq 1e-16 --sigma-sq 1 --optimize"
+        argv = f"compare --model gaussian --n-range {n_range} --sigma-w-sq {sigma_w_sq} --sigma-sq 1 --optimize"
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
             "error: numerical failure (ArithmeticError): Gaussian hockey-stick slice quadratic"
-            " lost to rounding at variance ratio r = sigma_w_sq / (sigma_sq / n) = 1e-16\n"
+            f" lost to rounding at variance ratio r = sigma_w_sq / (sigma_sq / n) = {r}\n"
         )
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

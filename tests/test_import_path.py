@@ -26,21 +26,22 @@ import sys
 sys.path[:0] = {path!r}
 preloaded = set({watched!r}) & set(sys.modules)
 forks = []
-os.register_at_fork(after_in_parent=lambda: forks.append(1))
+os.register_at_fork(after_in_parent=lambda: forks.append("numpy" in sys.modules))
 import fdivrisk
 from fdivrisk.cli import main
 {setup}
 codes = [main(argv.split()) for argv in {runs!r}]
-print(repr((sorted(preloaded), codes, sorted(set({watched!r}) & set(sys.modules)), len(forks))))
+print(repr((sorted(preloaded), codes, sorted(set({watched!r}) & set(sys.modules)), forks)))
 """
 
 
 def run_fresh(
     runs: list[str], watched: tuple[str, ...] = WATCHED, setup: str = ""
-) -> tuple[list[str], list[int], list[str], int]:
+) -> tuple[list[str], list[int], list[str], list[bool]]:
     """Exit codes of ``main`` on each argv in one fresh interpreter, after
     the statement ``setup``, with the modules of ``watched`` loaded before
-    ``import fdivrisk`` and at the end, and the number of forks made."""
+    ``import fdivrisk`` and at the end, and for each fork made whether numpy
+    was loaded at it."""
     script = SCRIPT.format(path=[str(SRC), *sys.path], runs=runs, watched=watched, setup=setup)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=300
@@ -50,19 +51,22 @@ def run_fresh(
 
 
 def test_scalar_only_runs_load_none_of_the_watched_modules():
+    # Two workers: each searched column of more than one n forks, and the
+    # exact Gaussian risk oracle runs without numpy and without a fork.
     runs = [
         "bound --model bernoulli --n 10 --family hockey-stick --optimize",
         "compare --model bernoulli --n-range 1..12 --optimize",
         "compare --model gaussian --n-range 1..8 --optimize",
-        # The Gaussian risk oracle is exact: it runs without numpy.
         "sweep --model gaussian --n-range 1..3 --oracle",
     ]
-    assert run_fresh(runs)[:3] == ([], [0, 0, 0, 0], [])
+    setup = "fdivrisk.bounds._worker_count = lambda: 2"
+    assert run_fresh(runs, setup=setup) == ([], [0, 0, 0, 0], [], [False] * 4)
 
 
 def test_forked_search_and_oracle_load_no_process_pool():
     # Each of the two searched columns forks one child, and so does the
-    # oracle column, through os.fork alone; no run starts a thread.
+    # oracle column, through os.fork alone; no run starts a thread.  The
+    # oracle child inherits numpy, imported before its fork.
     watched = (*WATCHED, "concurrent.futures", "multiprocessing")
     runs = [
         "compare --model bernoulli --n-range 1..12 --optimize",
@@ -75,7 +79,7 @@ def test_forked_search_and_oracle_load_no_process_pool():
         "threading.Thread.start = start"
     )
     preloaded, codes, loaded, forks = run_fresh(runs, watched, setup)
-    assert (preloaded, codes, forks) == ([], [0, 0], 3)
+    assert (preloaded, codes, forks) == ([], [0, 0], [False, False, True])
     # The coin-flip draws load numpy, and numpy some of WATCHED.
     assert "numpy" in loaded
     assert not {"concurrent.futures", "multiprocessing"} & set(loaded)

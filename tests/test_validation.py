@@ -197,20 +197,13 @@ class TestRiskReports:
         for workers in (1, 2):
             monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
             reports.append(risk_reports(models, 10**5, 11))
-        assert len(forks) == 1
+        # The exact Gaussian reports draw nothing, and run without a fork.
+        assert len(forks) == (kind == "bernoulli")
         assert reports[0] == reports[1] == [risk_report(m, 10**5, 11 + m.n) for m in models]
         _assert_no_child()
 
     def test_empty(self):
         assert risk_reports([], 10**5, 11) == []
-
-    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 2)])
-    def test_worker_count_is_capped(self, monkeypatch, cpus, workers):
-        # Each process of the risk oracles holds about 8 bytes per sample, so
-        # the number of processes may not grow with the host's CPU count.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert bounds._worker_count() == workers
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failing_n_raises_its_own_error(self, monkeypatch, forks, workers):
