@@ -570,6 +570,46 @@ class TestSearchedColumnOnTwoProcesses:
         assert column == one
         _assert_no_child()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(lambda obj, protocol: b"not a pickle", id="unreadable"),
+            pytest.param(lambda obj, protocol, dumps=pickle.dumps: dumps(obj, protocol)[:-1], id="short"),
+        ],
+    )
+    def test_a_payload_that_does_not_unpickle_searches_every_model_here(
+        self, monkeypatch, forks, payload
+    ):
+        # The child exits 0, but its share does not load here.
+        monkeypatch.setattr(pickle, "dumps", payload)
+        models = [BernoulliModel(n) for n in range(1, 5)]
+        column = self.column(monkeypatch, 2, models, "hellinger")
+        assert len(forks) == 1
+        assert column == [optimize_parameters(model, "hellinger") for model in models]
+        _assert_no_child()
+
+    def test_a_failure_the_rerun_does_not_repeat_gives_the_one_process_column(self, monkeypatch, forks):
+        # As a MemoryError in this process's share may, once the killed
+        # child's memory is free again.
+        models = [BernoulliModel(n) for n in range(1, 7)]
+        one = self.column(monkeypatch, 1, models, "hockey_stick")
+        parent = os.getpid()
+        searched = []
+
+        def search(model, family):
+            if os.getpid() == parent:
+                searched.append(model.n)
+                if searched == [1, 3]:
+                    raise MemoryError
+            return optimize_parameters(model, family)
+
+        monkeypatch.setattr(bounds, "optimize_parameters", search)
+        column = self.column(monkeypatch, 2, models, "hockey_stick")
+        assert len(forks) == 1
+        assert searched == [1, 3, 1, 2, 3, 4, 5, 6]
+        assert column == one
+        _assert_no_child()
+
     def test_a_failed_fork_searches_every_model_here(self, monkeypatch, forks):
         def fork():
             raise OSError("no process for the child")
@@ -619,3 +659,22 @@ class TestSearchedColumnOnTwoProcesses:
         assert len(forks) == children
         assert column == [optimize_parameters(model, "hellinger") for model in models]
         _assert_no_child()
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, workers",
+        [
+            ({0}, 64, 1),  # taskset -c 0 on a 64-CPU host
+            ({2, 5}, 64, 2),
+            (None, 8, 8),  # no affinity mask: the host's count
+            (None, None, 1),  # an unknown count
+        ],
+    )
+    def test_worker_count_is_the_cpus_this_process_may_run_on(
+        self, monkeypatch, affinity, cpu_count, workers
+    ):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert bounds._worker_count() == workers
