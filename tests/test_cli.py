@@ -2,8 +2,8 @@
 
 import math
 import os
-from pathlib import Path
 
+import golden_runs
 import pytest
 
 from fdivrisk import bounds, cli, numerics, validation
@@ -614,121 +614,20 @@ class TestOptionTable:
 
 
 class TestGoldenOutput:
-    # Bound-only output, which draws no random numbers: refactors and
-    # speed-ups must leave it byte-identical to the stored files.  The
-    # --optimize cases pin the parameter search over p and tau, on both sides
-    # of the switch to the numpy path at n = 126, and at Gaussian variances
-    # away from the defaults, where the tau scan skips other grid points;
-    # n = 1000..1039 pins the coin-flip hockey-stick kernel's numpy path and
-    # the Hellinger sum at large n; n = 120..400 crosses the switch and packs
-    # many n into each block of weights.
-    ARGS = {
-        "bernoulli": ("--model", "bernoulli", "--n-range", "1..50"),
-        "gaussian": ("--model", "gaussian", "--n-range", "1..50"),
-        "bernoulli_1000": ("--model", "bernoulli", "--n-range", "1000..1039"),
-        "bernoulli_120_400": ("--model", "bernoulli", "--n-range", "120..400"),
-        "bernoulli_optimize": ("--model", "bernoulli", "--n-range", "1..12", "--optimize"),
-        "bernoulli_124_129_optimize": (
-            "--model",
-            "bernoulli",
-            "--n-range",
-            "124..129",
-            "--optimize",
-        ),
-        "gaussian_optimize": ("--model", "gaussian", "--n-range", "1..8", "--optimize"),
-        "gaussian_1_30_optimize_wide_prior": (
-            *("--model", "gaussian", "--n-range", "1..30", "--optimize"),
-            *("--sigma-w-sq", "10", "--sigma-sq", "0.1"),
-        ),
-        "gaussian_1_30_optimize_narrow_prior": (
-            *("--model", "gaussian", "--n-range", "1..30", "--optimize"),
-            *("--sigma-w-sq", "0.01", "--sigma-sq", "30"),
-        ),
-    }
-
-    @pytest.mark.parametrize("name", list(ARGS))
-    def test_compare_matches_golden_file(self, capsys, name):
-        golden = Path(__file__).parent / "golden" / f"compare_{name}.csv"
-        code, out, _ = run(capsys, "compare", *self.ARGS[name])
-        assert code == EXIT_OK
-        assert out.encode() == golden.read_bytes()
-
-    @pytest.mark.parametrize("model", ["bernoulli", "gaussian"])
-    def test_default_range_matches_golden_file(self, capsys, model):
-        # The default n range of compare is the 1..50 of the golden files.
-        golden = Path(__file__).parent / "golden" / f"compare_{model}.csv"
-        code, out, _ = run(capsys, "compare", "--model", model)
-        assert code == EXIT_OK
-        assert out.encode() == golden.read_bytes()
-
     @pytest.mark.parametrize(
-        "name, argv",
-        [
-            # n = 8190 fills exactly one block of weights, n = 8192 needs two.
-            (
-                "sweep_bernoulli_hockey_stick_8188_8193.csv",
-                "--model bernoulli --family hockey-stick --n-range 8188..8193",
-            ),
-            # Searched bound columns beside the seeded oracle columns.
-            (
-                "sweep_bernoulli_oracle_optimize_1_3.csv",
-                "--model bernoulli --n-range 1..3 --oracle --optimize --samples 20000",
-            ),
-            # The exact Gaussian risk, to 17 digits.
-            ("sweep_gaussian_oracle_1_50.csv", "--model gaussian --n-range 1..50 --oracle"),
-        ],
+        "entry", [entry for entry in golden_runs.RUNS if not entry.slow], ids=lambda entry: entry.name
     )
-    def test_sweep_matches_golden_file(self, capsys, name, argv):
-        golden = Path(__file__).parent / "golden" / name
-        code, out, err = run(capsys, "sweep", *argv.split())
+    def test_fast_run_matches_its_file(self, capsys, tmp_path, entry):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *entry.args(out))
         assert (code, err) == (EXIT_OK, "")
-        assert out.encode() == golden.read_bytes()
+        got = out.read_bytes() if entry.output else stdout.encode()
+        assert got == (golden_runs.GOLDEN / entry.golden).read_bytes()
 
-    def test_oracle_sweep_matches_golden_file(self, capsys):
-        # Unlike the files above, this one pins seeded draws: the coin-flip
-        # oracle columns, from Beta-median tables.
-        golden = Path(__file__).parent / "golden" / "sweep_bernoulli_oracle.csv"
-        argv = ("sweep", "--model", "bernoulli", "--n-range", "1..12", "--oracle")
-        code, out, err = run(capsys, *argv, "--samples", "200000")
-        assert (code, err) == (EXIT_OK, "")
-        assert out.encode() == golden.read_bytes()
-
-    def test_validate_matches_golden_file(self, capsys):
-        # Pins the coin-flip brute-force grid at n = 7 with a non-integer
-        # order, and the seeded Monte-Carlo risks of n = 7..9.
-        golden = Path(__file__).parent / "golden" / "validate_bernoulli_7_9.txt"
-        argv = ("validate", "--model", "bernoulli", "--n-range", "7..9", "--p", "3.5")
-        code, out, err = run(capsys, *argv, "--samples", "20000")
-        assert (code, err) == (EXIT_OK, "")
-        assert out.encode() == golden.read_bytes()
-
-    @pytest.mark.parametrize(
-        "name, argv",
-        [
-            ("bound_bernoulli_100000_hellinger.txt", "--n 100000 --family hellinger"),
-            # One n whose weights span 13 numpy blocks.
-            ("bound_bernoulli_100000_hockey_stick.txt", "--n 100000 --family hockey-stick"),
-            # 77 one-n evaluations of the numpy path, one per search step
-            # except 3 skipped grid points.
-            (
-                "bound_bernoulli_10000_hockey_stick_optimize.txt",
-                "--n 10000 --family hockey-stick --optimize",
-            ),
-        ],
-    )
-    def test_large_n_bound_matches_golden_file(self, capsys, name, argv):
-        golden = Path(__file__).parent / "golden" / name
-        code, out, err = run(capsys, "bound", "--model", "bernoulli", *argv.split())
-        assert (code, err) == (EXIT_OK, "")
-        assert out.encode() == golden.read_bytes()
-
-    def test_svg_matches_golden_file(self, capsys, tmp_path):
-        golden = Path(__file__).parent / "golden" / "sweep_bernoulli_1_12.svg"
-        svg = tmp_path / "plot.svg"
-        argv = ("sweep", "--model", "bernoulli", "--n-range", "1..12", "--svg", str(svg))
-        code, _, err = run(capsys, *argv)
-        assert (code, err) == (EXIT_OK, "")
-        assert svg.read_bytes() == golden.read_bytes()
+    def test_every_golden_file_has_a_run(self):
+        # search_trajectories.json pins searches, not a CLI run; test_bounds.py reads it.
+        files = {path.name for path in golden_runs.GOLDEN.iterdir()} - {"search_trajectories.json"}
+        assert {entry.golden for entry in golden_runs.RUNS} == files
 
 
 class TestOracleOrder:

@@ -50,7 +50,10 @@ _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 # one definition counts as a use of every other, so each listed name must
 # be used, or set, for each definition on its own.
 SHARED_NAMES = {
-    "simulate_risk": "the risk oracle of each model, called through risk_report for either",
+    "simulate_risk": (
+        "the Monte-Carlo risk of each model: risk_report calls the coin-flip one; only the"
+        " tests call the Gaussian one, and TRACED_METHODS in perfbench/tracer.py wraps both"
+    ),
     "small_ball_coefficient": "the envelope coefficient c of each model, read by every bound",
 }
 
