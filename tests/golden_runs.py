@@ -2,12 +2,11 @@
 
 ``tests/test_cli.py`` runs the fast entries in-process.  Run as a script,
 
-    PYTHONPATH=src python tests/golden_runs.py [--slow]
+    PYTHONPATH=src python tests/golden_runs.py
 
-this module runs every entry, or with ``--slow`` the slow ones only, each as
-a ``python -m fdivrisk.cli`` child with this process's CPU affinity, and
-exits 1 naming each run that did not exit 0, wrote to stderr, or whose output
-differs from its file.  Every check is the same for each entry: exit 0,
+this module runs every entry as a ``python -m fdivrisk.cli`` child with this
+process's CPU affinity, and exits 1 naming each run that did not exit 0,
+wrote to stderr, or whose output differs from its file.  Every check is the same for each entry: exit 0,
 empty stderr (no numpy RuntimeWarning, say) and the bytes of the file.
 
 A new golden run is one entry here plus its file, written by the code before
@@ -15,11 +14,9 @@ the change.  Every golden file but ``search_trajectories.json``, which
 ``test_bounds.py`` reads, must have an entry.
 """
 
-import argparse
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -126,16 +123,11 @@ RUNS = [
 ]
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="Compare the golden runs with their files.")
-    parser.add_argument("--slow", action="store_true", help="run only the slow entries")
-    slow_only = parser.parse_args(argv).slow
-    runs = [run for run in RUNS if run.slow or not slow_only]
+def main() -> int:
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, run in enumerate(runs):
+        for i, run in enumerate(RUNS):
             out = Path(tmp) / f"{i}_{run.golden}"
-            start = time.perf_counter()
             child = subprocess.run(
                 [sys.executable, "-m", "fdivrisk.cli", *run.args(out)], capture_output=True
             )
@@ -146,12 +138,10 @@ def main(argv: list[str]) -> int:
                 problems.append(f"wrote to stderr:\n{err}")
             if got != (GOLDEN / run.golden).read_bytes():
                 problems.append(f"output differs from golden/{run.golden}")
-            seconds = time.perf_counter() - start
-            print(f"{'FAIL' if problems else 'ok':4} {seconds:6.1f} s  {run.name}", flush=True)
             failed += [f"{run.golden} ({run.name}): {problem}" for problem in problems]
-    print("\n".join(failed) or f"{len(runs)} golden runs match their files")
+    print("\n".join(failed) or f"{len(RUNS)} golden runs match their files")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
