@@ -285,9 +285,11 @@ def _split_map(fn, items: list) -> list:
     process, a child that dies, a short or unreadable payload) kills and
     reaps the child and maps the whole list on this process, as where no
     child can start: the first failing item in order then raises its own
-    exception.  Any other exception, such as ``KeyboardInterrupt``, kills
-    and reaps the child and propagates.  Where ``fn`` is a pure function of
-    its item, the results do not depend on the CPU count.
+    exception.  Before each of its items this process reaps the child if it
+    has exited, so a child that failed starts that map at once.  Any other
+    exception, such as ``KeyboardInterrupt``, kills and reaps the child and
+    propagates.  Where ``fn`` is a pure function of its item, the results do
+    not depend on the CPU count.
     """
     pid = None
     if len(items) >= 2 and hasattr(os, "fork") and _worker_count() >= 2:
@@ -319,12 +321,23 @@ def _split_map(fn, items: list) -> list:
             os._exit(code)
     if pid is not None:
         os.close(write_end)
+        status = 0  # the child's exit status, once it is reaped and pid is None
         try:
             with open(read_end, "rb") as pipe:
-                ours = [fn(item) for item in items[0::2]]
-                theirs = pickle.loads(pipe.read())
-            _, status = os.waitpid(pid, 0)
-            pid = None
+                ours = []
+                for item in items[0::2]:
+                    if pid is not None:
+                        reaped, status = os.waitpid(pid, os.WNOHANG)
+                        if reaped:
+                            pid = None
+                    if status:
+                        break  # the child sent nothing: map the whole list now
+                    ours.append(fn(item))
+                else:
+                    theirs = pickle.loads(pipe.read())
+            if pid is not None:
+                _, status = os.waitpid(pid, 0)
+                pid = None
             if status == 0:
                 results = [None] * len(items)
                 results[0::2] = ours

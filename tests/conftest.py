@@ -21,3 +21,9 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return made
+
+
+def assert_no_child():
+    """Fails if this process has a child that has not been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

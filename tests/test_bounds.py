@@ -1,5 +1,6 @@
 """Tests for the bound engine."""
 
+import contextlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from conftest import assert_no_child
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import chi_squared_bernoulli, master_bound
@@ -470,11 +472,6 @@ class TestFamilyBounds:
             family_bounds([BernoulliModel(2)], "kullback", **self.FIXED, optimize=False)
 
 
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestSearchedColumnOnTwoProcesses:
     # With two workers, family_bounds(optimize=True) forks a child that
     # searches the models at odd positions; with one, it forks nothing.
@@ -502,7 +499,7 @@ class TestSearchedColumnOnTwoProcesses:
         assert len(forks) == 1
         assert [_bits(result) for result in two] == [_bits(result) for result in one]
         assert two == one
-        _assert_no_child()
+        assert_no_child()
 
     def test_quadrature_error_does_not_unpickle(self):
         # Why no exception crosses the pipe.
@@ -536,15 +533,17 @@ class TestSearchedColumnOnTwoProcesses:
             with pytest.raises(error) as info:
                 self.column(monkeypatch, workers, models, "hellinger")
             raised.append((type(info.value), str(info.value)))
-            _assert_no_child()
+            assert_no_child()
         assert len(forks) == 1
         assert raised[1] == raised[0]
         assert raised[0][1].endswith(f"at n = {first}")
 
     @pytest.mark.parametrize("how", ["exits", "is killed", "fails at n = 4"])
     def test_a_share_the_child_does_not_return_is_searched_here(self, monkeypatch, forks, how):
-        # This process searches its own share, finds the child's missing and
-        # searches the whole column again: the one-process column.
+        # This process finds the child's share missing and searches the whole
+        # column again: the one-process column.  A child that exits 0 is
+        # found short after this process's share; one that dies or fails may
+        # be noticed between this process's items.
         parent = os.getpid()
         searched = []
 
@@ -566,9 +565,62 @@ class TestSearchedColumnOnTwoProcesses:
         searched.clear()
         column = self.column(monkeypatch, 2, models, "hockey_stick")
         assert len(forks) == 1
-        assert searched == [1, 3, 5, 1, 2, 3, 4, 5, 6]
+        ours, rerun = searched[:-6], searched[-6:]
+        assert rerun == [1, 2, 3, 4, 5, 6]
+        assert ours == [1, 3, 5] if how == "exits" else ours == [1, 3, 5][: len(ours)]
         assert column == one
-        _assert_no_child()
+        assert_no_child()
+
+    def test_a_failed_child_starts_the_rerun_before_this_process_finishes_its_share(
+        self, monkeypatch, forks
+    ):
+        # The child fails at its first model, n = 2; this process waits for
+        # it to exit while it searches n = 1, and searches no other model of
+        # its share before the one-process column.
+        parent = os.getpid()
+        searched = []
+
+        def search(model, family):
+            if os.getpid() != parent:
+                raise ArithmeticError("the child fails at its first model")
+            if not searched:
+                with contextlib.suppress(ChildProcessError):  # reaped before n = 1
+                    os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            searched.append(model.n)
+            return optimize_parameters(model, family)
+
+        monkeypatch.setattr(bounds, "optimize_parameters", search)
+        models = [BernoulliModel(n) for n in range(1, 7)]
+        column = self.column(monkeypatch, 2, models, "hellinger")
+        assert len(forks) == 1
+        assert searched in ([1, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
+        assert column == [optimize_parameters(model, "hellinger") for model in models]
+        assert_no_child()
+
+    def test_a_child_that_exits_before_this_process_is_done_is_not_searched_again(
+        self, monkeypatch, forks
+    ):
+        # The child sends its share and exits while this process searches
+        # n = 3; reaped before n = 5, its status is kept, so the split
+        # column stands.
+        parent = os.getpid()
+        searched = []
+
+        def search(model, family):
+            if os.getpid() == parent:
+                searched.append(model.n)
+                if model.n == 3:
+                    with contextlib.suppress(ChildProcessError):  # reaped before n = 3
+                        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            return optimize_parameters(model, family)
+
+        monkeypatch.setattr(bounds, "optimize_parameters", search)
+        models = [BernoulliModel(n) for n in range(1, 7)]
+        column = self.column(monkeypatch, 2, models, "hellinger")
+        assert len(forks) == 1
+        assert searched == [1, 3, 5]
+        assert column == [optimize_parameters(model, "hellinger") for model in models]
+        assert_no_child()
 
     @pytest.mark.parametrize(
         "payload",
@@ -586,7 +638,7 @@ class TestSearchedColumnOnTwoProcesses:
         column = self.column(monkeypatch, 2, models, "hellinger")
         assert len(forks) == 1
         assert column == [optimize_parameters(model, "hellinger") for model in models]
-        _assert_no_child()
+        assert_no_child()
 
     def test_a_failure_the_rerun_does_not_repeat_gives_the_one_process_column(self, monkeypatch, forks):
         # As a MemoryError in this process's share may, once the killed
@@ -608,7 +660,7 @@ class TestSearchedColumnOnTwoProcesses:
         assert len(forks) == 1
         assert searched == [1, 3, 1, 2, 3, 4, 5, 6]
         assert column == one
-        _assert_no_child()
+        assert_no_child()
 
     def test_a_failed_fork_searches_every_model_here(self, monkeypatch, forks):
         def fork():
@@ -633,7 +685,7 @@ class TestSearchedColumnOnTwoProcesses:
             self.column(monkeypatch, 2, [BernoulliModel(1), BernoulliModel(2)], "hellinger")
         assert time.monotonic() - start < 30.0
         assert len(forks) == 1
-        _assert_no_child()
+        assert_no_child()
 
     def test_no_fork_beside_another_thread(self, monkeypatch, forks):
         # A fork beside a running thread could copy a lock that thread holds.
@@ -658,7 +710,7 @@ class TestSearchedColumnOnTwoProcesses:
         column = family_bounds(models, "hellinger", **self.FIXED, optimize=True)
         assert len(forks) == children
         assert column == [optimize_parameters(model, "hellinger") for model in models]
-        _assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize(
         "affinity, cpu_count, workers",

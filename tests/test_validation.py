@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import assert_no_child
 from oracles import bernoulli_density_ratio, chi_squared_bernoulli, monte_carlo_divergence
 
 from fdivrisk import bounds, validation
@@ -200,7 +201,7 @@ class TestRiskReports:
         # The exact Gaussian reports draw nothing, and run without a fork.
         assert len(forks) == (kind == "bernoulli")
         assert reports[0] == reports[1] == [risk_report(m, 10**5, 11 + m.n) for m in models]
-        _assert_no_child()
+        assert_no_child()
 
     def test_empty(self):
         assert risk_reports([], 10**5, 11) == []
@@ -218,7 +219,7 @@ class TestRiskReports:
         with pytest.raises(ArithmeticError, match="no risk at n = 2$"):
             risk_reports([BernoulliModel(n) for n in range(1, 7)], 10, 0)
         assert len(forks) == workers - 1
-        _assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
     def test_error_in_the_draws_kills_and_reaps_the_child(self, monkeypatch, forks, error):
@@ -236,12 +237,7 @@ class TestRiskReports:
             risk_reports([BernoulliModel(n) for n in range(1, 5)], 10, 0)
         assert time.monotonic() - start < 10.0
         assert len(forks) == 1
-        _assert_no_child()
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        assert_no_child()
 
 
 class TestCertifyBounds:
