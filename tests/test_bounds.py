@@ -6,6 +6,9 @@ import math
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -475,6 +478,7 @@ class TestFamilyBounds:
 class TestSearchedColumnOnTwoProcesses:
     # With two workers, family_bounds(optimize=True) forks a child that
     # searches the models at odd positions; with one, it forks nothing.
+    # How the split handles a failure is TestSplitMap's.
     FIXED = {"p": 1.8, "beta": 0.75, "gamma": 2.2}
 
     def column(self, monkeypatch, workers, models, family):
@@ -501,125 +505,143 @@ class TestSearchedColumnOnTwoProcesses:
         assert two == one
         assert_no_child()
 
+    @pytest.mark.parametrize("error", [ArithmeticError, QuadratureError])
+    def test_first_failing_model_raises_its_own_error(self, monkeypatch, forks, error):
+        # Models n = 1..6: n = 2 is the child's first, before this process's n = 5.
+        def hellinger_divergence(model, p, real=bounds.hellinger_divergence):
+            if model.n in (2, 5):
+                if error is QuadratureError:
+                    raise QuadratureError(f"stalled at n = {model.n}", 0.5, 1e-3)
+                raise error(f"stalled at n = {model.n}")
+            return real(model, p)
+
+        monkeypatch.setattr(bounds, "hellinger_divergence", hellinger_divergence)
+        models = [BernoulliModel(n) for n in range(1, 7)]
+        for workers in (1, 2):
+            with pytest.raises(error, match="^stalled at n = 2$") as info:
+                self.column(monkeypatch, workers, models, "hellinger")
+            assert type(info.value) is error
+            assert_no_child()
+        assert len(forks) == 1
+
+
+class TestSplitMap:
+    # bounds._split_map(fn, items) with stand-ins for fn.  With two workers
+    # a forked child maps the items at odd positions, 2, 4 and 6, and this
+    # process 1, 3 and 5; with one, nothing forks.
+    ITEMS = [1, 2, 3, 4, 5, 6]
+    SQUARES = [1, 4, 9, 16, 25, 36]
+
+    def split(self, monkeypatch, workers, fn):
+        monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
+        return bounds._split_map(fn, self.ITEMS)
+
     def test_quadrature_error_does_not_unpickle(self):
         # Why no exception crosses the pipe.
         with pytest.raises(TypeError):
             pickle.loads(pickle.dumps(QuadratureError("stalled", 0.5, 1e-3)))
 
-    # Models n = 1..6: this process searches n = 1, 3, 5 and the child
-    # n = 2, 4, 6.
     @pytest.mark.parametrize(
         "failing, first",
         [
             ((2, 5), 2),  # the child's, before one of this process's
             ((4,), 4),  # only the child's
             ((3, 6), 3),  # this process's, before one of the child's
-            ((1, 2), 1),  # this process's first model
+            ((1, 2), 1),  # this process's first item
         ],
     )
     @pytest.mark.parametrize("error", [ArithmeticError, QuadratureError])
-    def test_first_failing_model_raises_its_own_error(self, monkeypatch, forks, failing, first, error):
-        def hellinger_divergence(model, p, real=bounds.hellinger_divergence):
-            if model.n in failing:
+    def test_first_failing_item_raises_its_own_error(self, monkeypatch, forks, failing, first, error):
+        def fn(x):
+            if x in failing:
                 if error is QuadratureError:
-                    raise QuadratureError(f"stalled at n = {model.n}", 0.5, 1e-3)
-                raise error(f"no divergence at n = {model.n}")
-            return real(model, p)
+                    raise QuadratureError(f"stalled at {x}", 0.5, 1e-3)
+                raise error(f"no value at {x}")
+            return x * x
 
-        monkeypatch.setattr(bounds, "hellinger_divergence", hellinger_divergence)
-        models = [BernoulliModel(n) for n in range(1, 7)]
         raised = []
         for workers in (1, 2):
             with pytest.raises(error) as info:
-                self.column(monkeypatch, workers, models, "hellinger")
+                self.split(monkeypatch, workers, fn)
             raised.append((type(info.value), str(info.value)))
             assert_no_child()
         assert len(forks) == 1
         assert raised[1] == raised[0]
-        assert raised[0][1].endswith(f"at n = {first}")
+        assert raised[0][1].endswith(f"at {first}")
 
-    @pytest.mark.parametrize("how", ["exits", "is killed", "fails at n = 4"])
-    def test_a_share_the_child_does_not_return_is_searched_here(self, monkeypatch, forks, how):
-        # This process finds the child's share missing and searches the whole
-        # column again: the one-process column.  A child that exits 0 is
-        # found short after this process's share; one that dies or fails may
-        # be noticed between this process's items.
+    @pytest.mark.parametrize("how", ["exits", "is killed", "fails at 4"])
+    def test_a_share_the_child_does_not_return_is_mapped_here(self, monkeypatch, forks, how):
+        # This process finds the child's share missing and maps the whole
+        # list again.  A child that exits 0 is found short after this
+        # process's share; one that dies or fails may be noticed between
+        # this process's items.
         parent = os.getpid()
-        searched = []
+        mapped = []
 
-        def search(model, family):
+        def fn(x):
             if os.getpid() != parent:
                 if how == "exits":
                     os._exit(0)
                 if how == "is killed":
                     os.kill(os.getpid(), signal.SIGKILL)
-                if model.n == 4:
+                if x == 4:
                     raise ArithmeticError("the child alone fails")
             else:
-                searched.append(model.n)
-            return optimize_parameters(model, family)
+                mapped.append(x)
+            return x * x
 
-        monkeypatch.setattr(bounds, "optimize_parameters", search)
-        models = [BernoulliModel(n) for n in range(1, 7)]
-        one = self.column(monkeypatch, 1, models, "hockey_stick")
-        searched.clear()
-        column = self.column(monkeypatch, 2, models, "hockey_stick")
+        assert self.split(monkeypatch, 2, fn) == self.SQUARES
         assert len(forks) == 1
-        ours, rerun = searched[:-6], searched[-6:]
-        assert rerun == [1, 2, 3, 4, 5, 6]
-        assert ours == [1, 3, 5] if how == "exits" else ours == [1, 3, 5][: len(ours)]
-        assert column == one
+        ours, rerun = mapped[:-6], mapped[-6:]
+        assert rerun == self.ITEMS
+        if how == "exits":
+            assert ours == [1, 3, 5]
+        else:
+            assert ours == [1, 3, 5][: len(ours)]
         assert_no_child()
 
     def test_a_failed_child_starts_the_rerun_before_this_process_finishes_its_share(
         self, monkeypatch, forks
     ):
-        # The child fails at its first model, n = 2; this process waits for
-        # it to exit while it searches n = 1, and searches no other model of
-        # its share before the one-process column.
+        # The child fails at its first item, 2; this process waits for it to
+        # exit while it maps 1, and maps no other item of its share before
+        # the whole list.
         parent = os.getpid()
-        searched = []
+        mapped = []
 
-        def search(model, family):
+        def fn(x):
             if os.getpid() != parent:
-                raise ArithmeticError("the child fails at its first model")
-            if not searched:
-                with contextlib.suppress(ChildProcessError):  # reaped before n = 1
+                raise ArithmeticError("the child fails at its first item")
+            if not mapped:
+                with contextlib.suppress(ChildProcessError):  # reaped before 1
                     os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
-            searched.append(model.n)
-            return optimize_parameters(model, family)
+            mapped.append(x)
+            return x * x
 
-        monkeypatch.setattr(bounds, "optimize_parameters", search)
-        models = [BernoulliModel(n) for n in range(1, 7)]
-        column = self.column(monkeypatch, 2, models, "hellinger")
+        assert self.split(monkeypatch, 2, fn) == self.SQUARES
         assert len(forks) == 1
-        assert searched in ([1, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
-        assert column == [optimize_parameters(model, "hellinger") for model in models]
+        assert mapped in ([1, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         assert_no_child()
 
-    def test_a_child_that_exits_before_this_process_is_done_is_not_searched_again(
+    def test_a_child_that_exits_before_this_process_is_done_is_not_mapped_again(
         self, monkeypatch, forks
     ):
-        # The child sends its share and exits while this process searches
-        # n = 3; reaped before n = 5, its status is kept, so the split
-        # column stands.
+        # The child sends its share and exits while this process maps 3;
+        # reaped before 5, its status is kept, so the split list stands.
         parent = os.getpid()
-        searched = []
+        mapped = []
 
-        def search(model, family):
+        def fn(x):
             if os.getpid() == parent:
-                searched.append(model.n)
-                if model.n == 3:
-                    with contextlib.suppress(ChildProcessError):  # reaped before n = 3
+                mapped.append(x)
+                if x == 3:
+                    with contextlib.suppress(ChildProcessError):  # reaped before 3
                         os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
-            return optimize_parameters(model, family)
+            return x * x
 
-        monkeypatch.setattr(bounds, "optimize_parameters", search)
-        models = [BernoulliModel(n) for n in range(1, 7)]
-        column = self.column(monkeypatch, 2, models, "hellinger")
+        assert self.split(monkeypatch, 2, fn) == self.SQUARES
         assert len(forks) == 1
-        assert searched == [1, 3, 5]
-        assert column == [optimize_parameters(model, "hellinger") for model in models]
+        assert mapped == [1, 3, 5]
         assert_no_child()
 
     @pytest.mark.parametrize(
@@ -627,63 +649,58 @@ class TestSearchedColumnOnTwoProcesses:
         [
             pytest.param(lambda obj, protocol: b"not a pickle", id="unreadable"),
             pytest.param(lambda obj, protocol, dumps=pickle.dumps: dumps(obj, protocol)[:-1], id="short"),
+            pytest.param(
+                lambda obj, protocol, dumps=pickle.dumps: dumps(obj[:-1], protocol), id="one_result_short"
+            ),
         ],
     )
-    def test_a_payload_that_does_not_unpickle_searches_every_model_here(
-        self, monkeypatch, forks, payload
-    ):
-        # The child exits 0, but its share does not load here.
+    def test_a_payload_that_does_not_load_maps_every_item_here(self, monkeypatch, forks, payload):
+        # The child exits 0, but its share does not load here, or lacks a result.
         monkeypatch.setattr(pickle, "dumps", payload)
-        models = [BernoulliModel(n) for n in range(1, 5)]
-        column = self.column(monkeypatch, 2, models, "hellinger")
+        assert self.split(monkeypatch, 2, lambda x: x * x) == self.SQUARES
         assert len(forks) == 1
-        assert column == [optimize_parameters(model, "hellinger") for model in models]
         assert_no_child()
 
-    def test_a_failure_the_rerun_does_not_repeat_gives_the_one_process_column(self, monkeypatch, forks):
+    def test_a_failure_the_rerun_does_not_repeat_gives_the_one_process_list(self, monkeypatch, forks):
         # As a MemoryError in this process's share may, once the killed
         # child's memory is free again.
-        models = [BernoulliModel(n) for n in range(1, 7)]
-        one = self.column(monkeypatch, 1, models, "hockey_stick")
         parent = os.getpid()
-        searched = []
+        mapped = []
 
-        def search(model, family):
+        def fn(x):
             if os.getpid() == parent:
-                searched.append(model.n)
-                if searched == [1, 3]:
+                mapped.append(x)
+                if mapped == [1, 3]:
                     raise MemoryError
-            return optimize_parameters(model, family)
+            return x * x
 
-        monkeypatch.setattr(bounds, "optimize_parameters", search)
-        column = self.column(monkeypatch, 2, models, "hockey_stick")
+        assert self.split(monkeypatch, 2, fn) == self.SQUARES
         assert len(forks) == 1
-        assert searched == [1, 3, 1, 2, 3, 4, 5, 6]
-        assert column == one
+        assert mapped == [1, 3, 1, 2, 3, 4, 5, 6]
         assert_no_child()
 
-    def test_a_failed_fork_searches_every_model_here(self, monkeypatch, forks):
+    def test_a_failed_fork_maps_every_item_here(self, monkeypatch, forks):
         def fork():
             raise OSError("no process for the child")
 
         monkeypatch.setattr(os, "fork", fork)
-        models = [BernoulliModel(n) for n in range(1, 5)]
-        column = self.column(monkeypatch, 2, models, "hellinger")
-        assert column == [optimize_parameters(model, "hellinger") for model in models]
+        assert self.split(monkeypatch, 2, lambda x: x * x) == self.SQUARES
 
-    def test_interrupt_kills_and_reaps_the_child(self, monkeypatch, forks):
+    @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
+    def test_an_error_here_kills_and_reaps_the_child(self, monkeypatch, forks, error):
+        # An ArithmeticError maps the whole list here, where it raises again;
+        # a KeyboardInterrupt propagates at once.
         parent = os.getpid()
 
-        def search(model, family):
+        def fn(x):
             if os.getpid() != parent:
                 time.sleep(60.0)
-            raise KeyboardInterrupt
+            raise error(f"stopped at {x}")
 
-        monkeypatch.setattr(bounds, "optimize_parameters", search)
         start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            self.column(monkeypatch, 2, [BernoulliModel(1), BernoulliModel(2)], "hellinger")
-        assert time.monotonic() - start < 30.0
+        with pytest.raises(error, match="^stopped at 1$"):
+            self.split(monkeypatch, 2, fn)
+        assert time.monotonic() - start < 10.0
         assert len(forks) == 1
         assert_no_child()
 
@@ -693,23 +710,25 @@ class TestSearchedColumnOnTwoProcesses:
         thread = threading.Thread(target=release.wait, args=(10.0,))
         thread.start()
         try:
-            models = [GaussianModel(n) for n in range(1, 5)]
-            column = self.column(monkeypatch, 2, models, "hellinger")
+            mapped = self.split(monkeypatch, 2, lambda x: x * x)
         finally:
             release.set()
             thread.join(10.0)
         assert not thread.is_alive()
         assert forks == []
-        assert column == [optimize_parameters(model, "hellinger") for model in models]
+        assert mapped == self.SQUARES
 
-    @pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1), (64, 1)])
-    def test_one_child_at_most_and_none_on_one_cpu(self, monkeypatch, forks, cpus, children):
+    @pytest.mark.parametrize(
+        "cpus, items, children",
+        [(1, ITEMS, 0), (2, ITEMS, 1), (64, ITEMS, 1), (64, [7], 0), (64, [], 0)],
+    )
+    def test_one_child_at_most_and_none_on_one_cpu_or_for_one_item(
+        self, monkeypatch, forks, cpus, items, children
+    ):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        models = [BernoulliModel(n) for n in range(1, 6)]
-        column = family_bounds(models, "hellinger", **self.FIXED, optimize=True)
+        assert bounds._split_map(lambda x: x * x, items) == [x * x for x in items]
         assert len(forks) == children
-        assert column == [optimize_parameters(model, "hellinger") for model in models]
         assert_no_child()
 
     @pytest.mark.parametrize(
@@ -730,3 +749,34 @@ class TestSearchedColumnOnTwoProcesses:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         assert bounds._worker_count() == workers
+
+    @pytest.mark.parametrize(
+        "split",
+        [
+            pytest.param("assert bounds._split_map(abs, [-1, -2, -3]) == [1, 2, 3]", id="passes"),
+            pytest.param(
+                "try:\n    bounds._split_map(abs, [-1, 'two', -3])\nexcept TypeError:\n    pass",
+                id="child_item_fails",
+            ),
+        ],
+    )
+    def test_the_child_writes_nothing_but_its_pipe(self, split):
+        # The child leaves by os._exit, so the parent's buffered line and
+        # exit handler reach stdout once, from the parent, whether the
+        # child's item passes or fails.  The parent's stdout is a pipe, so
+        # block-buffered unless PYTHONUNBUFFERED is set.
+        script = textwrap.dedent("""\
+            import atexit, os, sys
+            from fdivrisk import bounds
+            forks = []
+            os.register_at_fork(after_in_parent=lambda: forks.append(1))
+            atexit.register(print, "atexit")
+            sys.stdout.write("buffered\\n")
+            bounds._worker_count = lambda: 2
+        """) + split + "\nassert len(forks) == 1\n"
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(bounds.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered\natexit\n", "")
