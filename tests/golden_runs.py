@@ -8,8 +8,10 @@ row must exit with the code ``cli.main`` gives its line's prefix (3 for
 ``i/o error: ``, 2 for ``error: ``), print nothing to stdout, write exactly
 its line to stderr and leave no file but its config.
 
-``tests/test_cli.py`` runs the rows that are not slow in-process, each error
-row on one process and on two.  Run as a script,
+A row is slow when it takes over 4 s as a fresh child on two CPUs.  On 2 Xeon
+vCPUs, whose speed drifts, the three slow rows took 4.7 s or more and every
+other row 3.3 s at most.  ``tests/test_cli.py`` runs every row that is not
+slow in-process, each error row on one process and on two.  Run as a script,
 
     PYTHONPATH=src python tests/golden_runs.py
 
@@ -35,7 +37,7 @@ class Run(NamedTuple):
     argv: str  # the command line after `fdivrisk`; {tmp} is the row's scratch directory
     golden: str | None = None  # the file under golden/ that the output must equal
     output: str | None = None  # the option that writes the output to {tmp}/out, or stdout
-    slow: bool = False  # run in CI only
+    slow: bool = False  # over 4 s as a fresh child: run in CI only
     error: str | None = None  # the one stderr line of a failing run; {tmp} as in argv
     config: str | None = None  # written to {tmp}/run.cfg and passed as --config
 
@@ -134,7 +136,7 @@ RUNS = [
         "compare_gaussian_1_30_optimize_narrow_prior.csv"),
     # 400 hockey-stick grid points, most of them skipped by their ceiling,
     # and each evaluated one a full adaptive quadrature.
-    Run("compare --model gaussian --optimize", "compare_gaussian_1_50_optimize.csv", slow=True),
+    Run("compare --model gaussian --optimize", "compare_gaussian_1_50_optimize.csv"),
     # n = 8190 fills exactly one block of weights, n = 8192 needs two.
     Run("sweep --model bernoulli --family hockey-stick --n-range 8188..8193",
         "sweep_bernoulli_hockey_stick_8188_8193.csv"),
@@ -150,7 +152,7 @@ RUNS = [
     Run("sweep --model bernoulli --n-range 1..12 --oracle --samples 200000",
         "sweep_bernoulli_oracle.csv", output="--csv"),
     # The 10,001 Beta medians of the posterior-median risk and both coin-flip
-    # bounds at n = 10^4; about 20 s.
+    # bounds at n = 10^4; slow, 21-25 s as a child.
     Run("sweep --model bernoulli --n-range 10000..10000 --oracle --samples 1000",
         "sweep_bernoulli_10000_oracle.csv", slow=True),
     Run("sweep --model bernoulli --n-range 1..12", "sweep_bernoulli_1_12.svg", output="--svg"),
@@ -162,32 +164,35 @@ RUNS = [
     Run("validate --model bernoulli --n-range 1..6 --samples 200000",
         "validate_bernoulli_1_6.txt"),
     # End-to-end certification, both models over n = 1..20.
-    Run("validate --model bernoulli --n-range 1..20", "validate_bernoulli_1_20.txt", slow=True),
-    Run("validate --model gaussian --n-range 1..20", "validate_gaussian_1_20.txt", slow=True),
+    Run("validate --model bernoulli --n-range 1..20", "validate_bernoulli_1_20.txt"),
+    Run("validate --model gaussian --n-range 1..20", "validate_gaussian_1_20.txt"),
+    # The default n range of validate is 1..20.
+    Run("validate --model gaussian", "validate_gaussian_1_20.txt"),
     # Across the switch to the packed coin-flip kernel: the fixed hockey-stick
     # column of n = 126..128 shares numpy blocks of weights inside
-    # certification_suite; about 3 s.
+    # certification_suite; about 2 s.
     Run("validate --model bernoulli --n-range 124..128 --samples 20000",
-        "validate_bernoulli_124_128.txt", slow=True),
+        "validate_bernoulli_124_128.txt"),
     # End-to-end certification of the searched bounds, n = 1..10.
     Run("validate --model bernoulli --n-range 1..10 --optimize",
-        "validate_bernoulli_1_10_optimize.txt", slow=True),
+        "validate_bernoulli_1_10_optimize.txt"),
     Run("validate --model gaussian --n-range 1..10 --optimize",
-        "validate_gaussian_1_10_optimize.txt", slow=True),
+        "validate_gaussian_1_10_optimize.txt"),
     Run("bound --model bernoulli --n 100000 --family hellinger",
         "bound_bernoulli_100000_hellinger.txt"),
     # One n whose weights span 13 numpy blocks.
     Run("bound --model bernoulli --n 100000 --family hockey-stick",
         "bound_bernoulli_100000_hockey_stick.txt"),
     # 77 one-n evaluations of the numpy path, one per search step except 3
-    # skipped grid points.
+    # skipped grid points; the slowest row that is not slow, 2.5-3.3 s.
     Run("bound --model bernoulli --n 10000 --family hockey-stick --optimize",
         "bound_bernoulli_10000_hockey_stick_optimize.txt"),
-    # The shared log-factorial table at the n where it matters; about 5 s.
+    # The shared log-factorial table at the n where it matters; slow,
+    # 4.7-5.7 s as a child.
     Run("bound --model bernoulli --n 100000 --family hellinger --optimize",
         "bound_bernoulli_100000_hellinger_optimize.txt", slow=True),
     # The numpy-block evaluations of the tau search at the n where they cost
-    # most (optimum at tau = 160); about 30 s.
+    # most (optimum at tau = 160); slow, 26-30 s as a child.
     Run("bound --model bernoulli --n 100000 --family hockey-stick --optimize",
         "bound_bernoulli_100000_hockey_stick_optimize.txt", slow=True),
     # Numerical failures, each one line.  The order-300 Hellinger value at

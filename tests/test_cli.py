@@ -13,7 +13,6 @@ from fdivrisk.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     main,
-    risk_curve_csv,
 )
 from fdivrisk.models import BernoulliModel, GaussianModel
 
@@ -101,38 +100,6 @@ class TestBoundCommand:
 
 
 class TestSweepCommand:
-    def test_stdout_csv_schema(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "sweep",
-            *["--model", "bernoulli", "--n-range", "1..3", "--family", "hellinger"],
-        )
-        assert code == EXIT_OK
-        lines = out.splitlines()
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 4
-        # hellinger only: hockey-stick and oracle cells stay empty
-        assert lines[1].split(",")[2] == ""
-        assert lines[1].split(",")[3] == ""
-
-    def test_fixed_parameter_values_match_engine(self, capsys):
-        from fdivrisk.bounds import hellinger_bound, hockey_stick_bound
-        from oracles import chi_squared_bernoulli
-
-        from fdivrisk.divergences import e_beta_gamma_numeric
-        from fdivrisk.models import BernoulliModel
-
-        code, out, _ = run(capsys, "sweep", "--model", "bernoulli", "--n-range", "2..2")
-        assert code == EXIT_OK
-        cells = out.splitlines()[1].split(",")
-        model = BernoulliModel(2)
-        expected_h = hellinger_bound(2.0, chi_squared_bernoulli(model), 2.0).value
-        expected_hs = hockey_stick_bound(
-            0.75, 2.2, e_beta_gamma_numeric(model, 0.75, 2.2), 2.0
-        ).value
-        assert float(cells[1]) == pytest.approx(expected_h, rel=1e-15)
-        assert float(cells[2]) == pytest.approx(expected_hs, rel=1e-15)
-
     def test_gaussian_exact_risk_where_n_sigma_w_sq_overflows(self, capsys):
         # 7 * 2.8e307 and 8 * 2.8e307 overflow; the variance ratio r = n does not.
         argv = (
@@ -146,23 +113,17 @@ class TestSweepCommand:
             exact = math.sqrt(2.0 / math.pi) * math.sqrt(2.8e307 / (1.0 + n))
             assert risk == pytest.approx(exact, rel=1e-15), n
 
-    def test_deterministic_with_oracle(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = [
-            "sweep",
-            *["--model", "bernoulli", "--n-range", "1..4", "--oracle"],
-            *["--samples", "20000", "--seed", "99"],
-        ]
-        assert main(args + ["--csv", str(a)]) == EXIT_OK
-        assert main(args + ["--csv", str(b)]) == EXIT_OK
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-        # and a different seed changes the oracle column
-        c = tmp_path / "c.csv"
-        assert main(args[:-2] + ["--seed", "100", "--csv", str(c)]) == EXIT_OK
-        assert a.read_bytes() != c.read_bytes()
+    def test_deterministic_with_oracle(self, capsys):
+        # A different seed changes the oracle column; criterion 9 reruns one
+        # seed and compares the bytes.
+        args = "sweep --model bernoulli --n-range 1..4 --oracle --samples 20000 --seed".split()
+        code_a, out_a, _ = run(capsys, *args, "99")
+        code_b, out_b, _ = run(capsys, *args, "100")
+        assert code_a == code_b == EXIT_OK
+        assert out_a != out_b
 
     def test_svg_written_and_csv_unaffected(self, capsys, tmp_path):
+        # The --svg row of golden_runs.RUNS pins the plot.
         csv_a = tmp_path / "a.csv"
         csv_b = tmp_path / "b.csv"
         svg = tmp_path / "plot.svg"
@@ -171,9 +132,6 @@ class TestSweepCommand:
         assert main(base + ["--csv", str(csv_b), "--svg", str(svg)]) == EXIT_OK
         capsys.readouterr()
         assert csv_a.read_bytes() == csv_b.read_bytes()
-        content = svg.read_text()
-        assert content.startswith("<svg")
-        assert "polyline" in content
 
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     @pytest.mark.parametrize("exists", [False, True])
@@ -305,6 +263,10 @@ class TestGoldenOutput:
         assert {entry.golden for entry in golden_runs.RUNS if entry.golden} == files
         assert all((entry.golden is None) != (entry.error is None) for entry in golden_runs.RUNS)
 
+    def test_each_run_appears_once(self):
+        names = [entry.name for entry in golden_runs.RUNS]
+        assert [name for name in names if names.count(name) > 1] == []
+
 
 class TestOracleOrder:
     # The bound columns are computed family by family over every n, and the
@@ -414,34 +376,7 @@ class TestConfigFile:
 
 
 class TestValidateCommand:
-    def test_bernoulli_validate_passes(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "validate",
-            *["--model", "bernoulli", "--n-range", "1..4", "--samples", "200000"],
-        )
-        assert code == EXIT_OK
-        assert "PASS" in out
-        assert "FAIL" not in out
-
-    def test_gaussian_validate_passes(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "validate",
-            *["--model", "gaussian", "--n-range", "1..4", "--samples", "100000"],
-        )
-        assert code == EXIT_OK
-        assert "FAIL" not in out
-
-    def test_gaussian_validate_defaults(self, capsys):
-        # n = 1..20 at order 3/2: two brute-force checks, then two bounds per n.
-        code, out, _ = run(capsys, "validate", "--model", "gaussian")
-        assert code == EXIT_OK
-        lines = out.splitlines()
-        assert "hellinger(p=1.5)" in lines[0]
-        assert "gaussian(n=20," in lines[-2]
-        assert lines[-1] == "42/42 checks passed"
-
+    # The passing runs are rows of golden_runs.RUNS.
     def test_self_test_negate_fails(self, capsys):
         code, out, _ = run(
             capsys,
@@ -459,9 +394,3 @@ class TestValidateCommand:
         second = main(list(args))
         capsys.readouterr()
         assert first == second == EXIT_OK
-
-
-class TestRiskCurveType:
-    def test_csv_formatting_17_digits(self):
-        text = risk_curve_csv([(1, 1.0 / 3.0, None, None, None)])
-        assert "0.33333333333333331" in text
