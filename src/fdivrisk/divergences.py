@@ -39,7 +39,6 @@ from collections.abc import Iterator
 from .generators import Hellinger, HockeyStick, _checked_make
 from .models import BernoulliModel, GaussianModel, Model
 from .numerics import (
-    QuadratureError,
     _incomplete_beta,
     _incomplete_beta_array,
     adaptive_quadrature,
@@ -531,17 +530,14 @@ def _e_beta_gamma_gaussian(model: GaussianModel, beta: float, gamma: float) -> D
     tail = 2.0 * beta * (1.0 - 0.5 * erfc(-(max(w_min, w_hi) / sw) / root2))
     if w_min >= w_hi:
         return DivergenceValue(0.0, "quadrature", tail)
-    try:
-        val, err = adaptive_quadrature(outer, w_min, w_hi, rel_tol=_GAUSSIAN_REL_TOL, abs_tol=1e-18)
-    except QuadratureError as stall:
-        # Each slice's CDF differences round to about eps (beta + gamma), and
-        # over the prior mass beyond w_min that floor can exceed abs_tol where
-        # E is nearly 0 (large gamma / beta): a stall within it stands.
-        floor = _EPS * (beta + gamma) * 0.5 * erfc((w_min / sw) / root2)
-        if stall.error > floor:
-            raise
-        val, err = stall.value, stall.error + floor
-    return DivergenceValue(2.0 * val, "quadrature", 2.0 * err + tail)
+    # Each slice's CDF differences round to about eps (beta + gamma); over the
+    # prior mass beyond w_min that floor bounds what the quadrature can
+    # resolve, so it aims no lower and adds the floor to its estimate.
+    floor = _EPS * (beta + gamma) * 0.5 * erfc((w_min / sw) / root2)
+    val, err = adaptive_quadrature(
+        outer, w_min, w_hi, rel_tol=_GAUSSIAN_REL_TOL, abs_tol=max(1e-18 * beta, floor)
+    )
+    return DivergenceValue(2.0 * val, "quadrature", 2.0 * (err + floor) + tail)
 
 
 # --------------------------------------------------------------------------

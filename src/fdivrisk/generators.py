@@ -14,6 +14,7 @@ generator.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 __all__ = ["Generator", "Hellinger", "HockeyStick"]
@@ -49,6 +50,8 @@ class HockeyStick(namedtuple("HockeyStick", "beta gamma")):
     divergence E_{beta,gamma}.
 
     Requires finite gamma >= beta > 0; beta = gamma = 1 yields total variation.
+    A subnormal beta is refused: it keeps too few bits for the kernels'
+    E_{beta,gamma} = beta E_{1,gamma/beta} to hold in floating point.
     """
 
     __slots__ = ()
@@ -64,6 +67,8 @@ class HockeyStick(namedtuple("HockeyStick", "beta gamma")):
             raise ValueError(f"beta must be finite, got {self.beta}")
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if not self.beta >= sys.float_info.min:
+            raise ValueError(f"beta must be at least {sys.float_info.min}, got {self.beta}")
         return self
 
 

@@ -95,6 +95,7 @@ SAMPLES_RULE = "error: samples must be at least 2 (the standard error needs two)
 EMPTY_RANGE = "error: n range must be non-empty and start at 1 or above"
 VALIDATE_UNREAD = "error: validate does not take --family, --csv, --oracle, --svg"
 INFINITE_NOISE = "error: noise variance sigma_sq must be finite, got inf"
+SUBNORMAL_BETA = "error: beta must be at least 2.2250738585072014e-308, got 5e-324"
 NO_NOISE_RATIO = (
     "error: variance ratio sigma_w_sq / (sigma_sq / n) is not finite at"
     " sigma_w_sq = 1.0, sigma_sq = 5e-324, n = "
@@ -292,6 +293,11 @@ RUNS = [
         error="error: gamma must be finite, got inf"),
     Run("bound --n 3 --beta inf --gamma inf", error="error: beta must be finite, got inf"),
     Run("bound --n 3 --p nan", error="error: p must exceed 1"),
+    # A subnormal beta keeps too few bits for E_{beta,gamma} = beta E_{1,tau}.
+    Run("bound --model gaussian --n 50 --family hockey-stick --beta 5e-324 --gamma 5e-324",
+        error=SUBNORMAL_BETA),
+    Run("validate --model gaussian --n-range 50..50", config="beta = 5e-324\ngamma = 5e-324\n",
+        error=SUBNORMAL_BETA),
     # n ranges.
     Run("sweep --n 5 --n-range 1..2", error="error: give --n or --n-range, not both"),
     Run("validate --n-range 0..2", error=EMPTY_RANGE),

@@ -24,10 +24,15 @@ or states an identity of the paper that the package's closed forms rest on:
   and, on the package's incomplete beta, recomputes each Beta median from
   its bracket's evaluated ends.
 
-The oracles share no code path with what they certify: the quadrature finds
-its own kinks by its own bisection, integrates between them piece by piece,
-and imports nothing private from ``fdivrisk.divergences`` (a test in
-``test_divergences.py`` checks this).
+The oracles share one rule with what they certify: ``f_mi_numeric``
+integrates with the package's ``numerics.adaptive_quadrature``, the
+Gauss-Kronrod rule that the Gaussian hockey-stick kernel runs too and that
+``test_numerics.py::TestAdaptiveQuadrature`` checks against exact integrals.
+They share nothing else on that path: the quadrature finds its own kinks by
+its own bisection, integrates its own integrand (the density ratio, not the
+kernel's closed-form slices) between them piece by piece to its own
+tolerances, and imports nothing private from ``fdivrisk.divergences`` (a
+test in ``test_divergences.py`` checks this).
 """
 
 from __future__ import annotations

@@ -157,10 +157,11 @@ class TestHockeyStickBound:
     @pytest.mark.parametrize("n", [1, 5, 20])
     def test_depends_on_beta_only_through_tau(self, model_cls, n):
         # E_{beta,gamma} = beta E_{1,gamma/beta}, so the bound is a function
-        # of tau = gamma / beta alone.
+        # of tau = gamma / beta alone, down to the smallest betas.
         model = model_cls(n)
         coeff = model.small_ball_coefficient()
-        for beta, gamma in ((0.75, 2.2), (0.3, 0.88), (3.0, 8.8)):
+        pairs = ((0.75, 2.2), (0.3, 0.88), (3.0, 8.8), (1e-20, 2.2e-20), (1e-300, 2.2e-300))
+        for beta, gamma in pairs:
             tau = gamma / beta
             e_scaled = e_beta_gamma_numeric(model, beta, gamma)
             scaled = hockey_stick_bound(beta, gamma, e_scaled, coeff)

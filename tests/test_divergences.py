@@ -200,11 +200,12 @@ class TestHockeyStickNumeric:
         assert value.error_estimate < 1e-14
 
     @pytest.mark.parametrize("n", [7, 50])
-    def test_gaussian_stall_at_rounding_floor_is_accepted(self, monkeypatch, n):
-        # At gamma / beta = 1e12, E is about 1e-12: the outer quadrature
-        # stalls above abs_tol, within the rounding floor of its normal-CDF
-        # differences, and the value it stopped at stands.
+    def test_gaussian_large_tau_stops_at_its_rounding_floor(self, monkeypatch, n):
+        # At gamma / beta = 1e12, E is about 1e-12, below the rounding floor
+        # of the slices' normal-CDF differences: the outer quadrature aims at
+        # that floor and meets it in a few panels rather than stalling.
         stalls = []
+        panels = []
 
         def recorded(*args, **kwargs):
             try:
@@ -213,11 +214,18 @@ class TestHockeyStickNumeric:
                 stalls.append(exc)
                 raise
 
+        def counted(*args):
+            panels.append(args)
+            return kronrod15(*args)
+
+        kronrod15 = numerics._kronrod15
         monkeypatch.setattr(divergences, "adaptive_quadrature", recorded)
+        monkeypatch.setattr(numerics, "_kronrod15", counted)
         model = GaussianModel(n, 40.0, 1.0)
         value = e_beta_gamma_numeric(model, 1.0, 1e12)
+        assert stalls == []
+        assert len(panels) < 64
         generic = f_mi_numeric(model, HockeyStick(1.0, 1e12))
-        assert len(stalls) == 1
         assert value.value > 0.0
         assert abs(value.value - generic.value) <= value.error_estimate + generic.error_estimate
 

@@ -69,6 +69,11 @@ def test_defaults():
         (lambda: HockeyStick(1.0, NAN), ValueError, "gamma must be at least beta"),
         (lambda: HockeyStick(INF, INF), ValueError, "beta must be finite, got inf"),
         (lambda: HockeyStick(1.0, INF), ValueError, "gamma must be finite, got inf"),
+        (
+            lambda: HockeyStick(5e-324, 5e-324),
+            ValueError,
+            "beta must be at least 2.2250738585072014e-308, got 5e-324",
+        ),
         (lambda: BernoulliModel(0), ValueError, "n must be a positive integer"),
         (lambda: BernoulliModel(2.0), ValueError, "n must be a positive integer"),
         (lambda: GaussianModel(1.5), ValueError, "n must be a positive integer"),
