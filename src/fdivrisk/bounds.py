@@ -280,13 +280,14 @@ def _split_map(fn, items: list) -> list:
     A forked child computes the items at odd positions and this process the
     rest.  The child sends the pickled list of all its results through a
     pipe, or exits non-zero without sending anything, so no exception
-    crosses it (some, such as ``QuadratureError``, do not unpickle).
-    Anything short of two complete shares (an item that fails on either
-    process, a child that dies, a short or unreadable payload) kills and
-    reaps the child and maps the whole list on this process, as where no
-    child can start: the first failing item in order then raises its own
-    exception.  Before each of its items this process reaps the child if it
-    has exited, so a child that failed starts that map at once.  Any other
+    crosses it.  Anything short of two complete shares (an item that fails
+    on either process, a child that dies, a short or unreadable payload)
+    kills and reaps the child and maps the whole list on this process, as
+    where no child can start: the first failing item in order then raises
+    its own exception.  Before each of its items this process reaps the
+    child if it has exited, so a child that failed starts that map at once;
+    before each of its own the child exits, sending nothing, if this process
+    is gone, so it outlives a killed parent by one item at most.  Any other
     exception, such as ``KeyboardInterrupt``, kills and reaps the child and
     propagates.  Where ``fn`` is a pure function of its item, the results do
     not depend on the CPU count.
@@ -302,6 +303,7 @@ def _split_map(fn, items: list) -> list:
             except OSError:
                 pass
             else:
+                parent = os.getpid()
                 try:
                     pid = os.fork()
                 except OSError:
@@ -313,7 +315,12 @@ def _split_map(fn, items: list) -> list:
         code = 1
         try:
             os.close(read_end)
-            payload = pickle.dumps([fn(item) for item in items[1::2]], pickle.HIGHEST_PROTOCOL)
+            theirs = []
+            for item in items[1::2]:
+                if os.getppid() != parent:
+                    os._exit(1)  # the parent is gone: nobody reads the share
+                theirs.append(fn(item))
+            payload = pickle.dumps(theirs, pickle.HIGHEST_PROTOCOL)
             with open(write_end, "wb") as pipe:
                 pipe.write(payload)
             code = 0

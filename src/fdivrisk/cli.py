@@ -22,7 +22,7 @@ Exit codes: 0 success, 1 validation failure, 2 argument error (a malformed
 command line too, in one line), numerical failure (an ``ArithmeticError``
 such as an overflow) or running out of memory (such as a ``--samples`` too
 large to hold), 3 I/O error, before any output if an output path cannot be
-opened.
+opened or standard output or standard error is closed.
 All randomness flows from ``--seed`` (fixed default, never wall clock), so
 identical invocations produce byte-identical output.
 """
@@ -425,6 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    if sys.stdout is None or sys.stderr is None:
+        # Python starts with a closed stream (``>&-``) set to None.
+        if sys.stderr is not None:
+            print("i/o error: standard output is closed", file=sys.stderr)
+        return EXIT_IO
     try:
         args = build_parser().parse_args(argv)
         unread = _resolve_options(args)

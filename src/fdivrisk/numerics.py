@@ -68,13 +68,7 @@ _MAX_PANELS = 4096
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive integration exhausted its budget before meeting tolerance;
-    ``value`` and ``error`` are the integral and its estimate when it stopped."""
-
-    def __init__(self, message: str, value: float, error: float):
-        super().__init__(message)
-        self.value = value
-        self.error = error
+    """Adaptive integration exhausted its budget before meeting tolerance."""
 
 
 def _kronrod15(f, a: float, b: float) -> tuple[float, float]:
@@ -101,8 +95,8 @@ def adaptive_quadrature(
     The nested rule's error estimate is only meaningful where ``f`` is
     smooth, so a kinked integrand must be integrated piece by piece, split
     at its kinks, rather than left for adaptivity to find them.  Returns
-    ``(value, error_estimate)`` or raises :class:`QuadratureError`, which
-    carries both, after ``_MAX_PANELS`` panels.
+    ``(value, error_estimate)`` or raises :class:`QuadratureError` after
+    ``_MAX_PANELS`` panels.
     """
     if b < a:
         raise ValueError("integration bounds must be ordered")
@@ -113,23 +107,14 @@ def adaptive_quadrature(
     heap = [(-total_err, 0, a, b, total, total_err)]
     counter = 1
 
-    min_width = (b - a) * 4e-16
-    stuck_err = 0.0
     panels = 1
-    while total_err + stuck_err > max(abs_tol, rel_tol * abs(total)):
-        if not heap or panels >= _MAX_PANELS:
+    while total_err > max(abs_tol, rel_tol * abs(total)):
+        if panels >= _MAX_PANELS:
             raise QuadratureError(
-                f"integration stalled at error {total_err + stuck_err:.3e} "
-                f"after {panels} panels",
-                total,
-                total_err + stuck_err,
+                f"integration stalled at error {total_err:.3e} after {panels} panels"
             )
         _, _, lo, hi, val, err = heapq.heappop(heap)
         total_err -= err
-        if hi - lo <= min_width or err == 0.0:
-            # Panel cannot be meaningfully refined; park its error.
-            stuck_err += err
-            continue
         mid = 0.5 * (lo + hi)
         v1, e1 = _kronrod15(f, lo, mid)
         v2, e2 = _kronrod15(f, mid, hi)
@@ -140,7 +125,7 @@ def adaptive_quadrature(
         heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
         counter += 1
         panels += 1
-    return total, total_err + stuck_err
+    return total, total_err
 
 
 # --------------------------------------------------------------------------

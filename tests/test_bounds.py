@@ -511,8 +511,6 @@ class TestSearchedColumnOnTwoProcesses:
         # Models n = 1..6: n = 2 is the child's first, before this process's n = 5.
         def hellinger_divergence(model, p, real=bounds.hellinger_divergence):
             if model.n in (2, 5):
-                if error is QuadratureError:
-                    raise QuadratureError(f"stalled at n = {model.n}", 0.5, 1e-3)
                 raise error(f"stalled at n = {model.n}")
             return real(model, p)
 
@@ -537,11 +535,6 @@ class TestSplitMap:
         monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
         return bounds._split_map(fn, self.ITEMS)
 
-    def test_quadrature_error_does_not_unpickle(self):
-        # Why no exception crosses the pipe.
-        with pytest.raises(TypeError):
-            pickle.loads(pickle.dumps(QuadratureError("stalled", 0.5, 1e-3)))
-
     @pytest.mark.parametrize(
         "failing, first",
         [
@@ -555,8 +548,6 @@ class TestSplitMap:
     def test_first_failing_item_raises_its_own_error(self, monkeypatch, forks, failing, first, error):
         def fn(x):
             if x in failing:
-                if error is QuadratureError:
-                    raise QuadratureError(f"stalled at {x}", 0.5, 1e-3)
                 raise error(f"no value at {x}")
             return x * x
 
@@ -750,6 +741,52 @@ class TestSplitMap:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         assert bounds._worker_count() == workers
+
+    def test_an_orphaned_child_stops_before_its_next_item(self):
+        # A fresh interpreter splits 12 items of 0.5 s each and is killed
+        # 0.2 s into its first; its child, left to another parent, must stop
+        # once that first item is done rather than map the other five.
+        script = textwrap.dedent("""\
+            import os, time
+            from fdivrisk import bounds
+            def fork(real=os.fork):
+                pid = real()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+            os.fork = fork
+            bounds._worker_count = lambda: 2
+            bounds._split_map(lambda x: time.sleep(0.5), list(range(12)))
+        """)
+
+        def running(pid):
+            # A reaped child has no /proc entry, and one nobody reaps is a zombie.
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rpartition(")")[2].split()[0] != "Z"
+
+        env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).resolve().parents[1]))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        child = None
+        try:
+            child = int(parent.stdout.readline())
+            time.sleep(0.2)
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 1.5
+            while running(child) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not running(child)
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+            if child is not None and running(child):
+                os.kill(child, signal.SIGKILL)
 
     @pytest.mark.parametrize(
         "split",

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import golden_runs
 import pytest
@@ -9,6 +13,7 @@ from conftest import assert_no_child
 from fdivrisk import bounds, cli, numerics, validation
 from fdivrisk.cli import (
     CSV_HEADER,
+    EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
@@ -228,6 +233,33 @@ class TestMalformedCommandLine:
         assert run(capsys, "bound", "--n", "3", "--fam", "hockey-stick", "--opt") == run(
             capsys, "bound", "--n", "3", "--family", "hockey-stick", "--optimize"
         )
+
+
+class TestClosedStreams:
+    # A fresh CLI child started with stdout (fd 1) or stderr (fd 2) closed,
+    # as by `>&-`, exits 3 before any work, with its one line where it can.
+    CLOSED = "i/o error: standard output is closed\n"
+
+    @pytest.mark.parametrize(
+        "argv, fd, err",
+        [
+            pytest.param("compare --model bernoulli --n-range 1..5", 1, CLOSED, id="compare-stdout"),
+            pytest.param("bound --model bernoulli --n 3", 1, CLOSED, id="bound-stdout"),
+            pytest.param("validate --model bernoulli --n-range 1..2", 1, CLOSED, id="validate-stdout"),
+            pytest.param("compare --model bernoulli --n-range 1..5", 2, "", id="compare-stderr"),
+        ],
+    )
+    def test_exits_3_with_at_most_one_line(self, argv, fd, err):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-m", "fdivrisk.cli", *argv.split()],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=lambda: os.close(fd),
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (EXIT_IO, "", err)
 
 
 class TestGoldenOutput:
