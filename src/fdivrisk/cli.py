@@ -22,7 +22,8 @@ Exit codes: 0 success, 1 validation failure, 2 argument error (a malformed
 command line too, in one line), numerical failure (an ``ArithmeticError``
 such as an overflow) or running out of memory (such as a ``--samples`` too
 large to hold), 3 I/O error, before any output if an output path cannot be
-opened or standard output or standard error is closed.
+opened or standard output or standard error is closed, and 130 on an
+interrupt (Ctrl-C), the code a shell gives a job that SIGINT ends.
 All randomness flows from ``--seed`` (fixed default, never wall clock), so
 identical invocations produce byte-identical output.
 """
@@ -463,6 +464,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        # A forked child got the same SIGINT, and _split_map has reaped it.
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

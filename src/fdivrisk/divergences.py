@@ -5,15 +5,15 @@ One entry point per family: ``hellinger_divergence(model, p)``, and
 model of a list; ``e_beta_gamma_numeric`` is its one-model form.  Closed
 forms where they exist: the Hellinger family on both models, and the
 coin-flip hockey-stick family as a closed form (incomplete-beta sum) over
-Hamming weights.  That sum runs one weight at a time in pure Python below
-``_ARRAY_MIN_WEIGHTS`` weights k <= n/2 (n < 126), and in numpy blocks of
-weights from there on.  The weights of consecutive n of a sweep share a
-block, so a sweep over large n makes one pass of numpy calls per block
-rather than per n, with the same bits as each n alone.  Only the block
-functions import numpy, so smaller runs never load it.  This module finds
-the kink roots and sums the terms; each I_x(a, b) comes from the scalar or
-numpy incomplete beta of ``numerics``, given the log w and log(1 - w) that
-the error bound reads too.
+Hamming weights.  That sum (``_bernoulli_sums``) runs one weight at a time
+in pure Python below ``_ARRAY_MIN_WEIGHTS`` weights k <= n/2 (n < 126), and
+in numpy blocks of weights from there on.  The weights of consecutive n of a
+sweep share a block, so a sweep over large n makes one pass of numpy calls
+per block rather than per n, with the same bits as each n alone.  Only the
+block functions import numpy, so smaller runs never load it.  This module
+finds the kink roots and sums the terms; each I_x(a, b) comes from the
+scalar or numpy incomplete beta of ``numerics``, given the log w and
+log(1 - w) that the error bound reads too.
 The Gaussian hockey-stick family is an adaptive quadrature over the
 parameter, with each slice in the sample mean in closed form.
 
@@ -215,9 +215,9 @@ def _kink_end(
     return 0.5 * (inside + outside)
 
 
-def _bernoulli_terms_scalar(n: int, beta: float, gamma: float) -> tuple[list, list]:
-    """Per-weight terms of E_{beta,gamma} and their error bounds, one weight
-    at a time (see :func:`e_beta_gamma_sweep`).
+def _bernoulli_sum_scalar(n: int, beta: float, gamma: float) -> tuple[float, float]:
+    """``math.fsum`` of the per-weight terms of (n + 1) E_{beta,gamma} and of
+    their error bounds, one weight at a time (see :func:`e_beta_gamma_sweep`).
 
     Weight k's density ratio (n+1) C(n, k) w^k (1-w)^(n-k) is log-concave
     with its peak at the mode w = k/n, so it exceeds tau on one interval (or
@@ -270,13 +270,17 @@ def _bernoulli_terms_scalar(n: int, beta: float, gamma: float) -> tuple[list, li
         weight = 1.0 if 2 * k == n else 2.0
         values.append(weight * term)
         errors.append(weight * err)
-    return values, errors
+    return math.fsum(values), math.fsum(errors)
 
 
 # Hamming weights (k <= n/2) from which the kernel switches to numpy blocks,
-# so n >= 126.  Measured over the parameter search's tau grid, the two paths
-# break even near 51 weights; below that the arrays' fixed cost of a few
-# hundred numpy calls exceeds the scalar loop's work.
+# so n >= 126.  Below the break-even the arrays' fixed cost of a few hundred
+# numpy calls exceeds the scalar loop's work.  One n alone over the 33 tau of
+# the parameter search's grid, one process on a Xeon vCPU, best of 15: the
+# scalar loop takes 21.3 ms at 51 weights (n = 100) against 24.8 ms packed,
+# 25.3 against 25.2 at 59 (n = 116), and 27.7 against 26.1 at 64 (n = 126).
+# The pinned bits of n = 116..125 rest on the scalar path, so the switch
+# stays at 64.
 _ARRAY_MIN_WEIGHTS = 64
 # Weights per numpy block, the (n, k) pairs of consecutive n of a sweep
 # together; each temporary holds at most 2 x 4096 float64 (64 KiB), and the
@@ -285,12 +289,11 @@ _ARRAY_MIN_WEIGHTS = 64
 _ARRAY_BLOCK = 4096
 
 
-def _kink_roots_array(excess, slope, inside, outside, x) -> np.ndarray:
-    """The Newton iteration of :func:`_kink_end` over arrays, element by element.
-
-    Each element stops under the scalar rules and keeps the value it stopped
-    at.  ``excess`` and ``slope`` map an array of abscissae to arrays.  Works
-    in place on ``inside``, ``outside`` and ``x``.
+def _kink_roots_array(k, rest, logc, log_tau: float, inside, outside, x) -> np.ndarray:
+    """:func:`_kink_end` over arrays of its arguments (``log_tau`` stays a
+    float), element by element: each element stops under the scalar rules and
+    keeps the value it stopped at.  Works in place on ``inside``, ``outside``
+    and ``x``.
     """
     import numpy as np
 
@@ -305,14 +308,14 @@ def _kink_roots_array(excess, slope, inside, outside, x) -> np.ndarray:
         if done.all():
             return root
         np.copyto(x, 0.5 * (lo + hi), where=~((lo < x) & (x < hi)))
-        v = excess(x)
+        v = logc + k * np.log(x) + rest * np.log1p(-x) - log_tau
         live = ~done
         np.copyto(inside, x, where=live & (v > 0.0))
         np.copyto(outside, x, where=live & (v < 0.0))
         hit = live & (v == 0.0)
         np.copyto(root, x, where=hit)
         done |= hit
-        d = slope(x)
+        d = k / x - rest / (1.0 - x)
         step = v / d
         moving = ~done & (d != 0.0)
         x_next = x - step
@@ -350,9 +353,8 @@ def _weight_blocks(ns: list[int]):
 def _bernoulli_sums_array(
     ns: list[int], beta: float, gamma: float
 ) -> Iterator[tuple[float, float]]:
-    """:func:`_bernoulli_terms_scalar` over numpy blocks of weights, for each
-    n of ``ns`` in turn: yields ``math.fsum`` of n's terms and of their error
-    bounds once its last weight is done.
+    """:func:`_bernoulli_sum_scalar` over numpy blocks of weights, for each
+    n of ``ns`` in turn: yields its pair once n's last weight is done.
 
     The weights of consecutive n fill each block (:func:`_weight_blocks`), so
     a sweep over n makes one pass of numpy calls per block, not per n.
@@ -416,14 +418,6 @@ def _block_terms(
     # Lower roots in the first half, upper roots in the second.
     k2 = np.concatenate((k, k))
     rest2 = np.concatenate((rest, rest))
-    logc2 = np.concatenate((logc, logc))
-
-    def excess(w):
-        return logc2 + k2 * np.log(w) + rest2 * np.log1p(-w) - log_tau
-
-    def slope(w):
-        return k2 / w - rest2 / (1.0 - w)
-
     size = len(k)
     half_width = np.sqrt(2.0 * peak * mode * (1.0 - mode) / n)
     # Weight 0 peaks at w = 0: its lower bracket [0, 0] is already
@@ -431,7 +425,7 @@ def _block_terms(
     inside = np.concatenate((mode, mode))
     outside = np.concatenate((np.zeros(size), np.ones(size)))
     start = np.concatenate((mode - half_width, mode + half_width))
-    w = _kink_roots_array(excess, slope, inside, outside, start)
+    w = _kink_roots_array(k2, rest2, np.concatenate((logc, logc)), log_tau, inside, outside, start)
 
     a = k2 + 1.0
     b = rest2 + 1.0
@@ -446,7 +440,7 @@ def _block_terms(
     kernel_size -= b * log1m_w
     tail = np.minimum(i_w, 1.0 - i_w)
     cf_err = beta * (tail * (4.0 * _EPS * kernel_size + _BETACF_REL_ERR) + _EPS)
-    ratio_slope = np.maximum(np.abs(slope(w)), _EPS)
+    ratio_slope = np.maximum(np.abs(k2 / w - rest2 / (1.0 - w)), _EPS)
     root_err = _KINK_TOL + 4.0 * _EPS * (kernel_size + abs(log_tau)) / ratio_slope
     root_err = gamma * ratio_slope * root_err * root_err
     cf_err = np.where(exact, 0.0, cf_err)
@@ -458,6 +452,16 @@ def _block_terms(
     err = err + cf_err[size:] + root_err[size:]
     weight = np.where(2 * ks == ns, 1.0, 2.0)
     return cuts, (weight * term).tolist(), (weight * err).tolist()
+
+
+def _bernoulli_sums(ns: list[int], beta: float, gamma: float) -> Iterator[tuple[float, float]]:
+    """The sum of (n + 1) E_{beta,gamma}'s terms and of their error bounds,
+    for each n of ``ns`` in order: one weight at a time below
+    ``_ARRAY_MIN_WEIGHTS`` weights, in shared numpy blocks from there on."""
+    large = [n // 2 + 1 >= _ARRAY_MIN_WEIGHTS for n in ns]
+    packed = _bernoulli_sums_array([n for n, big in zip(ns, large) if big], beta, gamma)
+    for n, big in zip(ns, large):
+        yield next(packed) if big else _bernoulli_sum_scalar(n, beta, gamma)
 
 
 # --------------------------------------------------------------------------
@@ -559,39 +563,28 @@ def e_beta_gamma_sweep(models: list[Model], beta: float, gamma: float) -> list[D
     beta*ratio - gamma integrates over the kink interval [lo, hi] to
     beta (I_hi - I_lo) - gamma (hi - lo), with I the regularized incomplete
     beta function.  Weights k and n-k mirror each other (w <-> 1-w), so only
-    k <= n/2 is evaluated and the rest counted twice.  An n with
-    ``_ARRAY_MIN_WEIGHTS`` such weights or more (n >= 126) is evaluated in
-    numpy blocks, which it shares with the other such n of ``models``, with
-    the bits of its n alone; a smaller n one weight at a time.  The error
-    bound covers the rounding of the incomplete-beta front factor and of the
-    continued fraction, and the kink roots: the integrand vanishes at a
-    root, so a root off by d moves the term by at most about
-    gamma * |slope| * d^2, slope being the log-ratio's derivative there.
+    k <= n/2 is evaluated and the rest counted twice.  From n = 126 on,
+    :func:`_bernoulli_sums` evaluates n in numpy blocks, which it shares with
+    the other such n of ``models``, with the bits of its n alone; a smaller n
+    one weight at a time.  The error bound covers the rounding of the
+    incomplete-beta front factor and of the continued fraction, and the kink
+    roots: the integrand vanishes at a root, so a root off by d moves the term
+    by at most about gamma * |slope| * d^2, slope being the log-ratio's
+    derivative there.
 
     Gaussian model: outer quadrature over w with the per-slice x-interval
     handled in closed form.
     """
     HockeyStick(beta, gamma)  # checks beta and gamma
-    packed = _bernoulli_sums_array(
-        [
-            model.n
-            for model in models
-            if isinstance(model, BernoulliModel) and model.n // 2 + 1 >= _ARRAY_MIN_WEIGHTS
-        ],
-        beta,
-        gamma,
+    sums = _bernoulli_sums(
+        [model.n for model in models if isinstance(model, BernoulliModel)], beta, gamma
     )
     results = []
     for model in models:
         if isinstance(model, GaussianModel):
             results.append(_e_beta_gamma_gaussian(model, beta, gamma))
             continue
-        n = model.n
-        if n // 2 + 1 >= _ARRAY_MIN_WEIGHTS:
-            total, error = next(packed)
-        else:
-            values, errors = _bernoulli_terms_scalar(n, beta, gamma)
-            total, error = math.fsum(values), math.fsum(errors)
-        scale = 1.0 / (n + 1.0)
+        total, error = next(sums)
+        scale = 1.0 / (model.n + 1.0)
         results.append(DivergenceValue(scale * total, "closed_form", scale * error))
     return results

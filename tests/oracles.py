@@ -19,7 +19,8 @@ or states an identity of the paper that the package's closed forms rest on:
   arguments and computes log(1 / B(a, b)) itself: the package writes both
   out in place, with terms its callers already hold;
 - ``e_beta_gamma_bernoulli_decimal``: the coin-flip hockey-stick
-  information to 40 digits, from Decimal kink roots and binomial tails;
+  information to 40 digits, from Decimal kink roots and binomial tails, as
+  the mean of its per-weight terms (``e_beta_gamma_bernoulli_term_decimal``);
 - ``bisect_root``, a generic bisection, which finds the quadrature's kinks
   and, on the package's incomplete beta, recomputes each Beta median from
   its bracket's evaluated ends.
@@ -450,38 +451,46 @@ def _kink_root_decimal(ratio, log_ratio_slope, tau: Decimal, inside, outside) ->
     raise ArithmeticError("Decimal kink-root Newton iteration did not converge")
 
 
-def e_beta_gamma_bernoulli_decimal(n: int, tau: float) -> Decimal:
-    """E_{1,tau} of the coin-flip model at n, to about 40 digits.
+def e_beta_gamma_bernoulli_term_decimal(n: int, k: int, tau: float) -> Decimal:
+    """Weight k's share of (n + 1) E_{1,tau} of the coin-flip model, to about
+    40 digits, with ``tau`` taken exactly as the float it is.
 
     Weight k's density ratio R_k(w) = (n+1) C(n, k) w^k (1-w)^(n-k) is the
     Beta(k+1, n-k+1) density, so (R_k - tau)_+ integrates over its kink
     interval [lo, hi] to I_hi - I_lo - tau (hi - lo), with I the binomial
-    tail of :func:`_binomial_tail`; E is the mean of these over k = 0..n.
-    Every weight is evaluated, without the package's mirror symmetry, and
-    ``tau`` is taken exactly as the float it is.
+    tail of :func:`_binomial_tail`; 0 where R_k's peak does not pass tau.
     """
     with localcontext() as ctx:
         ctx.prec = 40
         tau_d = Decimal(tau)
+        rest = n - k
+        scale = (n + 1) * math.comb(n, k)
+
+        def ratio(w: Decimal) -> Decimal:
+            # Decimal raises on 0 ** 0, which the weight-0 and weight-n
+            # ratios meet at their peaks.
+            return scale * (w**k if k else 1) * ((1 - w) ** rest if rest else 1)
+
+        def log_ratio_slope(w: Decimal) -> Decimal:
+            return k / w - rest / (1 - w)
+
+        mode = Decimal(k) / n
+        if ratio(mode) <= tau_d:
+            return Decimal(0)
+        lo = _kink_root_decimal(ratio, log_ratio_slope, tau_d, mode, Decimal(0)) if k else 0
+        hi = _kink_root_decimal(ratio, log_ratio_slope, tau_d, mode, Decimal(1)) if rest else 1
+        return _binomial_tail(n, k, hi) - _binomial_tail(n, k, lo) - tau_d * (hi - lo)
+
+
+def e_beta_gamma_bernoulli_decimal(n: int, tau: float) -> Decimal:
+    """E_{1,tau} of the coin-flip model at n, to about 40 digits: the mean
+    over k = 0..n of :func:`e_beta_gamma_bernoulli_term_decimal`.  Every
+    weight is evaluated, without the package's mirror symmetry."""
+    with localcontext() as ctx:
+        ctx.prec = 40
         total = Decimal(0)
         for k in range(n + 1):
-            rest = n - k
-            scale = (n + 1) * math.comb(n, k)
-
-            def ratio(w: Decimal) -> Decimal:
-                # Decimal raises on 0 ** 0, which the weight-0 and weight-n
-                # ratios meet at their peaks.
-                return scale * (w**k if k else 1) * ((1 - w) ** rest if rest else 1)
-
-            def log_ratio_slope(w: Decimal) -> Decimal:
-                return k / w - rest / (1 - w)
-
-            mode = Decimal(k) / n
-            if ratio(mode) <= tau_d:
-                continue
-            lo = _kink_root_decimal(ratio, log_ratio_slope, tau_d, mode, Decimal(0)) if k else 0
-            hi = _kink_root_decimal(ratio, log_ratio_slope, tau_d, mode, Decimal(1)) if rest else 1
-            total += _binomial_tail(n, k, hi) - _binomial_tail(n, k, lo) - tau_d * (hi - lo)
+            total += e_beta_gamma_bernoulli_term_decimal(n, k, tau)
         return total / (n + 1)
 
 

@@ -2,8 +2,10 @@
 
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import golden_runs
@@ -260,6 +262,62 @@ class TestClosedStreams:
             timeout=60,
         )
         assert (child.returncode, child.stdout, child.stderr) == (EXIT_IO, "", err)
+
+
+class TestInterrupt:
+    # Ctrl-C sends SIGINT to the job's process group: the CLI and, during a
+    # searched column, the child it forked for every other n.
+    ARGV = "compare --model bernoulli --n-range 126..400 --optimize"
+
+    @staticmethod
+    def group(pgid):
+        """The live processes of process group ``pgid`` other than its leader."""
+        members = []
+        for pid in (int(entry) for entry in os.listdir("/proc") if entry.isdigit()):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except (FileNotFoundError, ProcessLookupError):
+                continue  # gone since the listing
+            state, _, pgrp = stat.rpartition(")")[2].split()[:3]
+            if int(pgrp) == pgid and pid != pgid and state != "Z":
+                members.append(pid)
+        return members
+
+    @pytest.mark.parametrize("cpus", ["all", "one"])
+    def test_sigint_ends_in_one_line_and_exit_130(self, cpus):
+        def start():
+            os.setsid()  # its own process group, as a shell gives a job
+            signal.signal(signal.SIGINT, signal.SIG_DFL)  # not ignored, as in a background job
+            if cpus == "one":
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        # With two CPUs the signal comes once the child has forked; with one
+        # (no fork), 1 s into the run.
+        forks = cpus == "all" and bounds._worker_count() >= 2
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fdivrisk.cli", *self.ARGV.split()],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            preexec_fn=start,
+        )
+        try:
+            deadline = time.monotonic() + (20.0 if forks else 1.0)
+            while time.monotonic() < deadline and not (forks and self.group(proc.pid)):
+                time.sleep(0.01)
+            assert proc.poll() is None and bool(self.group(proc.pid)) == forks
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+            assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+            assert self.group(proc.pid) == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+            for pid in self.group(proc.pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestGoldenOutput:

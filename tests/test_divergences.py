@@ -14,6 +14,7 @@ from oracles import (
     chi_squared_scaled_upper_bound,
     combinatorial_identity_check,
     e_beta_gamma_bernoulli_decimal,
+    e_beta_gamma_bernoulli_term_decimal,
     f_mi_numeric,
     log_comb,
     renyi_from_hellinger,
@@ -282,10 +283,9 @@ class TestBernoulliArrayPath:
         model = BernoulliModel(n)
         # The last two tau sit just inside and outside the k = 0 peak n + 1.
         for tau in (1.0, 1.5, 2.9333, 40.0, 160.0, n + 1.0 - 1e-9, n + 1.0 + 1e-9):
-            values, errors = divergences._bernoulli_terms_scalar(n, 1.0, tau)
+            scalar_sum, scalar_error = divergences._bernoulli_sum_scalar(n, 1.0, tau)
             [(array_sum, array_error)] = divergences._bernoulli_sums_array([n], 1.0, tau)
-            scalar_sum = math.fsum(values)
-            tolerance = math.fsum(errors) + array_error
+            tolerance = scalar_error + array_error
             assert abs(array_sum - scalar_sum) <= tolerance, (tau, array_sum, scalar_sum)
             expected = array_sum if n // 2 + 1 >= crossover else scalar_sum
             value = e_beta_gamma_numeric(model, 1.0, tau).value
@@ -316,6 +316,27 @@ class TestBernoulliArrayPath:
     def test_pinned_bits(self, n, tau):
         value = e_beta_gamma_numeric(BernoulliModel(n), 1.0, tau)
         assert (value.value.hex(), value.error_estimate.hex()) == self.PINNED[n, tau]
+
+    # The packed kernel at n = 10^4, a weight at a time as one-run blocks:
+    # weights 0 and 1 (a lower root near 0), n/4, the last weights whose peak
+    # passes tau (their kink interval closes; at tau = 160 that is k = 666)
+    # with the first that fails, and n/2.  The worst |error| / estimate here
+    # is 0.12.
+    @pytest.mark.parametrize("tau", [1.5, 40.0, 160.0])
+    def test_large_n_terms_within_their_error_bounds(self, tau):
+        n = 10**4
+        lgam = np.array(divergences._log_factorials(n)[: n + 2])
+        log_tau = math.log(tau) - math.log(1.0)
+        with np.errstate(all="ignore"):  # as _bernoulli_sums_array calls it
+            [kept], _, _ = divergences._block_terms([(n, 0, n // 2 + 1)], lgam, log_tau, 1.0, tau)
+            for k in sorted({0, 1, n // 4, kept - 2, kept - 1, min(kept, n // 2), n // 2}):
+                _, values, errors = divergences._block_terms([(n, k, 1)], lgam, log_tau, 1.0, tau)
+                weight = 1 if 2 * k == n else 2
+                reference = weight * e_beta_gamma_bernoulli_term_decimal(n, k, tau)
+                if k >= kept:
+                    assert (values, reference) == ([], 0), k
+                else:
+                    assert abs(Decimal(values[0]) - reference) <= Decimal(errors[0]), k
 
     def test_continued_fraction_stall_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
