@@ -17,18 +17,20 @@ already below the best one evaluated, so a hockey-stick search evaluates 50
 to 80 divergences; the Hellinger search evaluates all 80.
 
 ``family_bounds`` is the one bound entry of every CLI command and of the
-certification suite: one family's column over a list of models, each the
-fixed-parameter bound of the family or its searched one.  The fixed
-hockey-stick column of the coin-flip models evaluates its divergences
-together (``e_beta_gamma_sweep``).  A searched column runs on two processes
-where it can (``_split_map``, which the risk oracles of
-``validation.risk_reports`` use too): a forked child searches every other
-model while this process searches the rest.  If either share falls short,
-the child is killed and this process searches the whole column again, so
-the first model that fails raises its own error.  Each search is a pure
-function of its model, so the column's bits and its first error do not
-depend on the CPU count.  Every parameter comes from the caller; the CLI
-decides the defaults.
+certification suite: the columns of the requested families over a list of
+models, keyed in ``FAMILIES`` order, each the fixed-parameter bound of the
+family or its searched one.  The fixed hockey-stick column of the coin-flip
+models evaluates its divergences together (``e_beta_gamma_sweep``).  The
+searches of every requested family run as one list, family after family, on
+two processes where they can (``_split_map``, which the risk oracles of
+``validation.risk_reports`` use too): a run forks once for its searched
+bounds, whatever the number of families, and a forked child searches every
+other (family, model) pair while this process searches the rest.  If either
+share falls short, the child is killed and this process searches the whole
+list again, so the first model that fails in the first family that fails
+raises its own error.  Each search is a pure function of its model and
+family, so the columns' bits and their first error do not depend on the CPU
+count.  Every parameter comes from the caller; the CLI decides the defaults.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 import os
 import threading
 from collections import namedtuple
+from collections.abc import Iterable
 
 from .divergences import (
     DivergenceInfiniteError,
@@ -362,24 +365,40 @@ def _split_map(fn, items: list) -> list:
 
 
 def family_bounds(
-    models: list[Model], family: str, *, p: float, beta: float, gamma: float, optimize: bool
-) -> list[BoundResult]:
-    """The bounds of one family at each model, in order: with ``optimize``
-    the searched bound of :func:`optimize_parameters`, split between this
-    process and a forked child where two CPUs are free (the same bits on
-    one process or two), otherwise the Hellinger bound at order ``p`` or the
-    hockey-stick bound at ``(beta, gamma)``, whose divergences
-    ``e_beta_gamma_sweep`` evaluates together."""
-    key = _family_key(family)
+    models: list[Model],
+    families: Iterable[str],
+    *,
+    p: float,
+    beta: float,
+    gamma: float,
+    optimize: bool,
+) -> dict[str, list[BoundResult]]:
+    """``{family: column}`` for each of ``families``, canonical and keyed
+    in ``FAMILIES`` order, each column holding the family's bound at each
+    model, in order.
+
+    With ``optimize`` each bound is the searched one of
+    :func:`optimize_parameters`, and every (family, model) search is one
+    item of one list, family after family, split between this process and a
+    forked child where two CPUs are free (the same bits on one process or
+    two).  Otherwise the Hellinger column is the bound at order ``p``, and
+    then the hockey-stick column the bound at ``(beta, gamma)``, whose
+    divergences ``e_beta_gamma_sweep`` evaluates together.  Every name is
+    checked before any bound is computed."""
+    requested = {_family_key(family) for family in families}
     if optimize:
-        return _split_map(lambda model: optimize_parameters(model, key), models)
-    if key == "hellinger":
-        return [
+        pairs = [(model, key) for key in FAMILIES if key in requested for model in models]
+        searched = iter(_split_map(lambda pair: optimize_parameters(*pair), pairs))
+        return {key: [next(searched) for _ in models] for key in FAMILIES if key in requested}
+    columns = {}
+    if "hellinger" in requested:
+        columns["hellinger"] = [
             hellinger_bound(p, hellinger_divergence(model, p), model.small_ball_coefficient())
             for model in models
         ]
-    divergences = e_beta_gamma_sweep(models, beta, gamma)
-    return [
-        hockey_stick_bound(beta, gamma, divergence, model.small_ball_coefficient())
-        for model, divergence in zip(models, divergences)
-    ]
+    if "hockey_stick" in requested:
+        columns["hockey_stick"] = [
+            hockey_stick_bound(beta, gamma, divergence, model.small_ball_coefficient())
+            for model, divergence in zip(models, e_beta_gamma_sweep(models, beta, gamma))
+        ]
+    return columns

@@ -22,8 +22,9 @@ Exit codes: 0 success, 1 validation failure, 2 argument error (a malformed
 command line too, in one line), numerical failure (an ``ArithmeticError``
 such as an overflow) or running out of memory (such as a ``--samples`` too
 large to hold), 3 I/O error, before any output if an output path cannot be
-opened or standard output or standard error is closed, and 130 on an
-interrupt (Ctrl-C), the code a shell gives a job that SIGINT ends.
+opened or standard output or standard error is closed, 130 on an
+interrupt (Ctrl-C) and 143 on SIGTERM, the codes a shell gives a job that
+SIGINT or SIGTERM ends.
 All randomness flows from ``--seed`` (fixed default, never wall clock), so
 identical invocations produce byte-identical output.
 """
@@ -32,7 +33,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 
 from .bounds import FAMILIES, _family_key, family_bounds
 from .generators import Hellinger, HockeyStick
@@ -74,7 +77,7 @@ def build_model(kind: str, n: int, sigma_w_sq: float, sigma_sq: float) -> Model:
 
 def compute_risk_curve(
     models: list[Model],
-    families: tuple[str, ...],
+    families: list[str],
     *,
     p: float,
     beta: float,
@@ -85,25 +88,19 @@ def compute_risk_curve(
     seed: int,
 ) -> list[tuple]:
     """One row per model, in ``CSV_HEADER`` order: the bounds of
-    ``families`` and, with ``oracle``, the risk oracle.
+    ``families``, None for the other family, and, with ``oracle``, the risk
+    oracle.
 
-    The bound columns come first, each family over all the models at once,
-    so the first error of a column in ``FAMILIES`` order is the one raised
-    and it starts no draw; then ``risk_reports`` runs the oracle.
+    The bound columns come first, from one ``family_bounds`` call, so the
+    first error of a column in ``FAMILIES`` order is the one raised and it
+    starts no draw; then ``risk_reports`` runs the oracle.
     """
-    columns = [
-        [
-            result.value
-            for result in family_bounds(
-                models, family, p=p, beta=beta, gamma=gamma, optimize=optimize
-            )
-        ]
-        if family in families
-        else [None] * len(models)
-        for family in FAMILIES
-    ]
+    columns = family_bounds(models, families, p=p, beta=beta, gamma=gamma, optimize=optimize)
     risks = risk_reports(models, samples, seed) if oracle else [(None, None)] * len(models)
-    return [(model.n, *bounds, *risk) for model, *bounds, risk in zip(models, *columns, risks)]
+    return [
+        (model.n, *(columns[key][i].value if key in columns else None for key in FAMILIES), *risk)
+        for i, (model, risk) in enumerate(zip(models, risks))
+    ]
 
 
 def render_curve_svg(rows: list[tuple], title: str) -> str:
@@ -266,14 +263,9 @@ def _models(args: argparse.Namespace) -> list[Model]:
     return [build_model(args.model, n, args.sigma_w_sq, args.sigma_sq) for n in _n_range(args)]
 
 
-def _families(names: list[str]) -> tuple[str, ...]:
-    """The requested bound families, canonical and without repeats."""
-    return tuple(dict.fromkeys(_family_key(name) for name in names))
-
-
 def _bound_family(args: argparse.Namespace) -> str:
     """The one family ``bound`` computes."""
-    families = _families(args.family)
+    families = tuple(dict.fromkeys(_family_key(name) for name in args.family))
     if len(families) > 1:
         raise ValueError(f"bound takes one family, got {', '.join(families)}")
     return families[0]
@@ -323,9 +315,9 @@ def cmd_bound(args: argparse.Namespace, family: str) -> int:
     if args.n is None:
         raise ValueError("--n is required for a single bound")
     model = build_model(args.model, args.n, args.sigma_w_sq, args.sigma_sq)
-    [result] = family_bounds(
-        [model], family, p=args.p, beta=args.beta, gamma=args.gamma, optimize=args.optimize
-    )
+    [[result]] = family_bounds(
+        [model], [family], p=args.p, beta=args.beta, gamma=args.gamma, optimize=args.optimize
+    ).values()
 
     rows = [
         ("bound", format(result.value, ".17g")),
@@ -344,10 +336,10 @@ def cmd_bound(args: argparse.Namespace, family: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace, families: tuple[str, ...]) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     rows = compute_risk_curve(
         _models(args),
-        families,
+        args.family,
         p=args.p,
         beta=args.beta,
         gamma=args.gamma,
@@ -401,6 +393,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised by the handler ``main`` installs.  Not an
+    ``Exception``, so ``_split_map`` does not catch it: it kills and reaps
+    its forked child at once, which the signal to this process alone did not
+    reach."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors ``main`` reports in one line; its
     subparsers are of the same class."""
@@ -431,6 +434,11 @@ def main(argv: "list[str] | None" = None) -> int:
         if sys.stderr is not None:
             print("i/o error: standard output is closed", file=sys.stderr)
         return EXIT_IO
+    # Only the main thread can set a handler; the caller's is restored on
+    # return, since main also runs in-process.
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         args = build_parser().parse_args(argv)
         unread = _resolve_options(args)
@@ -451,7 +459,7 @@ def main(argv: "list[str] | None" = None) -> int:
             return cmd_bound(args, family)
         if args.command == "validate":
             return cmd_validate(args)
-        return cmd_sweep(args, _families(args.family))
+        return cmd_sweep(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -468,6 +476,12 @@ def main(argv: "list[str] | None" = None) -> int:
         # A forked child got the same SIGINT, and _split_map has reaped it.
         print("error: interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return 143
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

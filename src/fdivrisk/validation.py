@@ -11,8 +11,8 @@ incomplete-beta kernel, passing the log terms its own kernel already holds.
 
 The risk oracles of a sweep (``risk_reports``) run after its bound columns.
 The coin-flip draws run on two processes where the process may run on two
-CPUs: a forked child draws every other n (``bounds._split_map``, as a
-searched column does), and any failure draws every n again here.  Each n
+CPUs: a forked child draws every other n (``bounds._split_map``, as the
+searches of ``bounds.family_bounds`` do), and any failure draws every n again here.  Each n
 draws from its own stream, seeded with ``seed + n``, so the reports do not
 depend on the CPU count; each process holds about 8 bytes per sample.  The
 exact Gaussian reports draw nothing and run on this process alone.
@@ -277,9 +277,10 @@ def certification_suite(
     """Certify closed forms against brute force at the first model, and
     every bound against the risk oracle at each model.
 
-    The brute-force checks run first, then the bound columns, each family
-    over all the models at once, and then the risk draws of every model
-    (``risk_reports``): a check or a bound that fails starts no draw."""
+    The brute-force checks run first, then the bound columns of every
+    family, fixed and, with ``optimize``, searched, one ``family_bounds``
+    call each, and then the risk draws of every model (``risk_reports``): a
+    check or a bound that fails starts no draw."""
     if not models:
         raise ValueError("no models to certify")
     first = models[0]
@@ -310,12 +311,10 @@ def certification_suite(
         )
     )
 
-    searches = (False, True) if optimize else (False,)
-    columns = [
-        family_bounds(models, family, p=p, beta=beta, gamma=gamma, optimize=search)
-        for search in searches
-        for family in FAMILIES
-    ]
+    columns: list[list[BoundResult]] = []
+    for search in (False, True) if optimize else (False,):
+        by_family = family_bounds(models, FAMILIES, p=p, beta=beta, gamma=gamma, optimize=search)
+        columns.extend(by_family.values())
     risks = risk_reports(models, samples, seed)
     for model, results, risk in zip(models, zip(*columns), risks):
         reports.extend(certify_bounds(model, list(results), risk))

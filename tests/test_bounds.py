@@ -437,6 +437,10 @@ class TestSearch:
         assert seen[0] == 0.0 and all(0.0 <= x <= 1 / 32 for x in seen[1:])
 
 
+def _columns_bits(columns):
+    return {family: [_bits(result) for result in column] for family, column in columns.items()}
+
+
 class TestFamilyBounds:
     FIXED = {"p": 1.8, "beta": 0.75, "gamma": 2.2}
 
@@ -450,41 +454,55 @@ class TestFamilyBounds:
         ],
     )
     def test_fixed_parameters(self, models):
-        # One bound per model, in order, each the bound of that model alone.
-        hellinger = family_bounds(models, "hellinger", **self.FIXED, optimize=False)
-        hockey = family_bounds(models, "hockey-stick", **self.FIXED, optimize=False)
+        # One bound per model, in order, each the bound of that model alone,
+        # keyed in FAMILIES order whatever the order asked for.
+        columns = family_bounds(models, ["hockey-stick", "hellinger"], **self.FIXED, optimize=False)
+        assert list(columns) == list(FAMILIES)
+        hellinger, hockey = columns["hellinger"], columns["hockey_stick"]
         assert len(hellinger) == len(hockey) == len(models)
         for model, h, k in zip(models, hellinger, hockey):
             coeff = model.small_ball_coefficient()
             assert h == hellinger_bound(1.8, hellinger_divergence(model, 1.8), coeff)
             e = e_beta_gamma_numeric(model, 0.75, 2.2)
             assert k == hockey_stick_bound(0.75, 2.2, e, coeff)
+        for family in FAMILIES:
+            alone = family_bounds(models, [family], **self.FIXED, optimize=False)
+            assert alone == {family: columns[family]}
 
-    @pytest.mark.parametrize("family", ["hellinger", "hockey_stick"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_optimize_is_the_search(self, family):
         models = [BernoulliModel(3), BernoulliModel(1)]
-        searched = family_bounds(models, family, **self.FIXED, optimize=True)
-        assert searched == [optimize_parameters(model, family) for model in models]
+        searched = family_bounds(models, [family], **self.FIXED, optimize=True)
+        assert searched == {family: [optimize_parameters(model, family) for model in models]}
 
     def test_no_models(self):
-        for family in ("hellinger", "hockey-stick"):
-            assert family_bounds([], family, **self.FIXED, optimize=False) == []
+        for optimize in (False, True):
+            columns = family_bounds([], FAMILIES, **self.FIXED, optimize=optimize)
+            assert columns == {"hellinger": [], "hockey_stick": []}
 
-    def test_unknown_family(self):
-        # The searched path is covered by test_family_name_validation.
-        with pytest.raises(ValueError, match="unknown bound family 'kullback'"):
-            family_bounds([BernoulliModel(2)], "kullback", **self.FIXED, optimize=False)
+    def test_unknown_family(self, monkeypatch):
+        # Every name is checked before any bound is computed.
+        def hellinger_divergence(model, p):
+            raise AssertionError("computed a bound")
+
+        monkeypatch.setattr(bounds, "hellinger_divergence", hellinger_divergence)
+        for optimize in (False, True):
+            with pytest.raises(ValueError, match="unknown bound family 'kullback'"):
+                family_bounds(
+                    [BernoulliModel(2)], ["hellinger", "kullback"], **self.FIXED, optimize=optimize
+                )
 
 
 class TestSearchedColumnOnTwoProcesses:
-    # With two workers, family_bounds(optimize=True) forks a child that
-    # searches the models at odd positions; with one, it forks nothing.
-    # How the split handles a failure is TestSplitMap's.
+    # With two workers, family_bounds(optimize=True) forks one child, which
+    # searches the (family, model) pairs at odd positions of one list,
+    # family after family; with one, it forks nothing.  How the split
+    # handles a failure is TestSplitMap's.
     FIXED = {"p": 1.8, "beta": 0.75, "gamma": 2.2}
 
-    def column(self, monkeypatch, workers, models, family):
+    def columns(self, monkeypatch, workers, models, families):
         monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
-        return family_bounds(models, family, **self.FIXED, optimize=True)
+        return family_bounds(models, families, **self.FIXED, optimize=True)
 
     MODELS = {
         # An odd count across the switch to the packed kernel at n = 126.
@@ -498,12 +516,27 @@ class TestSearchedColumnOnTwoProcesses:
     @pytest.mark.parametrize("name", list(MODELS))
     def test_same_bits_on_one_process_and_two(self, monkeypatch, forks, name, family):
         models = self.MODELS[name]
-        one = self.column(monkeypatch, 1, models, family)
+        one = self.columns(monkeypatch, 1, models, [family])
         assert forks == []
-        two = self.column(monkeypatch, 2, models, family)
+        two = self.columns(monkeypatch, 2, models, [family])
         assert len(forks) == 1
-        assert [_bits(result) for result in two] == [_bits(result) for result in one]
+        assert _columns_bits(two) == _columns_bits(one)
         assert two == one
+        assert_no_child()
+
+    @pytest.mark.parametrize("name", ["bernoulli_123_127", "gaussian_narrow_prior"])
+    def test_every_family_on_one_fork(self, monkeypatch, forks, name):
+        # Both families' searches split as one list: one fork, and each
+        # column the bits of its family searched alone on one process.
+        models = self.MODELS[name]
+        alone = {}
+        for family in FAMILIES:
+            alone.update(self.columns(monkeypatch, 1, models, [family]))
+        assert forks == []
+        both = self.columns(monkeypatch, 2, models, ["hockey-stick", "hellinger"])
+        assert len(forks) == 1
+        assert list(both) == list(FAMILIES)
+        assert _columns_bits(both) == _columns_bits(alone)
         assert_no_child()
 
     @pytest.mark.parametrize("error", [ArithmeticError, QuadratureError])
@@ -518,7 +551,7 @@ class TestSearchedColumnOnTwoProcesses:
         models = [BernoulliModel(n) for n in range(1, 7)]
         for workers in (1, 2):
             with pytest.raises(error, match="^stalled at n = 2$") as info:
-                self.column(monkeypatch, workers, models, "hellinger")
+                self.columns(monkeypatch, workers, models, ["hellinger"])
             assert type(info.value) is error
             assert_no_child()
         assert len(forks) == 1

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -265,8 +266,9 @@ class TestClosedStreams:
 
 
 class TestInterrupt:
-    # Ctrl-C sends SIGINT to the job's process group: the CLI and, during a
-    # searched column, the child it forked for every other n.
+    # Ctrl-C sends SIGINT to the job's process group: the CLI and, during its
+    # searches, the child it forked for every other one.  A job scheduler's
+    # kill sends SIGTERM to the CLI alone.
     ARGV = "compare --model bernoulli --n-range 126..400 --optimize"
 
     @staticmethod
@@ -283,16 +285,18 @@ class TestInterrupt:
                 members.append(pid)
         return members
 
-    @pytest.mark.parametrize("cpus", ["all", "one"])
-    def test_sigint_ends_in_one_line_and_exit_130(self, cpus):
+    def run_until(self, cpus, send):
+        """Exit code, stdout and stderr of ARGV run as a fresh CLI child in
+        its own process group, after ``send(pid)``: once the child has forked
+        where it can (two CPUs and ``cpus`` "all"), otherwise 1 s into the
+        run.  Fails if a process of the group is left."""
+
         def start():
             os.setsid()  # its own process group, as a shell gives a job
             signal.signal(signal.SIGINT, signal.SIG_DFL)  # not ignored, as in a background job
             if cpus == "one":
                 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-        # With two CPUs the signal comes once the child has forked; with one
-        # (no fork), 1 s into the run.
         forks = cpus == "all" and bounds._worker_count() >= 2
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.Popen(
@@ -308,16 +312,41 @@ class TestInterrupt:
             while time.monotonic() < deadline and not (forks and self.group(proc.pid)):
                 time.sleep(0.01)
             assert proc.poll() is None and bool(self.group(proc.pid)) == forks
-            os.killpg(proc.pid, signal.SIGINT)
+            send(proc.pid)
+            # The group as the CLI exits: communicate would also wait for a
+            # child left running, which holds the same pipes.
+            proc.wait(timeout=30)
+            left = self.group(proc.pid)
             out, err = proc.communicate(timeout=30)
-            assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
-            assert self.group(proc.pid) == []
+            assert left == []
+            return proc.returncode, out, err
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
             for pid in self.group(proc.pid):
                 os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("cpus", ["all", "one"])
+    def test_sigint_ends_in_one_line_and_exit_130(self, cpus):
+        got = self.run_until(cpus, lambda pid: os.killpg(pid, signal.SIGINT))
+        assert got == (130, "", "error: interrupted\n")
+
+    def test_sigterm_to_the_cli_alone_ends_in_one_line_and_exit_143(self):
+        # The CLI kills and reaps the forked child, which the signal missed.
+        got = self.run_until("all", lambda pid: os.kill(pid, signal.SIGTERM))
+        assert got == (143, "", "error: terminated\n")
+
+    def test_main_restores_the_sigterm_handler_and_runs_off_the_main_thread(self, capsys):
+        previous = signal.getsignal(signal.SIGTERM)
+        assert run(capsys, "bound", "--n", "3")[0] == EXIT_OK
+        assert signal.getsignal(signal.SIGTERM) is previous
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(["bound", "--n", "3"])))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and codes == [EXIT_OK]
+        assert signal.getsignal(signal.SIGTERM) is previous
 
 
 class TestGoldenOutput:
@@ -359,8 +388,8 @@ class TestGoldenOutput:
 
 
 class TestOracleOrder:
-    # The bound columns are computed family by family over every n, and the
-    # oracle draws of every n after them.
+    # The bound columns are computed by one family_bounds call over every n,
+    # and the oracle draws of every n after them.
     @pytest.mark.parametrize(
         "module, argv",
         [
@@ -384,7 +413,7 @@ class TestOracleOrder:
         monkeypatch.setattr(validation, "risk_report", risk_report)
         code, _, err = run(capsys, *argv.split())
         assert (code, err) == (EXIT_OK, "")
-        assert events == ["bound", "bound", "draw", "draw", "draw", "draw"]
+        assert events == ["bound", "draw", "draw", "draw", "draw"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bound_error_starts_no_draw(self, capsys, monkeypatch, forks, workers):
@@ -427,6 +456,37 @@ class TestOracleOrder:
         assert err == (
             "error: numerical failure (ArithmeticError): no Hellinger divergence at n = 4\n"
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_searched_error_in_column_order(self, capsys, monkeypatch, forks, workers):
+        # The searches are one list, Hellinger's before the hockey-stick
+        # ones, so the Hellinger search's error at n = 4 is the one reported,
+        # on one process or two, although every hockey-stick search fails.
+        monkeypatch.setattr(bounds, "_worker_count", lambda: workers)
+
+        def hellinger_divergence(model, p, real=bounds.hellinger_divergence):
+            if model.n == 4:
+                raise ArithmeticError("no Hellinger divergence at n = 4")
+            return real(model, p)
+
+        def e_beta_gamma_numeric(model, beta, gamma):
+            raise ArithmeticError("no hockey-stick divergence")
+
+        monkeypatch.setattr(bounds, "hellinger_divergence", hellinger_divergence)
+        monkeypatch.setattr(bounds, "e_beta_gamma_numeric", e_beta_gamma_numeric)
+        code, out, err = run(capsys, *"compare --n-range 1..5 --optimize".split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: numerical failure (ArithmeticError): no Hellinger divergence at n = 4\n"
+        )
+        assert len(forks) == (workers == 2)
+        assert_no_child()
+
+    def test_families_in_either_order_print_the_same_bytes(self, capsys):
+        argv = "sweep --model bernoulli --n-range 1..4 --optimize".split()
+        forward = run(capsys, *argv, "--family", "hellinger", "--family", "hockey-stick")
+        assert forward[0] == EXIT_OK
+        assert run(capsys, *argv, "--family", "hockey-stick", "--family", "hellinger") == forward
 
 
 class TestConfigFile:

@@ -51,8 +51,9 @@ def run_fresh(
 
 
 def test_scalar_only_runs_load_none_of_the_watched_modules():
-    # Two workers: each searched column of more than one n forks, and the
-    # exact Gaussian risk oracle runs without numpy and without a fork.
+    # Two workers: the searched bounds of a run over more than one search
+    # fork once, and the exact Gaussian risk oracle runs without numpy and
+    # without a fork.
     runs = [
         "bound --model bernoulli --n 10 --family hockey-stick --optimize",
         "compare --model bernoulli --n-range 1..12 --optimize",
@@ -60,13 +61,13 @@ def test_scalar_only_runs_load_none_of_the_watched_modules():
         "sweep --model gaussian --n-range 1..3 --oracle",
     ]
     setup = "fdivrisk.bounds._worker_count = lambda: 2"
-    assert run_fresh(runs, setup=setup) == ([], [0, 0, 0, 0], [], [False] * 4)
+    assert run_fresh(runs, setup=setup) == ([], [0, 0, 0, 0], [], [False] * 2)
 
 
 def test_forked_search_and_oracle_load_no_process_pool():
-    # Each of the two searched columns forks one child, and so does the
-    # oracle column, through os.fork alone; no run starts a thread.  The
-    # oracle child inherits numpy, imported before its fork.
+    # The two searched columns fork one child, and so does the oracle
+    # column, through os.fork alone; no run starts a thread.  The oracle
+    # child inherits numpy, imported before its fork.
     watched = (*WATCHED, "concurrent.futures", "multiprocessing")
     runs = [
         "compare --model bernoulli --n-range 1..12 --optimize",
@@ -79,7 +80,7 @@ def test_forked_search_and_oracle_load_no_process_pool():
         "threading.Thread.start = start"
     )
     preloaded, codes, loaded, forks = run_fresh(runs, watched, setup)
-    assert (preloaded, codes, forks) == ([], [0, 0], [False, False, True])
+    assert (preloaded, codes, forks) == ([], [0, 0], [False, True])
     # The coin-flip draws load numpy, and numpy some of WATCHED.
     assert "numpy" in loaded
     assert not {"concurrent.futures", "multiprocessing"} & set(loaded)
