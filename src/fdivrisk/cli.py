@@ -439,39 +439,42 @@ def main(argv: "list[str] | None" = None) -> int:
     on_main_thread = threading.current_thread() is threading.main_thread()
     if on_main_thread:
         previous = signal.signal(signal.SIGTERM, _terminate)
+    # The error clauses sit inside the signal clauses, so a signal that lands
+    # while an error line is written still ends in one line of its own.
     try:
-        args = build_parser().parse_args(argv)
-        unread = _resolve_options(args)
-        # A bad family or parameter is reported before any option the command
-        # does not read.
-        family = _bound_family(args) if args.command == "bound" else None
-        _check_parameters(args)
-        if unread:
-            raise ValueError(f"{args.command} does not take {', '.join(unread)}")
-        if args.csv and args.svg and os.path.realpath(args.csv) == os.path.realpath(args.svg):
-            raise ValueError(f"--csv and --svg name the same file {args.svg!r}")
-        _check_samples(args.samples)
-        if args.model == "bernoulli" and (args.command == "validate" or args.oracle):
-            # Each n draws from the stream of --seed + n, so the first n's is
-            # the lowest.
-            _check_seed(args.seed + _n_range(args).start)
-        if args.command == "bound":
-            return cmd_bound(args, family)
-        if args.command == "validate":
-            return cmd_validate(args)
-        return cmd_sweep(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArithmeticError as exc:
-        print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        try:
+            args = build_parser().parse_args(argv)
+            unread = _resolve_options(args)
+            # A bad family or parameter is reported before any option the command
+            # does not read.
+            family = _bound_family(args) if args.command == "bound" else None
+            _check_parameters(args)
+            if unread:
+                raise ValueError(f"{args.command} does not take {', '.join(unread)}")
+            if args.csv and args.svg and os.path.realpath(args.csv) == os.path.realpath(args.svg):
+                raise ValueError(f"--csv and --svg name the same file {args.svg!r}")
+            _check_samples(args.samples)
+            if args.model == "bernoulli" and (args.command == "validate" or args.oracle):
+                # Each n draws from the stream of --seed + n, so the first n's is
+                # the lowest.
+                _check_seed(args.seed + _n_range(args).start)
+            if args.command == "bound":
+                return cmd_bound(args, family)
+            if args.command == "validate":
+                return cmd_validate(args)
+            return cmd_sweep(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except ArithmeticError as exc:
+            print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError as exc:
+            print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+            return EXIT_USAGE
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
     except KeyboardInterrupt:
         # A forked child got the same SIGINT, and _split_map has reaped it.
         print("error: interrupted", file=sys.stderr)

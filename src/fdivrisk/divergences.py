@@ -101,10 +101,14 @@ def _log_factorials(n: int) -> tuple[float, ...]:
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if len(table) < n + 2:
-        # A new tuple bound at once, so a caller on another thread reads
-        # either table whole.
-        table += tuple(map(math.lgamma, range(len(table) + 1, n + 3)))
-        _LOG_FACTORIALS = table
+        # Grown in steps of 65,536 entries, so that a signal handler runs
+        # between them: one C-level call over a huge n held SIGTERM and Ctrl-C
+        # for seconds, until it ran out of memory.  Bound as one new tuple at
+        # the end, so a caller on another thread reads either table whole.
+        grown = list(table)
+        for start in range(len(table) + 1, n + 3, 65536):
+            grown.extend(map(math.lgamma, range(start, min(start + 65536, n + 3))))
+        table = _LOG_FACTORIALS = tuple(grown)
     return table
 
 

@@ -24,6 +24,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _line(x1, y1, x2, y2, stroke: str, width: float) -> str:
+    ends = f'x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"'
+    return f'<line {ends} stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _text(x, y, size: int, body, attrs: str = "") -> str:
+    """A sans-serif label; ``attrs``, if any, ends in a space."""
+    font = f'font-family="sans-serif" font-size="{size}"'
+    return f'<text x="{x}" y="{y}" {attrs}{font}>{body}</text>'
+
+
 def render_line_plot(
     xs: list[int],
     series: list[tuple[str, list[float | None]]],
@@ -50,61 +61,43 @@ def render_line_plot(
 
     x_lo, x_hi = min(xs), max(xs)
     span_x = max(1, x_hi - x_lo)
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    # The plot area's edges.
+    left, right = _MARGIN_L, _WIDTH - _MARGIN_R
+    top, bottom = _MARGIN_T, _HEIGHT - _MARGIN_B
+    middle = 'text-anchor="middle" '
 
     def px(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / span_x * plot_w
+        return left + (x - x_lo) / span_x * (right - left)
 
     def py(v: float) -> float:
         frac = (math.log10(v) - lo_exp) / (hi_exp - lo_exp)
-        return _MARGIN_T + (1.0 - frac) * plot_h
+        return top + (1.0 - frac) * (bottom - top)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.0f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        _text(_WIDTH // 2, 22, 14, title, middle),
     ]
 
     # Decade gridlines and y tick labels.
     for exp in range(lo_exp, hi_exp + 1):
         y = py(10.0**exp)
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{_fmt(y)}" x2="{_WIDTH - _MARGIN_R}" y2="{_fmt(y)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">1e{exp}</text>'
-        )
+        parts.append(_line(left, _fmt(y), right, _fmt(y), "#dddddd", 1))
+        parts.append(_text(left - 8, _fmt(y + 4), 11, f"1e{exp}", 'text-anchor="end" '))
 
     # x ticks at up to eight integers.
     step = max(1, span_x // 8)
-    for x in range(x_lo, x_hi + 1, step):
-        parts.append(
-            f'<text x="{_fmt(px(x))}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{x}</text>'
-        )
+    parts += (_text(_fmt(px(x)), bottom + 18, 11, x, middle) for x in range(x_lo, x_hi + 1, step))
 
-    # Axes.
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
-        f'y2="{_HEIGHT - _MARGIN_B}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_HEIGHT - _MARGIN_B}" x2="{_WIDTH - _MARGIN_R}" '
-        f'y2="{_HEIGHT - _MARGIN_B}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_HEIGHT / 2:.0f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 16 {_HEIGHT / 2:.0f})">{y_label}</text>'
-    )
+    # Axes, and their labels; the y label is rotated about its anchor.
+    parts += [
+        _line(left, top, left, bottom, "black", 1),
+        _line(left, bottom, right, bottom, "black", 1),
+        _text(_WIDTH // 2, _HEIGHT - 10, 12, x_label, middle),
+        f'<text x="16" y="{_HEIGHT // 2}" {middle}font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {_HEIGHT // 2})">{y_label}</text>',
+    ]
 
     for idx, (name, vals) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -117,15 +110,9 @@ def render_line_plot(
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
             )
-        legend_y = _MARGIN_T + 16 * idx + 8
-        parts.append(
-            f'<line x1="{_WIDTH - 190}" y1="{legend_y}" x2="{_WIDTH - 166}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_WIDTH - 160}" y="{legend_y + 4}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
-        )
+        legend_y = top + 16 * idx + 8
+        parts.append(_line(_WIDTH - 190, legend_y, _WIDTH - 166, legend_y, color, 1.5))
+        parts.append(_text(_WIDTH - 160, legend_y + 4, 11, name))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -157,6 +157,13 @@ RUNS = [
     Run("sweep --model bernoulli --n-range 10000..10000 --oracle --samples 1000",
         "sweep_bernoulli_10000_oracle.csv", slow=True),
     Run("sweep --model bernoulli --n-range 1..12", "sweep_bernoulli_1_12.svg", output="--svg"),
+    # Three series over 40 n, ticked every 4 n; the vacuous hockey-stick
+    # bounds (all 0) draw no polyline and appear in the legend alone.
+    Run("sweep --model bernoulli --n-range 1..40 --beta 1e-300 --gamma 1e300 --oracle"
+        " --samples 2000", "sweep_bernoulli_1_40_vacuous_hockey_stick.svg", output="--svg"),
+    # One n: the x span falls back to 1, and each series is one point.
+    Run("sweep --model bernoulli --n 5 --oracle --samples 2000", "sweep_bernoulli_5_oracle.svg",
+        output="--svg"),
     # The coin-flip brute-force grid at n = 7 with a non-integer order, and
     # the seeded Monte-Carlo risks of n = 7..9.
     Run("validate --model bernoulli --n-range 7..9 --p 3.5 --samples 20000",

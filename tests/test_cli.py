@@ -2,6 +2,7 @@
 
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import golden_runs
 import pytest
 from conftest import assert_no_child
 
-from fdivrisk import bounds, cli, numerics, validation
+from fdivrisk import bounds, cli, divergences, numerics, validation
 from fdivrisk.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -336,6 +337,84 @@ class TestInterrupt:
         # The CLI kills and reaps the forked child, which the signal missed.
         got = self.run_until("all", lambda pid: os.kill(pid, signal.SIGTERM))
         assert got == (143, "", "error: terminated\n")
+
+    def test_sigterm_while_a_huge_log_factorial_table_grows_ends_in_one_line_and_exit_143(self):
+        # bound --n 10^9 grows a table of 10^9 + 2 log-factorials, which the
+        # child's 1 GiB address space cannot hold: left alone, it exits 2 with
+        # "error: out of memory" after about 5 s.  The table grows in steps,
+        # so the signal is handled between them.
+        def start():
+            os.setsid()
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        def catches_sigterm(pid):
+            status = Path(f"/proc/{pid}/status").read_text()
+            caught = int(status.split("SigCgt:")[1].split()[0], 16)
+            return caught >> (signal.SIGTERM - 1) & 1
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fdivrisk.cli", "bound", "--n", "1000000000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            preexec_fn=start,
+        )
+        try:
+            # main's handler is in place, and the run is 0.3 s into its table.
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline and not catches_sigterm(proc.pid):
+                time.sleep(0.01)
+            time.sleep(0.3)
+            assert proc.poll() is None
+            os.kill(proc.pid, signal.SIGTERM)
+            proc.wait(timeout=2)
+            left = self.group(proc.pid)
+            out, err = proc.communicate(timeout=30)
+            assert left == []
+            assert (proc.returncode, out, err) == (143, "", "error: terminated\n")
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+    @pytest.mark.parametrize(
+        "raised, code, line",
+        [
+            (cli._Terminated, 143, "error: terminated\n"),
+            (KeyboardInterrupt, 130, "error: interrupted\n"),
+        ],
+    )
+    def test_a_signal_while_the_error_line_is_written_ends_in_its_own_line(
+        self, monkeypatch, raised, code, line
+    ):
+        class Stderr:
+            # Its first write raises ``raised``, as a signal handler would there.
+            def __init__(self):
+                self.pending, self.text = raised, ""
+
+            def write(self, text):
+                if self.pending is not None:
+                    self.pending = None
+                    raise raised
+                self.text += text
+                return len(text)
+
+            def flush(self):
+                pass
+
+        def log_factorials(n):
+            raise MemoryError
+
+        monkeypatch.setattr(divergences, "_log_factorials", log_factorials)
+        stderr = Stderr()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        try:
+            got = main(["bound", "--model", "bernoulli", "--n", "3"])
+        except (KeyboardInterrupt, cli._Terminated) as exc:  # uncaught, it would end the test run
+            got = exc
+        assert (got, stderr.text) == (code, line)
 
     def test_main_restores_the_sigterm_handler_and_runs_off_the_main_thread(self, capsys):
         previous = signal.getsignal(signal.SIGTERM)

@@ -48,6 +48,15 @@ class TestBernoulliClosedForms:
     def test_chi_squared_n1(self):
         assert chi_squared_bernoulli(BernoulliModel(1)).value == pytest.approx(4.0 / 3.0, rel=1e-14)
 
+    def test_log_factorial_table_grown_in_steps_holds_lgamma_of_each_index(self, monkeypatch):
+        # The table grows 65,536 entries at a time: from empty, to the edge of
+        # one step and one past it, then across two step edges at once.
+        monkeypatch.setattr(divergences, "_LOG_FACTORIALS", ())
+        for n in (3, 65_534, 65_535, 200_000):
+            table = divergences._log_factorials(n)
+            assert len(table) == n + 2
+            assert table == tuple(math.lgamma(i + 1) for i in range(n + 2))
+
     def test_sum_form_matches_integer_exact(self):
         for n in (1, 2, 3, 7, 15):
             expected = float(exact_bernoulli_scaled_p2(n))
