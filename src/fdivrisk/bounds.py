@@ -10,11 +10,13 @@ family instantiations are checked against.
 
 The hockey-stick bound is invariant under scaling beta: E_{beta,gamma} =
 beta E_{1,gamma/beta}, so it depends only on tau = gamma / beta, and the
-parameter search runs over tau alone with beta = 1.  ``_search`` scans a
-grid of p or tau and refines it by golden section: 80 candidate points.  The
-tau scan skips a grid point whose bound at E = 0, a ceiling on its bound, is
-already below the best one evaluated, so a hockey-stick search evaluates 50
-to 80 divergences; the Hellinger search evaluates all 80.
+parameter search runs over tau alone with beta = 1.  ``_search`` yields
+the points of one search: a grid of p or tau refined by golden section, 80
+candidate points.  ``_drive`` evaluates each point, sends its value back and
+keeps the first best result.  The tau scan skips a grid point whose bound at
+E = 0, a ceiling on its bound, is already below the best one evaluated, so a
+hockey-stick search evaluates 50 to 80 divergences; the Hellinger search
+evaluates all 80.
 
 ``family_bounds`` is the one bound entry of every CLI command and of the
 certification suite: the columns of the requested families over a list of
@@ -179,37 +181,32 @@ _TAU_GRID = _log_grid(1.0, 160.0, 33)
 # The scan skips a grid point only when its ceiling, times this factor, is
 # below the best value.  The ceiling and the bound are each a few rounded
 # operations, one of them a pow with exponent 2.0, so they can differ by a few
-# ulps; the margin keeps every point whose bound could tie the best.
+# ulps; the margin keeps every point whose bound could tie the best.  It moves
+# a ceiling up only because every value, and so every ceiling, is >= 0, as
+# every bound is: a negative ceiling would be moved down.
 _CEILING_MARGIN = 1.0 + 1e-12
 
 
-def _search(grid: tuple[float, ...], bound_at, ceiling) -> BoundResult:
-    """Scan ``grid``, golden-section between the winner's neighbours until
-    the bracket is 1e-9 of its width (at most 256 steps), and evaluate its
-    midpoint.  Return the first best result seen anywhere, so a non-unimodal
-    stretch cannot make refinement return less than the grid.  A point whose
-    divergence is infinite counts as -inf.
+def _search(grid: tuple[float, ...], ceiling):
+    """The points of one parameter search, as a generator: it yields each
+    point to evaluate and is sent back that point's value, or -inf where the
+    divergence is infinite.
 
-    ``ceiling(x)`` is an upper bound on ``bound_at(x).value``.  The scan
-    skips a grid point whose ceiling is below the best value evaluated so
-    far: it counts as -inf and ``bound_at`` never sees it.  Such a point can
-    be neither the grid's winner nor the first best result, so the skipping
-    changes the number of evaluations and never the result."""
-    seen: list[tuple[float, BoundResult | None]] = []
+    It scans ``grid``, golden-sections between the winner's neighbours until
+    the bracket is 1e-9 of its width (at most 256 steps), and yields the
+    bracket's midpoint last: 80 candidate points.  :func:`_drive` keeps the
+    first best result of every point evaluated, so a non-unimodal stretch
+    cannot make refinement return less than the grid.
 
-    def at(x: float) -> float:
-        try:
-            result = bound_at(x)
-        except DivergenceInfiniteError:
-            seen.append((-math.inf, None))
-        else:
-            seen.append((result.value, result))
-        return seen[-1][0]
-
+    ``ceiling(x)`` is an upper bound on the value at ``x``.  The scan skips a
+    grid point whose ceiling is below the best value sent so far: it counts
+    as -inf and is never yielded.  Such a point can be neither the grid's
+    winner nor the first best result, so the skipping changes the number of
+    evaluations and never the result."""
     values: list[float] = []
     for x in grid:
         skip = ceiling(x) * _CEILING_MARGIN < max(values, default=-math.inf)
-        values.append(-math.inf if skip else at(x))
+        values.append(-math.inf if skip else (yield x))
     i = max(range(len(grid)), key=values.__getitem__)
     if values[i] == -math.inf:
         raise ValueError("no feasible point in the search grid")
@@ -219,21 +216,39 @@ def _search(grid: tuple[float, ...], bound_at, ceiling) -> BoundResult:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
-    f1 = at(x1)
-    f2 = at(x2)
+    f1 = yield x1
+    f2 = yield x2
     for _ in range(256):
         if hi - lo <= tol:
             break
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
-            f2 = at(x2)
+            f2 = yield x2
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)
-            f1 = at(x1)
-    at(0.5 * (lo + hi))
-    return max(seen, key=lambda point: point[0])[1]
+            f1 = yield x1
+    yield 0.5 * (lo + hi)
+
+
+def _drive(points, bound_at) -> BoundResult:
+    """Evaluate ``bound_at`` at each point the search ``points`` yields, in
+    order, and send back its value, or -inf where the divergence is
+    infinite.  Return the first best result: a later one replaces it only
+    if its value is strictly greater.  Any other exception of ``bound_at``
+    leaves at once, and no further point is evaluated."""
+    best = value = None
+    for x in iter(lambda: points.send(value), None):
+        try:
+            result = bound_at(x)
+        except DivergenceInfiniteError:
+            value = -math.inf
+        else:
+            value = result.value
+            if best is None or value > best.value:
+                best = result
+    return best
 
 
 def _family_key(family: str) -> str:
@@ -257,15 +272,13 @@ def optimize_parameters(model: Model, family: str) -> BoundResult:
     """
     c = model.small_ball_coefficient()
     if _family_key(family) == "hellinger":
-        return _search(
-            _P_GRID,
+        return _drive(
+            _search(_P_GRID, lambda p: math.inf),
             lambda p: hellinger_bound(p, hellinger_divergence(model, p), c),
-            lambda p: math.inf,
         )
-    return _search(
-        _TAU_GRID,
+    return _drive(
+        _search(_TAU_GRID, lambda tau: optimize_rho_closed_form(tau * c, 1.0)[1]),
         lambda tau: hockey_stick_bound(1.0, tau, e_beta_gamma_numeric(model, 1.0, tau), c),
-        lambda tau: optimize_rho_closed_form(tau * c, 1.0)[1],
     )
 
 

@@ -318,10 +318,9 @@ class TestOptimizeParameters:
 
 def _unskipped_hockey_stick_search(model):
     c = model.small_ball_coefficient()
-    return bounds._search(
-        bounds._TAU_GRID,
+    return bounds._drive(
+        bounds._search(bounds._TAU_GRID, ceiling=lambda tau: math.inf),
         lambda tau: hockey_stick_bound(1.0, tau, e_beta_gamma_numeric(model, 1.0, tau), c),
-        ceiling=lambda tau: math.inf,
     )
 
 
@@ -381,23 +380,25 @@ class TestSearch:
 
         return at
 
+    def search(self, bound_at, ceiling=None):
+        return bounds._drive(bounds._search(self.GRID, ceiling or self.no_ceiling), bound_at)
+
     def test_asymmetric_maximum(self):
         # Comparison-based search cannot localise a flat maximum beyond
         # ~sqrt(machine eps) of the value's scale; here the value is near 0.
         seen = []
-        f = self.bound_at(lambda x: -((x - 0.123456) ** 2), seen)
-        best = bounds._search(self.GRID, f, self.no_ceiling)
+        best = self.search(self.bound_at(lambda x: -((x - 0.123456) ** 2), seen))
         assert best.x == pytest.approx(0.123456, abs=1e-9)
         assert len(seen) == 80
         assert 3 / 32 < min(seen[33:]) and max(seen[33:]) < 5 / 32
 
     def test_first_of_equal_results_wins(self):
-        assert bounds._search(self.GRID, self.bound_at(lambda x: 1.0), self.no_ceiling).x == 0.0
+        assert self.search(self.bound_at(lambda x: 1.0)).x == 0.0
 
     def test_refinement_never_returns_less_than_the_grid(self):
         # A spike at one grid point: the section between its neighbours finds
         # nothing as good.
-        best = bounds._search(self.GRID, self.bound_at(lambda x: float(x == 0.5)), self.no_ceiling)
+        best = self.search(self.bound_at(lambda x: float(x == 0.5)))
         assert (best.x, best.value) == (0.5, 1.0)
 
     def test_infinite_divergence_counts_as_minus_infinity(self):
@@ -406,7 +407,7 @@ class TestSearch:
                 raise DivergenceInfiniteError("diverges")
             return SimpleNamespace(value=x, x=x)
 
-        best = bounds._search(self.GRID, at, self.no_ceiling)
+        best = self.search(at)
         assert best.x <= 0.3
         assert best.x == pytest.approx(0.3, abs=1e-9)
 
@@ -415,7 +416,7 @@ class TestSearch:
             raise DivergenceInfiniteError("diverges")
 
         with pytest.raises(ValueError, match="no feasible point in the search grid"):
-            bounds._search(self.GRID, at, self.no_ceiling)
+            self.search(at)
 
     def test_skipped_point_never_reaches_bound_at(self):
         # The value falls with x and the ceiling is the value itself, so once
@@ -429,12 +430,111 @@ class TestSearch:
             seen.append(x)
             return SimpleNamespace(value=1.0 - x, x=x)
 
-        best = bounds._search(self.GRID, at, lambda x: 1.0 - x)
+        best = self.search(at, lambda x: 1.0 - x)
         assert (best.x, best.value) == (0.0, 1.0)
         # The grid's first point, then the 47 points of the section between
         # the winner and its right neighbour.
         assert len(seen) == 48
         assert seen[0] == 0.0 and all(0.0 <= x <= 1 / 32 for x in seen[1:])
+
+    # The generator driven by hand, with plain floats for values.
+
+    @staticmethod
+    def drive_by_hand(points, f):
+        yielded = [next(points)]
+        with pytest.raises(StopIteration):
+            while True:
+                yielded.append(points.send(f(yielded[-1])))
+        return yielded
+
+    def test_generator_yields_the_80_candidates(self):
+        # The 33 grid points in order, the 2 golden-section starts, 44 steps
+        # and the bracket's midpoint; the value sent for the 80th ends the search.
+        yielded = self.drive_by_hand(
+            bounds._search(self.GRID, self.no_ceiling), lambda x: -((x - 0.123456) ** 2)
+        )
+        assert len(yielded) == 80
+        assert tuple(yielded[:33]) == self.GRID
+        assert all(3 / 32 < x < 5 / 32 for x in yielded[33:])
+        assert yielded[-1] == pytest.approx(0.123456, abs=1e-9)
+
+    def test_generator_never_yields_a_skipped_grid_point(self):
+        # With the value 1 - x as its own ceiling, every grid point after
+        # x = 0 is below the best value sent: none is yielded.
+        yielded = self.drive_by_hand(bounds._search(self.GRID, lambda x: 1.0 - x), lambda x: 1.0 - x)
+        assert yielded[0] == 0.0 and not set(yielded[1:]) & set(self.GRID)
+        assert len(yielded) == 48
+
+    def test_generator_with_no_feasible_grid_point(self):
+        # -inf sent for every grid point: the send after the last one raises,
+        # before any golden-section point is yielded.
+        points = bounds._search(self.GRID, self.no_ceiling)
+        yielded = [next(points)]
+        for _ in range(32):
+            yielded.append(points.send(-math.inf))
+        assert tuple(yielded) == self.GRID
+        with pytest.raises(ValueError, match="no feasible point in the search grid"):
+            points.send(-math.inf)
+
+    def test_an_arithmetic_error_leaves_the_drive_at_once(self):
+        seen = []
+
+        def at(x):
+            seen.append(x)
+            if len(seen) == 5:
+                raise QuadratureError("panel budget exhausted")
+            return SimpleNamespace(value=x, x=x)
+
+        with pytest.raises(ArithmeticError, match="panel budget exhausted"):
+            self.search(at)
+        assert seen == list(self.GRID[:5])
+
+
+# Up to four Gaussian bumps (height, centre, width) on [0, 1].
+_BUMPS = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 1.0)), max_size=4
+)
+
+
+class TestSkipAndFirstBestRules:
+    # The skip rule and the first-best rule on arbitrary values >= 0, as every
+    # bound is: the search that skips grid points by a ceiling returns what
+    # the search that evaluates all 80 candidates returns, and evaluates the
+    # same points minus the skipped grid points.  Values are rounded to a
+    # drawn step, so ties occur, and are -inf (an infinite divergence) beyond
+    # a drawn cut.
+    @given(
+        bumps=_BUMPS,
+        step=st.floats(1e-3, 0.5),
+        cut=st.floats(0.0, 1.0),
+        slack=st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_skipping_keeps_the_result(self, bumps, step, cut, slack):
+        grid = TestSearch.GRID
+
+        def value(x):
+            v = sum(h * math.exp(-(((x - m) / w) ** 2)) for h, m, w in bumps)
+            return round(v / step) * step
+
+        def search(ceiling):
+            seen = []
+
+            def at(x):
+                seen.append(x)
+                if x > cut:
+                    raise DivergenceInfiniteError("diverges")
+                return SimpleNamespace(value=value(x), x=x)
+
+            best = bounds._drive(bounds._search(grid, ceiling), at)
+            return (best.x, best.value), seen
+
+        every_result, every = search(lambda x: math.inf)
+        fewer_result, fewer = search(lambda x: value(x) + slack * x)
+        assert fewer_result == every_result
+        skipped = [x for x in every if x not in fewer]
+        assert set(skipped) <= set(grid)
+        assert fewer == [x for x in every if x not in skipped]
 
 
 def _columns_bits(columns):
