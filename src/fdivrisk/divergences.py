@@ -9,8 +9,9 @@ Hamming weights.  That sum (``_bernoulli_sums``) runs one weight at a time
 in pure Python below ``_ARRAY_MIN_WEIGHTS`` weights k <= n/2 (n < 126), and
 in numpy blocks of weights from there on.  The weights of consecutive n of a
 sweep share a block, so a sweep over large n makes one pass of numpy calls
-per block rather than per n, with the same bits as each n alone.  Only the
-block functions import numpy, so smaller runs never load it.  This module
+per block rather than per n, with the same bits as each n alone.  A block
+yields one term per weight, 0.0 where the weight's peak fails the level, and
+each n sums its own run of them.  Only the block functions import numpy, so smaller runs never load it.  This module
 finds the kink roots and sums the terms; each I_x(a, b) comes from the
 scalar or numpy incomplete beta of ``numerics``, given the log w and
 log(1 - w) that the error bound reads too.
@@ -97,18 +98,17 @@ def _log_factorials(n: int) -> tuple[float, ...]:
     """lgamma(i + 1) = log i! for i = 0..n+1 at least: the log-factorials of
     the coin-flip sums at n, and lgamma of their Beta shapes.  One table,
     grown to the largest n asked for; a caller reads its prefix, whose
-    entries do not depend on the table's length."""
+    entries do not depend on the table's length.
+
+    The new entries come from a list comprehension, a Python-level loop, so
+    a signal handler runs between them: one C-level call over a huge n held
+    SIGTERM and Ctrl-C for seconds, until it ran out of memory.  The grown
+    table is bound as one new tuple, so a caller on another thread reads
+    either table whole."""
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if len(table) < n + 2:
-        # Grown in steps of 65,536 entries, so that a signal handler runs
-        # between them: one C-level call over a huge n held SIGTERM and Ctrl-C
-        # for seconds, until it ran out of memory.  Bound as one new tuple at
-        # the end, so a caller on another thread reads either table whole.
-        grown = list(table)
-        for start in range(len(table) + 1, n + 3, 65536):
-            grown.extend(map(math.lgamma, range(start, min(start + 65536, n + 3))))
-        table = _LOG_FACTORIALS = tuple(grown)
+        table = _LOG_FACTORIALS = (*table, *[math.lgamma(i) for i in range(len(table) + 1, n + 3)])
     return table
 
 
@@ -361,7 +361,11 @@ def _bernoulli_sums_array(
     n of ``ns`` in turn: yields its pair once n's last weight is done.
 
     The weights of consecutive n fill each block (:func:`_weight_blocks`), so
-    a sweep over n makes one pass of numpy calls per block, not per n.
+    a sweep over n makes one pass of numpy calls per block, not per n.  Each
+    run takes its own count of the block's terms.  Where the scalar path
+    skips a weight whose peak fails the level, a block holds 0.0 for it:
+    ``math.fsum`` rounds the exact sum once and returns +0.0 for any zero
+    sum, so the added zeros move no bit.
     """
     import numpy as np
 
@@ -371,12 +375,12 @@ def _bernoulli_sums_array(
     errors: list = []
     for block in _weight_blocks(ns):
         with np.errstate(all="ignore"):  # settled and exact ends may hit log(0)
-            cuts, block_values, block_errors = _block_terms(block, lgam, log_tau, beta, gamma)
+            block_values, block_errors = _block_terms(block, lgam, log_tau, beta, gamma)
         start = 0
-        for (n, first, count), cut in zip(block, cuts):
-            values.extend(block_values[start:cut])
-            errors.extend(block_errors[start:cut])
-            start = cut
+        for n, first, count in block:
+            values.extend(block_values[start : start + count])
+            errors.extend(block_errors[start : start + count])
+            start += count
             if first + count == n // 2 + 1:
                 yield math.fsum(values), math.fsum(errors)
                 values = []
@@ -385,10 +389,10 @@ def _bernoulli_sums_array(
 
 def _block_terms(
     block: list, lgam: np.ndarray, log_tau: float, beta: float, gamma: float
-) -> tuple[list, list, list]:
+) -> tuple[list, list]:
     """The terms of one block of :func:`_weight_blocks` and their error
-    bounds, for the weights whose peak passes the level, in block order; and
-    for each run, where its weights end in those lists.
+    bounds: one of each per weight of the block, in block order, and 0.0 for
+    both where the weight's peak fails the level.
 
     Every element carries its own n and log(n + 1), and reads the
     log-factorial table ``lgam``, whose entries do not depend on its length,
@@ -412,9 +416,6 @@ def _block_terms(
     log_mode = np.log(mode, out=np.zeros_like(mode), where=ks > 0)
     peak = logc + k * log_mode + rest * np.log1p(-mode) - log_tau
     keep = peak > 0.0
-    cuts = np.searchsorted(np.flatnonzero(keep), run_end).tolist()
-    if not cuts[-1]:
-        return cuts, [], []
     ns, n, ks, k, rest, logc, mode, peak = (
         v[keep] for v in (ns, n, ks, k, rest, logc, mode, peak)
     )
@@ -455,7 +456,11 @@ def _block_terms(
     err = _EPS * (beta + gamma) + cf_err[:size] + root_err[:size]
     err = err + cf_err[size:] + root_err[size:]
     weight = np.where(2 * ks == ns, 1.0, 2.0)
-    return cuts, (weight * term).tolist(), (weight * err).tolist()
+    values = np.zeros(keep.shape)
+    errors = np.zeros(keep.shape)
+    values[keep] = weight * term
+    errors[keep] = weight * err
+    return values.tolist(), errors.tolist()
 
 
 def _bernoulli_sums(ns: list[int], beta: float, gamma: float) -> Iterator[tuple[float, float]]:

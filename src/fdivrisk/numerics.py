@@ -106,12 +106,11 @@ def adaptive_quadrature(
     total, total_err = _kronrod15(f, a, b)
     heap = [(-total_err, 0, a, b, total, total_err)]
     counter = 1
-
-    panels = 1
+    # Each step replaces one panel by two, so the heap holds every panel.
     while total_err > max(abs_tol, rel_tol * abs(total)):
-        if panels >= _MAX_PANELS:
+        if len(heap) >= _MAX_PANELS:
             raise QuadratureError(
-                f"integration stalled at error {total_err:.3e} after {panels} panels"
+                f"integration stalled at error {total_err:.3e} after {len(heap)} panels"
             )
         _, _, lo, hi, val, err = heapq.heappop(heap)
         total_err -= err
@@ -124,7 +123,6 @@ def adaptive_quadrature(
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
         counter += 1
-        panels += 1
     return total, total_err
 
 

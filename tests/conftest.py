@@ -1,9 +1,15 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the hypothesis profile they run under."""
 
 import os
 import threading
 
 import pytest
+from hypothesis import settings
+
+# Every property test draws the same examples on every run, and none fails
+# for a slow example: a search or a packed kernel may take a second.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -346,7 +346,7 @@ class TestSkippingKeepsTheResult:
         log_sigma_w_sq=st.floats(min_value=-4.0, max_value=4.0),
         log_sigma_sq=st.floats(min_value=-4.0, max_value=4.0),
     )
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     def test_gaussian(self, n, log_sigma_w_sq, log_sigma_sq):
         model = GaussianModel(n, 10.0**log_sigma_w_sq, 10.0**log_sigma_sq)
         searched = optimize_parameters(model, "hockey_stick")
@@ -356,7 +356,7 @@ class TestSkippingKeepsTheResult:
     @given(n=st.integers(min_value=1, max_value=140))
     @example(n=125)
     @example(n=126)
-    @settings(max_examples=12, deadline=None, derandomize=True)
+    @settings(max_examples=12)
     def test_bernoulli(self, n):
         model = BernoulliModel(n)
         searched = optimize_parameters(model, "hockey_stick")
@@ -509,7 +509,7 @@ class TestSkipAndFirstBestRules:
         cut=st.floats(0.0, 1.0),
         slack=st.floats(0.0, 2.0),
     )
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     def test_skipping_keeps_the_result(self, bumps, step, cut, slack):
         grid = TestSearch.GRID
 

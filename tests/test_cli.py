@@ -341,8 +341,9 @@ class TestInterrupt:
     def test_sigterm_while_a_huge_log_factorial_table_grows_ends_in_one_line_and_exit_143(self):
         # bound --n 10^9 grows a table of 10^9 + 2 log-factorials, which the
         # child's 1 GiB address space cannot hold: left alone, it exits 2 with
-        # "error: out of memory" after about 5 s.  The table grows in steps,
-        # so the signal is handled between them.
+        # "error: out of memory" after about 5 s.  The table grows one entry
+        # at a time in a Python-level loop, so the signal is handled between
+        # entries.
         def start():
             os.setsid()
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

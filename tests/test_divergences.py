@@ -48,9 +48,11 @@ class TestBernoulliClosedForms:
     def test_chi_squared_n1(self):
         assert chi_squared_bernoulli(BernoulliModel(1)).value == pytest.approx(4.0 / 3.0, rel=1e-14)
 
-    def test_log_factorial_table_grown_in_steps_holds_lgamma_of_each_index(self, monkeypatch):
-        # The table grows 65,536 entries at a time: from empty, to the edge of
-        # one step and one past it, then across two step edges at once.
+    def test_log_factorial_table_built_from_empty_and_grown_holds_lgamma_of_each_index(
+        self, monkeypatch
+    ):
+        # Built from empty, then grown from each earlier length, by one entry
+        # and by many at once.
         monkeypatch.setattr(divergences, "_LOG_FACTORIALS", ())
         for n in (3, 65_534, 65_535, 200_000):
             table = divergences._log_factorials(n)
@@ -326,26 +328,28 @@ class TestBernoulliArrayPath:
         value = e_beta_gamma_numeric(BernoulliModel(n), 1.0, tau)
         assert (value.value.hex(), value.error_estimate.hex()) == self.PINNED[n, tau]
 
-    # The packed kernel at n = 10^4, a weight at a time as one-run blocks:
-    # weights 0 and 1 (a lower root near 0), n/4, the last weights whose peak
-    # passes tau (their kink interval closes; at tau = 160 that is k = 666)
-    # with the first that fails, and n/2.  The worst |error| / estimate here
-    # is 0.12.
+    # The packed kernel at n = 10^4, every weight from one block: weights 0
+    # and 1 (a lower root near 0), n/4, the last weights whose peak passes tau
+    # (their kink interval closes; at tau = 160 that is k = 666) with the
+    # first that fails, and n/2.  The worst |error| / estimate here is 0.12.
     @pytest.mark.parametrize("tau", [1.5, 40.0, 160.0])
     def test_large_n_terms_within_their_error_bounds(self, tau):
         n = 10**4
         lgam = np.array(divergences._log_factorials(n)[: n + 2])
         log_tau = math.log(tau) - math.log(1.0)
         with np.errstate(all="ignore"):  # as _bernoulli_sums_array calls it
-            [kept], _, _ = divergences._block_terms([(n, 0, n // 2 + 1)], lgam, log_tau, 1.0, tau)
-            for k in sorted({0, 1, n // 4, kept - 2, kept - 1, min(kept, n // 2), n // 2}):
-                _, values, errors = divergences._block_terms([(n, k, 1)], lgam, log_tau, 1.0, tau)
-                weight = 1 if 2 * k == n else 2
-                reference = weight * e_beta_gamma_bernoulli_term_decimal(n, k, tau)
-                if k >= kept:
-                    assert (values, reference) == ([], 0), k
-                else:
-                    assert abs(Decimal(values[0]) - reference) <= Decimal(errors[0]), k
+            run = [(n, 0, n // 2 + 1)]
+            values, errors = divergences._block_terms(run, lgam, log_tau, 1.0, tau)
+        # A kept weight's error bound is at least eps (beta + gamma), so the
+        # first zero error marks the first weight whose peak fails.
+        kept = errors.index(0.0) if 0.0 in errors else len(errors)
+        for k in sorted({0, 1, n // 4, kept - 2, kept - 1, min(kept, n // 2), n // 2}):
+            weight = 1 if 2 * k == n else 2
+            reference = weight * e_beta_gamma_bernoulli_term_decimal(n, k, tau)
+            if k >= kept:
+                assert (values[k], errors[k], reference) == (0.0, 0.0, 0), k
+            else:
+                assert abs(Decimal(values[k]) - reference) <= Decimal(errors[k]), k
 
     def test_continued_fraction_stall_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
@@ -437,6 +441,42 @@ class TestPackedBlocks:
 
         divergences.e_beta_gamma_sweep([BernoulliModel(126)], 0.75, 2.2)  # first-call allocations
         assert peak(range(126, 501)) <= 1.1 * peak(range(126, 301))
+
+    @pytest.mark.parametrize("tau", [1.5, 40.0, 160.0, 200.0])
+    def test_a_block_gives_one_term_and_one_error_per_weight(self, tau):
+        # Each run's slice of its block has the bits of that run as a one-run
+        # block, and a weight whose peak fails the level gives (0.0, 0.0); any
+        # other gives an error bound of at least eps (beta + gamma).  From tau =
+        # 160 on, all 1,075 weights of the last block fail, so it keeps none.
+        ns = [126, 200, 1008, 9000]
+        lgam = np.array(divergences._log_factorials(max(ns))[: max(ns) + 2])
+        log_tau = math.log(tau)
+
+        def terms(block):
+            with np.errstate(all="ignore"):  # as _bernoulli_sums_array calls it
+                values, errors = divergences._block_terms(block, lgam, log_tau, 1.0, tau)
+            return [v.hex() for v in values], [e.hex() for e in errors]
+
+        for block in self.blocks(ns):
+            values, errors = terms(block)
+            assert len(values) == len(errors) == sum(count for _, _, count in block)
+            start = 0
+            for n, first, count in block:
+                run = slice(start, start + count)
+                assert (values[run], errors[run]) == terms([(n, first, count)])
+                for k, value, error in zip(range(first, first + count), values[run], errors[run]):
+                    peak = (
+                        math.log(n + 1.0)
+                        + log_comb(n, k)
+                        + (k * math.log(k / n) if k else 0.0)
+                        + (n - k) * math.log1p(-k / n)
+                        - log_tau
+                    )
+                    if peak < -1e-9:
+                        assert (value, error) == ((0.0).hex(), (0.0).hex()), (n, k)
+                    elif peak > 1e-9:
+                        assert float.fromhex(error) >= divergences._EPS * (1.0 + tau), (n, k)
+                start += count
 
     def test_mixed_models_and_scalar_path(self):
         # Below n = 126 the scalar path; a Gaussian list goes model by model.

@@ -88,7 +88,7 @@ class TestGeneralizedInverse:
 
 
 @given(st.floats(min_value=1.01, max_value=8.0), st.floats(min_value=1.0, max_value=50.0))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_round_trip_hellinger(p, t):
     g = Hellinger(p)
     assert generalized_inverse(g, evaluate(g, t)) == pytest.approx(t, rel=1e-12)
@@ -99,7 +99,7 @@ def test_round_trip_hellinger(p, t):
     st.floats(min_value=0.0, max_value=6.0),
     st.floats(min_value=0.0, max_value=40.0),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_round_trip_hockey_stick(beta, gamma_excess, t_excess):
     g = HockeyStick(beta, beta + gamma_excess)
     t = g.gamma / g.beta + t_excess  # strictly increasing region
