@@ -213,15 +213,17 @@ def _resolve_options(args: argparse.Namespace) -> list[str]:
     """Fill options left unset by the flags from the config file, then from
     the defaults: those of ``_OPTIONS``, then those that depend on the model
     or the command.  Every config value is checked, also where a flag
-    overrides it.
+    overrides it.  For a sweep ``--n N`` is ``--n-range N..N``, so there a
+    flag for either overrides the file's values of both.
 
     Returns the flags of the options given, by flag or config key, that the
     command does not read; the defaults are filled after this check.
     """
     values = parse_config_file(args.config) if args.config else {}
+    n_flagged = args.command in _RANGED and (args.n, args.n_range) != (None, None)
     for key, raw in values.items():
         value = _config_value(key, raw)
-        if getattr(args, key) is None:
+        if getattr(args, key) is None and not (n_flagged and key in ("n", "n_range")):
             setattr(args, key, value)
     unread = [
         _flag(name)

@@ -6,11 +6,11 @@ that only the tests use live in ``tests/oracles.py``.  This is the one
 module that knows how the regularized incomplete beta I_x(a, b) is
 evaluated: ``_incomplete_beta`` for the Beta medians, the scalar coin-flip
 hockey-stick kernel and the exact coin-flip risk, and its numpy twin
-``_incomplete_beta_array`` for that kernel at large n.  Callers pass
-log(1 / B(a, b)), which they already have, and the kernels also log x and
-log(1 - x), which their error bound or their own terms read too.  The numpy
-forms import numpy themselves, so runs that never build an array do not
-load it.
+``_incomplete_beta_array`` for that kernel at large n.  Both forms take the
+same six arguments: every caller, the Beta medians included, passes
+log(1 / B(a, b)), log x and log(1 - x), which the coin-flip kernels' error
+bound or own terms read too.  The numpy forms import numpy themselves, so
+runs that never build an array do not load it.
 
 The quadrature assumes a smooth integrand: a kinked one is integrated piece
 by piece, one call per smooth piece.  A Beta median is a bisection of
@@ -174,23 +174,15 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
 
 
 def _incomplete_beta(
-    a: float,
-    b: float,
-    x: float,
-    log_norm: float,
-    log_x: float | None = None,
-    log1m_x: float | None = None,
+    a: float, b: float, x: float, log_norm: float, log_x: float, log1m_x: float
 ) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1], given log_norm = lgamma(a + b)
-    - lgamma(a) - lgamma(b): the front factor x^a (1-x)^b / B(a, b) with the
-    continued fraction on whichever side of (a+1)/(a+b+2) converges.  Exact,
-    x itself, at x = 0 and x = 1.  A caller that needs log x and log(1 - x)
-    itself passes them as ``log_x`` and ``log1m_x``; otherwise they are
-    computed here."""
+    - lgamma(a) - lgamma(b), ``log_x`` = log x and ``log1m_x`` = log(1 - x):
+    the front factor x^a (1-x)^b / B(a, b) with the continued fraction on
+    whichever side of (a+1)/(a+b+2) converges.  Exact, x itself, at x = 0 and
+    x = 1, where the logs are not read."""
     if x == 0.0 or x == 1.0:
         return x
-    if log_x is None:
-        log_x, log1m_x = math.log(x), math.log1p(-x)
     front = math.exp(log_norm + a * log_x + b * log1m_x)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cont_frac(a, b, x) / a
@@ -277,15 +269,17 @@ def _incomplete_beta_array(
 def beta_median(a: float, b: float) -> float:
     """Median of the Beta(a, b) distribution by bisection on I_x(a, b) - 1/2.
 
-    I_0 = 0 and I_1 = 1 exactly, so only midpoints are evaluated: 40
-    halvings of [0, 1] take the bracket below 1e-12."""
+    I_0 = 0 and I_1 = 1 exactly, so only midpoints are evaluated, each
+    strictly inside (0, 1) with its own logs: 40 halvings of [0, 1] take the
+    bracket below 1e-12."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError("shape parameters must be positive")
     log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        excess = _incomplete_beta(a, b, mid, log_norm) - 0.5
+        log_mid, log1m_mid = math.log(mid), math.log1p(-mid)
+        excess = _incomplete_beta(a, b, mid, log_norm, log_mid, log1m_mid) - 0.5
         if excess == 0.0:
             return mid
         if excess > 0.0:

@@ -307,6 +307,9 @@ RUNS = [
         error=SUBNORMAL_BETA),
     # n ranges.
     Run("sweep --n 5 --n-range 1..2", error="error: give --n or --n-range, not both"),
+    Run("sweep", config="n = 5\nn-range = 1..2\n", error="error: give --n or --n-range, not both"),
+    # bound reads no --n-range, so its --n leaves the file's n range unread.
+    Run("bound --n 3", config="n-range = 1..2\n", error="error: bound does not take --n-range"),
     Run("validate --n-range 0..2", error=EMPTY_RANGE),
     Run("validate --n-range 3..1", error=EMPTY_RANGE),
     Run("sweep --model bernoulli --n-range 5..2", error=EMPTY_RANGE),

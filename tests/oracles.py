@@ -182,7 +182,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise ValueError("shape parameters must be positive")
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
-    return _incomplete_beta(a, b, x, math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    if x == 0.0 or x == 1.0:
+        return x
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return _incomplete_beta(a, b, x, log_norm, math.log(x), math.log1p(-x))
 
 
 @lru_cache(maxsize=None)

@@ -587,6 +587,18 @@ class TestConfigFile:
         assert code_b == EXIT_OK
         assert len(out_b.splitlines()) == 5
 
+        # For a sweep --n N is --n-range N..N, so it overrides the file's n range.
+        code_c, out_c, _ = run(capsys, "sweep", "--config", str(config), "--n", "4")
+        assert code_c == EXIT_OK
+        assert len(out_c.splitlines()) == 2
+
+    def test_n_range_flag_overrides_config_n(self, capsys, tmp_path):
+        config = tmp_path / "n.cfg"
+        config.write_text("n = 4\n")
+        expected = run(capsys, "sweep", "--n-range", "1..3")
+        assert expected[0] == EXIT_OK
+        assert run(capsys, "sweep", "--n-range", "1..3", "--config", str(config)) == expected
+
     @pytest.mark.parametrize("value", ["true", "Yes", "0", "OFF"])
     def test_boolean_spellings(self, capsys, tmp_path, value):
         config = tmp_path / "bool.cfg"

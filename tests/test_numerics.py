@@ -1,5 +1,6 @@
 """Tests for the scalar numerical kernels."""
 
+import inspect
 import math
 import sys
 
@@ -144,11 +145,10 @@ class TestSpecialFunctions:
         log_norm = [math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q) for p, q, _ in shapes]
         array = _incomplete_beta_array(a, b, x, np.array(log_norm), np.log(x), np.log1p(-x))
         for (p, q, r), ln, got in zip(shapes, log_norm, array.tolist()):
-            expected = _incomplete_beta(p, q, r, ln)
-            exponent = abs(p * math.log(r)) + abs(q * math.log1p(-r))
+            log_r, log1m_r = math.log(r), math.log1p(-r)
+            expected = _incomplete_beta(p, q, r, ln, log_r, log1m_r)
+            exponent = abs(p * log_r) + abs(q * log1m_r)
             assert abs(got - expected) <= 4.0 * sys.float_info.epsilon * (1.0 + exponent) * expected
-            # Given the logs of x, the scalar form returns the same bits.
-            assert _incomplete_beta(p, q, r, ln, math.log(r), math.log1p(-r)) == expected
 
     def test_incomplete_beta_exact_ends(self):
         a = np.array([2.0, 2.0, 0.5, 700.0, 3.0])
@@ -161,8 +161,18 @@ class TestSpecialFunctions:
             array = _incomplete_beta_array(a, b, x, log_norm, np.log(x), np.log1p(-x))
         assert array[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
         assert 0.0 < array[4] < 1.0
+        # The scalar form reads no log at the ends either: it gets the -inf
+        # placeholders the numpy form gets.
         for p, q, r, ln in zip(a[:4].tolist(), b[:4].tolist(), x[:4].tolist(), log_norm.tolist()):
-            assert _incomplete_beta(p, q, r, ln) == r
+            assert _incomplete_beta(p, q, r, ln, -math.inf, -math.inf) == r
+
+    def test_scalar_and_array_forms_take_the_same_arguments(self):
+        # One calling convention: the same parameters in the same order, and
+        # no default through which a caller could leave out the logs of x.
+        scalar = inspect.signature(_incomplete_beta).parameters.values()
+        array = inspect.signature(_incomplete_beta_array).parameters.values()
+        assert [p.name for p in scalar] == [p.name for p in array]
+        assert all(p.default is inspect.Parameter.empty for p in [*scalar, *array])
 
     def test_beta_median_known_values(self):
         # Beta(1, 2) has CDF 1 - (1-x)^2, so the median is 1 - sqrt(1/2);
@@ -185,20 +195,19 @@ class TestSpecialFunctions:
         # unless one is the median exactly (I_1/2(a, a) = 1/2 at small a).
         calls = []
 
-        def counted(a, b, x, log_norm):
+        def counted(a, b, x, log_norm, log_x, log1m_x):
             calls.append((a, b))
-            return _incomplete_beta(a, b, x, log_norm)
+            return _incomplete_beta(a, b, x, log_norm, log_x, log1m_x)
 
         monkeypatch.setattr(numerics, "_incomplete_beta", counted)
         table = _beta_median_table(n)
         monkeypatch.undo()
         for k, median in enumerate(table):
             a, b = k + 1.0, n - k + 1.0
-            log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
             expected = bisect_root(
-                lambda x: _incomplete_beta(a, b, x, log_norm) - 0.5, 0.0, 1.0, tol=1e-12
+                lambda x: regularized_incomplete_beta(a, b, x) - 0.5, 0.0, 1.0, tol=1e-12
             )
             assert median.hex() == expected.hex()
             evaluations = calls.count((a, b))
-            exact = _incomplete_beta(a, b, median, log_norm) == 0.5
+            exact = regularized_incomplete_beta(a, b, median) == 0.5
             assert evaluations == 40 or (exact and evaluations < 40)
