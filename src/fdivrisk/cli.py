@@ -21,10 +21,12 @@ stream seed ``--seed`` + n.
 Exit codes: 0 success, 1 validation failure, 2 argument error (a malformed
 command line too, in one line), numerical failure (an ``ArithmeticError``
 such as an overflow) or running out of memory (such as a ``--samples`` too
-large to hold), 3 I/O error, before any output if an output path cannot be
-opened or standard output or standard error is closed, 130 on an
+large to hold), 3 I/O error (an output file that cannot be opened or
+written, or a closed standard output or standard error), 130 on an
 interrupt (Ctrl-C) and 143 on SIGTERM, the codes a shell gives a job that
-SIGINT or SIGTERM ends.
+SIGINT or SIGTERM ends.  A command writes its files before it prints, and a
+run whose file write fails prints nothing and leaves none of the files it
+created.
 All randomness flows from ``--seed`` (fixed default, never wall clock), so
 identical invocations produce byte-identical output.
 """
@@ -110,7 +112,7 @@ def render_curve_svg(rows: list[tuple], title: str) -> str:
         if any(y is not None for y in ys):
             series.append((label, ys))
     xs = [row[0] for row in rows]
-    return render_line_plot(xs, series, title=title, x_label="n", y_label="risk lower bound")
+    return render_line_plot(xs, series, title=title)
 
 
 # --------------------------------------------------------------------------
@@ -285,27 +287,26 @@ def _check_parameters(args: argparse.Namespace) -> None:
         GaussianModel(1, args.sigma_w_sq, args.sigma_sq)
 
 
-def _check_outputs(*paths: "str | None") -> None:
-    """Open each output path given, without truncating it, and close it
-    again: a path that cannot be opened fails the run before any output is
-    written.  The files opened before it that did not exist are removed, so
-    such a run writes nothing."""
+def _write_outputs(outputs: dict[str, str]) -> None:
+    """Write each ``{path: text}`` of a run, before the run prints anything.
+    Every path is first opened without truncating it, so a path that cannot
+    be opened fails the run before any file is written.  If opening or
+    writing any of them fails, the files that did not exist before are
+    removed, so such a run leaves no file of its own."""
     created = []
     try:
-        for path in filter(None, paths):
+        for path in outputs:
             exists = os.path.exists(path)
             open(path, "ab").close()
             if not exists:
                 created.append(path)
+        for path, text in outputs.items():
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError:
         for path in created:
             os.remove(path)
         raise
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -328,13 +329,12 @@ def cmd_bound(args: argparse.Namespace, family: str) -> int:
         ("parameters", generator_label(result.generator)),
         ("method", "closed_form_rho" + (" [vacuous]" if result.vacuous else "")),
     ]
-    _check_outputs(args.csv)
+    if args.csv:
+        bounds = [result.value if name == family else None for name in FAMILIES]
+        _write_outputs({args.csv: risk_curve_csv([(args.n, *bounds, None, None)])})
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
-    if args.csv:
-        bounds = [result.value if name == family else None for name in FAMILIES]
-        _write(args.csv, risk_curve_csv([(args.n, *bounds, None, None)]))
     return EXIT_OK
 
 
@@ -351,15 +351,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     text = risk_curve_csv(rows)
-    # Rendered first, so that a run that cannot plot writes nothing.
-    svg = render_curve_svg(rows, f"{args.model}: risk lower bounds vs n") if args.svg else None
-    _check_outputs(args.csv, args.svg)
-    if args.csv:
-        _write(args.csv, text)
-    else:
-        sys.stdout.write(text)
+    outputs = {args.csv: text} if args.csv else {}
+    # Rendered before any file is written, so that a run that cannot plot
+    # writes nothing.
     if args.svg:
-        _write(args.svg, svg)
+        outputs[args.svg] = render_curve_svg(rows, f"{args.model}: risk lower bounds vs n")
+    _write_outputs(outputs)
+    if not args.csv:
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -187,8 +187,10 @@ def _kink_end(
     (the mode) and negative at ``outside``, by Newton's method from ``x``
     kept inside the bracket.
 
-    A step that leaves the bracket is replaced by a bisection step.  Stops
-    once a Newton step or the bracket is no longer than ``_KINK_TOL``.
+    A step that leaves the bracket is replaced by a bisection step, so every
+    x whose logs are taken lies strictly inside (0, 1), and at k = 0 the
+    term k log x adds 0.0.  Stops once a Newton step or the bracket is no
+    longer than ``_KINK_TOL``.
     """
     log = math.log
     log1p = math.log1p
@@ -198,11 +200,7 @@ def _kink_end(
             break
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        v = logc
-        if k:
-            v += k * log(x)
-        v += rest * log1p(-x)
-        v -= log_tau
+        v = logc + k * log(x) + rest * log1p(-x) - log_tau
         if v > 0.0:
             inside = x
         elif v < 0.0:

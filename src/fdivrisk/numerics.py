@@ -9,7 +9,9 @@ hockey-stick kernel and the exact coin-flip risk, and its numpy twin
 ``_incomplete_beta_array`` for that kernel at large n.  Both forms take the
 same six arguments: every caller, the Beta medians included, passes
 log(1 / B(a, b)), log x and log(1 - x), which the coin-flip kernels' error
-bound or own terms read too.  The numpy forms import numpy themselves, so
+bound or own terms read too.  Neither form has a branch for the ends x = 0
+and x = 1: given -inf for the log that diverges there, the formula itself
+gives exactly 0.0 or 1.0.  The numpy forms import numpy themselves, so
 runs that never build an array do not load it.
 
 The quadrature assumes a smooth integrand: a kinked one is integrated piece
@@ -179,10 +181,9 @@ def _incomplete_beta(
     """I_x(a, b) for a, b > 0 and x in [0, 1], given log_norm = lgamma(a + b)
     - lgamma(a) - lgamma(b), ``log_x`` = log x and ``log1m_x`` = log(1 - x):
     the front factor x^a (1-x)^b / B(a, b) with the continued fraction on
-    whichever side of (a+1)/(a+b+2) converges.  Exact, x itself, at x = 0 and
-    x = 1, where the logs are not read."""
-    if x == 0.0 or x == 1.0:
-        return x
+    whichever side of (a+1)/(a+b+2) converges.  Exact at x = 0 and x = 1,
+    given -inf for the log that diverges there: the front factor is then
+    exp(-inf) = 0, so the result is 0.0 or 1.0."""
     front = math.exp(log_norm + a * log_x + b * log1m_x)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cont_frac(a, b, x) / a
@@ -252,18 +253,18 @@ def _incomplete_beta_array(
     """:func:`_incomplete_beta` over arrays, element by element, with the
     same operands in the same order; numpy's log, log1p and exp may round
     differently from libm's.  The caller passes ``log_x`` = log x and
-    ``log1m_x`` = log(1 - x), which are -inf at the exact ends."""
+    ``log1m_x`` = log(1 - x), which are -inf at the exact ends.  Every
+    element takes the continued fraction: at an end it converges in one
+    step and the zero front factor makes the result exact, and no element's
+    bits depend on another's."""
     import numpy as np
 
-    inner = (x != 0.0) & (x != 1.0)
     front = np.exp(log_norm + a * log_x + b * log1m_x)
     flip = ~(x < (a + 1.0) / (a + b + 2.0))
-    cf_a = np.where(flip, b, a)
-    cf_b = np.where(flip, a, b)
-    cf_x = np.where(flip, 1.0 - x, x)
-    frac = np.zeros_like(x)
-    frac[inner] = _beta_cont_frac_array(cf_a[inner], cf_b[inner], cf_x[inner])
-    return np.where(inner, np.where(flip, 1.0 - front * frac / b, front * frac / a), x)
+    frac = _beta_cont_frac_array(
+        np.where(flip, b, a), np.where(flip, a, b), np.where(flip, 1.0 - x, x)
+    )
+    return np.where(flip, 1.0 - front * frac / b, front * frac / a)
 
 
 def beta_median(a: float, b: float) -> float:

@@ -1,7 +1,9 @@
 """Self-contained SVG line plots (polyline + axis primitives, no dependencies).
 
 Plots are reproduction aids for the sweep output, not the product: content is
-deterministic for a given curve, and emission never affects CSV data.
+deterministic for a given curve, and emission never affects CSV data.  The
+one plot is the sweep's: risk lower bounds against n, at most three series
+(the two bound families and the oracle risk), one palette colour each.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import math
 
 __all__ = ["render_line_plot"]
 
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c")
 
 _WIDTH = 720
 _HEIGHT = 480
@@ -40,10 +42,9 @@ def render_line_plot(
     series: list[tuple[str, list[float | None]]],
     *,
     title: str,
-    x_label: str,
-    y_label: str,
 ) -> str:
-    """Render named curves over integer x values on a log-scaled y axis.
+    """Render up to three named curves of risk lower bounds over integer n
+    values on a log-scaled y axis.
 
     Non-positive or missing points are dropped from their polyline (they have
     no log-scale position); a series with no positive points is legended but
@@ -94,13 +95,13 @@ def render_line_plot(
     parts += [
         _line(left, top, left, bottom, "black", 1),
         _line(left, bottom, right, bottom, "black", 1),
-        _text(_WIDTH // 2, _HEIGHT - 10, 12, x_label, middle),
+        _text(_WIDTH // 2, _HEIGHT - 10, 12, "n", middle),
         f'<text x="16" y="{_HEIGHT // 2}" {middle}font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_HEIGHT // 2})">{y_label}</text>',
+        f'transform="rotate(-90 16 {_HEIGHT // 2})">risk lower bound</text>',
     ]
 
     for idx, (name, vals) in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
+        color = _PALETTE[idx]
         points = " ".join(
             f"{_fmt(px(x))},{_fmt(py(v))}"
             for x, v in zip(xs, vals)

@@ -91,6 +91,7 @@ def check(run: Run, code: int, stdout: bytes, stderr: bytes, tmp) -> list[str]:
     return problems
 
 
+NO_SPACE = "i/o error: [Errno 28] No space left on device"
 SAMPLES_RULE = "error: samples must be at least 2 (the standard error needs two)"
 EMPTY_RANGE = "error: n range must be non-empty and start at 1 or above"
 VALIDATE_UNREAD = "error: validate does not take --family, --csv, --oracle, --svg"
@@ -363,6 +364,12 @@ RUNS = [
         error="i/o error: [Errno 2] No such file or directory: '/nonexistent/a.svg'"),
     Run("sweep --config /nonexistent/file.cfg",
         error="i/o error: [Errno 2] No such file or directory: '/nonexistent/file.cfg'"),
+    # A write that fails once its file is open (a full device): each command
+    # writes its files before it prints, so nothing is printed, and the file
+    # the run created before it is removed.
+    Run("bound --n 3 --csv /dev/full", error=NO_SPACE),
+    Run("sweep --n-range 1..2 --svg /dev/full", error=NO_SPACE),
+    Run("sweep --n-range 1..2 --csv {tmp}/a.csv --svg /dev/full", error=NO_SPACE),
 ]
 
 

@@ -447,16 +447,23 @@ class TestSearch:
                 yielded.append(points.send(f(yielded[-1])))
         return yielded
 
-    def test_generator_yields_the_80_candidates(self):
+    @pytest.mark.parametrize("winner", range(33))
+    @pytest.mark.parametrize("grid_name", ["_P_GRID", "_TAU_GRID"])
+    def test_generator_yields_the_80_candidates(self, grid_name, winner):
         # The 33 grid points in order, the 2 golden-section starts, 44 steps
-        # and the bracket's midpoint; the value sent for the 80th ends the search.
+        # and the bracket's midpoint; the value sent for the 80th ends the
+        # search.  Each step shrinks the bracket by 1/phi whatever the values,
+        # so every winner of both production grids gives the same count.
+        grid = getattr(bounds, grid_name)
+        peak = grid[winner]
         yielded = self.drive_by_hand(
-            bounds._search(self.GRID, self.no_ceiling), lambda x: -((x - 0.123456) ** 2)
+            bounds._search(grid, self.no_ceiling), lambda x: -((x - peak) ** 2)
         )
         assert len(yielded) == 80
-        assert tuple(yielded[:33]) == self.GRID
-        assert all(3 / 32 < x < 5 / 32 for x in yielded[33:])
-        assert yielded[-1] == pytest.approx(0.123456, abs=1e-9)
+        assert tuple(yielded[:33]) == grid
+        lo, hi = grid[max(0, winner - 1)], grid[min(32, winner + 1)]
+        assert all(lo < x < hi for x in yielded[33:])
+        assert yielded[-1] == pytest.approx(peak, abs=1e-9 * (hi - lo))
 
     def test_generator_never_yields_a_skipped_grid_point(self):
         # With the value 1 - x as its own ceiling, every grid point after

@@ -151,19 +151,28 @@ class TestSpecialFunctions:
             assert abs(got - expected) <= 4.0 * sys.float_info.epsilon * (1.0 + exponent) * expected
 
     def test_incomplete_beta_exact_ends(self):
-        a = np.array([2.0, 2.0, 0.5, 700.0, 3.0])
-        b = np.array([3.0, 3.0, 900.0, 0.25, 4.0])
-        x = np.array([0.0, 1.0, 0.0, 1.0, 0.4])
+        # No branch for the ends: -inf for the log that diverges makes the
+        # front factor 0, and the continued fraction converges at once.  The
+        # fifth and sixth ends are those of the k = 0 lower kink root, w = 0
+        # with shapes (1, n + 1), at n = 126 and n = 10^4.
+        a = np.array([2.0, 2.0, 0.5, 700.0, 1.0, 1.0, 3.0])
+        b = np.array([3.0, 3.0, 900.0, 0.25, 127.0, 10001.0, 4.0])
+        x = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.4])
         log_norm = np.array(
             [math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q) for p, q in zip(a, b)]
         )
         with np.errstate(divide="ignore"):  # log(0) at the exact ends
-            array = _incomplete_beta_array(a, b, x, log_norm, np.log(x), np.log1p(-x))
-        assert array[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
-        assert 0.0 < array[4] < 1.0
-        # The scalar form reads no log at the ends either: it gets the -inf
-        # placeholders the numpy form gets.
-        for p, q, r, ln in zip(a[:4].tolist(), b[:4].tolist(), x[:4].tolist(), log_norm.tolist()):
+            args = (a, b, x, log_norm, np.log(x), np.log1p(-x))
+        array = _incomplete_beta_array(*args)
+        assert array[:-1].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 0.0]
+        assert 0.0 < array[-1] < 1.0
+        # The ends beside it leave the interior element's bits as they are
+        # when it is evaluated alone.
+        alone = _incomplete_beta_array(*(v[-1:] for v in args))
+        assert array[-1].hex() == alone[0].hex()
+        # The scalar form is exact at the ends too, given -inf for both logs.
+        ends = zip(a[:-1].tolist(), b[:-1].tolist(), x[:-1].tolist(), log_norm.tolist())
+        for p, q, r, ln in ends:
             assert _incomplete_beta(p, q, r, ln, -math.inf, -math.inf) == r
 
     def test_scalar_and_array_forms_take_the_same_arguments(self):
