@@ -287,6 +287,25 @@ def optimize_parameters(model: Model, family: str) -> BoundResult:
 # --------------------------------------------------------------------------
 
 
+def _place_share(share: int) -> None:
+    """Move this side of a split onto its own CPU: run on the CPUs at
+    positions ``share``, ``share`` + 2, ... of the sorted affinity mask (the
+    child takes 1, this process 0), which moves the process at once, then on
+    the whole mask again, so the kernel can still move it later.  A forked
+    child otherwise starts on its parent's CPU, and may stay there.  A mask
+    of one CPU sets nothing, and an ``OSError`` leaves placement to the
+    kernel."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    mask = sorted(os.sched_getaffinity(0))
+    if len(mask) >= 2:
+        try:
+            os.sched_setaffinity(0, mask[share::2])
+            os.sched_setaffinity(0, mask)
+        except OSError:
+            pass
+
+
 def _split_map(fn, items: list) -> list:
     """``fn`` at each item, in order, on two processes when there are two
     items or more, this process may run on two CPUs and no other thread is
@@ -306,6 +325,10 @@ def _split_map(fn, items: list) -> list:
     exception, such as ``KeyboardInterrupt``, kills and reaps the child and
     propagates.  Where ``fn`` is a pure function of its item, the results do
     not depend on the CPU count.
+
+    Right after the fork each process moves to its own half of the affinity
+    mask and then takes the whole mask back (:func:`_place_share`), so the
+    two shares start on different CPUs and the caller's mask is unchanged.
     """
     pid = None
     if len(items) >= 2 and hasattr(os, "fork") and _worker_count() >= 2:
@@ -329,6 +352,7 @@ def _split_map(fn, items: list) -> list:
         # never flushes the parent's buffered output or runs its exit handlers.
         code = 1
         try:
+            _place_share(1)
             os.close(read_end)
             theirs = []
             for item in items[1::2]:
@@ -345,6 +369,7 @@ def _split_map(fn, items: list) -> list:
         os.close(write_end)
         status = 0  # the child's exit status, once it is reaped and pid is None
         try:
+            _place_share(0)
             with open(read_end, "rb") as pipe:
                 ours = []
                 for item in items[0::2]:

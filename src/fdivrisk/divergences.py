@@ -190,7 +190,8 @@ def _kink_end(
     A step that leaves the bracket is replaced by a bisection step, so every
     x whose logs are taken lies strictly inside (0, 1), and at k = 0 the
     term k log x adds 0.0.  Stops once a Newton step or the bracket is no
-    longer than ``_KINK_TOL``.
+    longer than ``_KINK_TOL``, so a closed bracket, such as weight 0's lower
+    one [0, 0], returns its midpoint at the first test: exactly 0.0.
     """
     log = math.log
     log1p = math.log1p
@@ -224,7 +225,9 @@ def _bernoulli_sum_scalar(n: int, beta: float, gamma: float) -> tuple[float, flo
     Weight k's density ratio (n+1) C(n, k) w^k (1-w)^(n-k) is log-concave
     with its peak at the mode w = k/n, so it exceeds tau on one interval (or
     none).  :func:`_kink_end` finds each end from where the Gaussian
-    approximation around the mode crosses the level; weight 0 peaks at w = 0.
+    approximation around the mode crosses the level.  Weight 0 peaks at
+    w = 0, so its lower bracket [0, 0] is closed and that end is exactly 0.0,
+    an exact end of the incomplete beta with nothing to bound.
     """
     log_tau = math.log(gamma) - math.log(beta)
     log_np1 = math.log(n + 1.0)
@@ -249,7 +252,7 @@ def _bernoulli_sum_scalar(n: int, beta: float, gamma: float) -> tuple[float, flo
         if peak <= 0.0:
             continue
         half_width = math.sqrt(2.0 * peak * mode * (1.0 - mode) / n)
-        lo = 0.0 if k == 0 else _kink_end(k, rest, logc, log_tau, mode, 0.0, mode - half_width)
+        lo = _kink_end(k, rest, logc, log_tau, mode, 0.0, mode - half_width)
         hi = _kink_end(k, rest, logc, log_tau, mode, 1.0, mode + half_width)
         term = -gamma * (hi - lo)
         err = _EPS * (beta + gamma)
@@ -262,8 +265,9 @@ def _bernoulli_sum_scalar(n: int, beta: float, gamma: float) -> tuple[float, flo
             i_w = _incomplete_beta(a, b, w, lg_ab - lg_a - lg_b, log_w, log1m_w)
             term += sign * beta * i_w
             # The terms of log(w^a (1-w)^b / B(a, b)) are each rounded within
-            # two ulps, so 4 eps times their magnitudes bounds its rounding.
-            size = lg_ab + abs(lg_a) + abs(lg_b) - a * log_w - b * log1m_w
+            # two ulps, so 4 eps times their magnitudes bounds its rounding;
+            # the three log-gammas, of integers >= 1, are each >= +0.0.
+            size = lg_ab + lg_a + lg_b - a * log_w - b * log1m_w
             tail = min(i_w, 1.0 - i_w)
             err += beta * (tail * (4.0 * _EPS * size + _BETACF_REL_ERR) + _EPS)
             slope = max(abs(k / w - rest / (1.0 - w)), _EPS)
@@ -397,7 +401,10 @@ def _block_terms(
     so it takes the same operations whatever else shares its block.  Each
     weight takes the scalar path's steps in the same order (peak test, Newton
     kink roots, incomplete-beta ends, error bound), so the two agree to
-    within the libm and numpy rounding of log, log1p and exp.
+    within the libm and numpy rounding of log, log1p and exp.  Weight 0's
+    lower kink root is exactly 0.0 on both paths, from its closed bracket
+    [0, 0], and the error bound adds the log-gammas of the Beta shapes as
+    they are, each >= +0.0.
     """
     import numpy as np
 
@@ -424,7 +431,7 @@ def _block_terms(
     size = len(k)
     half_width = np.sqrt(2.0 * peak * mode * (1.0 - mode) / n)
     # Weight 0 peaks at w = 0: its lower bracket [0, 0] is already
-    # closed, so that root comes out as exactly 0.
+    # closed, so that root comes out as exactly 0.0, as on the scalar path.
     inside = np.concatenate((mode, mode))
     outside = np.concatenate((np.zeros(size), np.ones(size)))
     start = np.concatenate((mode - half_width, mode + half_width))
@@ -439,7 +446,7 @@ def _block_terms(
     log1m_w = np.log1p(-w)
     i_w = _incomplete_beta_array(a, b, w, lg_ab - lg_a - lg_b, log_w, log1m_w)
     exact = (w == 0.0) | (w == 1.0)
-    kernel_size = lg_ab + np.abs(lg_a) + np.abs(lg_b) - a * log_w
+    kernel_size = lg_ab + lg_a + lg_b - a * log_w
     kernel_size -= b * log1m_w
     tail = np.minimum(i_w, 1.0 - i_w)
     cf_err = beta * (tail * (4.0 * _EPS * kernel_size + _BETACF_REL_ERR) + _EPS)

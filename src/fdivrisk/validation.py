@@ -142,7 +142,7 @@ def brute_force_divergence(model: Model, g: Generator, *, grid_points: int) -> f
             raw = float(np.mean(means))
             return _canonical(g, raw)
 
-        side = max(32, int(round(math.sqrt(grid_points))))
+        side = int(round(math.sqrt(grid_points)))
         sw = math.sqrt(model.sigma_w_sq)
         m2 = model.marginal_var
         s2 = model.noise_var
@@ -280,7 +280,10 @@ def certification_suite(
     The brute-force checks run first, then the bound columns of every
     family, fixed and, with ``optimize``, searched, one ``family_bounds``
     call each, and then the risk draws of every model (``risk_reports``): a
-    check or a bound that fails starts no draw."""
+    check or a bound that fails starts no draw.  The Hellinger check's
+    tolerances depend on the model; the hockey-stick check, whose kinked
+    integrand the midpoint grid resolves less well, takes 1e-4 relative and
+    1e-6 absolute for both models."""
     if not models:
         raise ValueError("no models to certify")
     first = models[0]
@@ -306,8 +309,8 @@ def certification_suite(
             f"{_model_label(first)}: {method} {generator_label(HockeyStick(beta, gamma))} vs brute force",
             engine.value,
             brute_force_divergence(first, HockeyStick(beta, gamma), grid_points=points),
-            max(rel, 1e-4),
-            max(floor, 1e-6),
+            1e-4,
+            1e-6,
         )
     )
 

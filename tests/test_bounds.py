@@ -818,6 +818,74 @@ class TestSplitMap:
         monkeypatch.setattr(os, "fork", fork)
         assert self.split(monkeypatch, 2, lambda x: x * x) == self.SQUARES
 
+    @staticmethod
+    def cpu(_):
+        """The CPU this process last ran on: field 39 of /proc/self/stat."""
+        with open("/proc/self/stat") as stat:
+            return int(stat.read().rsplit(")", 1)[1].split()[36])
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs Linux and two CPUs in the affinity mask",
+    )
+    def test_the_two_shares_start_on_different_cpus(self, forks):
+        # Left to the kernel, a forked child may start and stay on its
+        # parent's CPU, and the two shares then take turns on one.
+        for _ in range(5):
+            ours, theirs = bounds._split_map(self.cpu, [1, 2])
+            assert ours != theirs
+        assert len(forks) == 5
+        assert_no_child()
+
+    @pytest.mark.parametrize(
+        "mask, error, ours, theirs",
+        [
+            ({4, 0, 7}, None, [[0, 7], [0, 4, 7]], [[4], [0, 4, 7]]),
+            ({4, 0, 7}, OSError, [[0, 7]], [[4]]),  # placement left to the kernel
+            ({3}, None, [], []),  # as under taskset -c 0 with two workers forced
+        ],
+    )
+    def test_each_process_takes_its_half_of_the_mask_then_the_whole(
+        self, monkeypatch, forks, mask, error, ours, theirs
+    ):
+        # Each item reports the calls its process has made; the child maps 2,
+        # 4 and 6.
+        calls = []
+
+        def set_mask(pid, cpus):
+            calls.append(list(cpus))
+            if error:
+                raise error("not permitted")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", set_mask, raising=False)
+        mapped = self.split(monkeypatch, 2, lambda x: (x * x, list(calls)))
+        assert mapped == [(x * x, ours if x % 2 else theirs) for x in self.ITEMS]
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask")
+    @pytest.mark.parametrize("failing", ["none", "the child's 4", "3 everywhere"])
+    def test_the_callers_mask_is_unchanged(self, monkeypatch, forks, failing):
+        # Also where an item fails and the whole list is mapped here.
+        parent = os.getpid()
+        before = os.sched_getaffinity(0)
+
+        def fn(x):
+            if (failing == "the child's 4" and x == 4 and os.getpid() != parent) or (
+                failing == "3 everywhere" and x == 3
+            ):
+                raise ArithmeticError(f"no value at {x}")
+            return x * x
+
+        if failing == "3 everywhere":
+            with pytest.raises(ArithmeticError):
+                self.split(monkeypatch, 2, fn)
+        else:
+            assert self.split(monkeypatch, 2, fn) == self.SQUARES
+        assert os.sched_getaffinity(0) == before
+        assert_no_child()
+
     @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
     def test_an_error_here_kills_and_reaps_the_child(self, monkeypatch, forks, error):
         # An ArithmeticError maps the whole list here, where it raises again;
@@ -858,6 +926,8 @@ class TestSplitMap:
         self, monkeypatch, forks, cpus, items, children
     ):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        # The placement would otherwise set this process's mask from the fake one.
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert bounds._split_map(lambda x: x * x, items) == [x * x for x in items]
         assert len(forks) == children

@@ -351,6 +351,19 @@ class TestBernoulliArrayPath:
             else:
                 assert abs(Decimal(values[k]) - reference) <= Decimal(errors[k]), k
 
+    @pytest.mark.parametrize("n", [1, 2, 125])
+    def test_weight_0_lower_kink_end_is_exactly_0(self, n):
+        # Weight 0 peaks at w = 0, so its lower bracket [0, 0] is closed from
+        # the start: both kernel paths take +0.0 from the kink-end search.
+        logc = math.log(n + 1.0)
+        log_tau = math.log(1.5)
+        assert divergences._kink_end(0, n, logc, log_tau, 0.0, 0.0, 0.0).hex() == (0.0).hex()
+        zero = np.zeros(1)
+        root = divergences._kink_roots_array(
+            zero, np.array([n + 0.0]), np.array([logc]), log_tau, zero.copy(), zero.copy(), zero.copy()
+        )
+        assert root[0].hex() == (0.0).hex()
+
     def test_continued_fraction_stall_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "_BETACF_MAX_ITER", 2)
         with pytest.raises(ArithmeticError, match="continued fraction stalled"):
