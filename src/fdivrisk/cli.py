@@ -26,7 +26,9 @@ written, or a closed standard output or standard error), 130 on an
 interrupt (Ctrl-C) and 143 on SIGTERM, the codes a shell gives a job that
 SIGINT or SIGTERM ends.  A command writes its files before it prints, and a
 run whose file write fails prints nothing and leaves none of the files it
-created.
+created.  A regular output file is replaced by a rename once every file is
+written, so no file is truncated or half-written; a later rename can still
+fail after an earlier one succeeded.
 All randomness flows from ``--seed`` (fixed default, never wall clock), so
 identical invocations produce byte-identical output.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import signal
+import stat
 import sys
 import threading
 
@@ -290,21 +293,49 @@ def _check_parameters(args: argparse.Namespace) -> None:
 def _write_outputs(outputs: dict[str, str]) -> None:
     """Write each ``{path: text}`` of a run, before the run prints anything.
     Every path is first opened without truncating it, so a path that cannot
-    be opened fails the run before any file is written.  If opening or
-    writing any of them fails, the files that did not exist before are
-    removed, so such a run leaves no file of its own."""
-    created = []
+    be opened fails the run before any file is written.  A regular file,
+    the target of a symlink included, gets its text through a new file in
+    its directory, with its mode, renamed onto it only once every write has
+    succeeded; any other path (a device, a pipe such as ``/dev/stdout``) is
+    written in place.  If anything fails, the new files and the files that
+    did not exist before are removed.  So no file is truncated or
+    half-written, but a later rename can still fail after an earlier one
+    succeeded.  Renaming has its limits: a file in a directory this process
+    cannot write to fails the run, and a replaced file loses its hard links
+    and takes this process's owner and group."""
+    created, temps = [], {}
     try:
         for path in outputs:
             exists = os.path.exists(path)
             open(path, "ab").close()
             if not exists:
-                created.append(path)
+                created.append(os.path.realpath(path))
         for path, text in outputs.items():
-            with open(path, "w", encoding="utf-8", newline="") as handle:
+            # os.stat follows a /dev/fd link to a pipe's own inode, where
+            # realpath gives a name that does not exist.
+            mode = os.stat(path).st_mode
+            real = os.path.realpath(path)
+            if not (stat.S_ISREG(mode) and os.path.exists(real) and os.path.samefile(path, real)):
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+                continue
+            import tempfile  # imported here: a run that writes no file does not need it
+
+            try:
+                fd, temp = tempfile.mkstemp(dir=os.path.dirname(real))
+            except OSError as exc:
+                # Its message names the new file; the user gave ``path``.
+                raise OSError(exc.errno, exc.strerror, path) from None
+            temps[temp] = real
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-    except OSError:
-        for path in created:
+            os.chmod(temp, stat.S_IMODE(mode))
+        for temp in list(temps):
+            os.replace(temp, temps[temp])
+            del temps[temp]
+    except BaseException:
+        # Ctrl-C and SIGTERM too: no new file outlives the run.
+        for path in [*temps, *created]:
             os.remove(path)
         raise
 

@@ -6,6 +6,9 @@ import threading
 import pytest
 from hypothesis import settings
 
+# pytester runs pytest on a file of its own (tests/test_pytest_config.py).
+pytest_plugins = ["pytester"]
+
 # Every property test draws the same examples on every run, and none fails
 # for a slow example: a search or a packed kernel may take a second.
 settings.register_profile("tier1", derandomize=True, deadline=None)

@@ -4,8 +4,10 @@ import math
 import os
 import resource
 import signal
+import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -207,6 +209,120 @@ class TestSweepCommand:
         code, out, err = run(capsys, *argv.split(), "--n", "3")
         assert (code, err) == (EXIT_OK, "")
         assert run(capsys, *argv.split(), "--n-range", "3..3") == (code, out, err)
+
+
+class TestOutputFiles:
+    """A regular output file is replaced only once every file of the run is
+    written; the error rows of golden_runs.RUNS pin the files a failed run
+    did not create."""
+
+    SWEEP = ("sweep", "--n-range", "1..2")
+
+    @staticmethod
+    def listing(directory):
+        return sorted((path.name, path.read_text()) for path in directory.iterdir())
+
+    def test_a_failed_write_keeps_an_existing_file(self, capsys, tmp_path):
+        csv = tmp_path / "a.csv"
+        csv.write_text("kept\n")
+        code, out, err = run(capsys, *self.SWEEP, "--csv", str(csv), "--svg", "/dev/full")
+        assert (code, out, err) == (EXIT_IO, "", golden_runs.NO_SPACE + "\n")
+        assert self.listing(tmp_path) == [("a.csv", "kept\n")]
+
+    @pytest.mark.parametrize(
+        ("error", "code", "line"),
+        [
+            (KeyboardInterrupt, 130, "error: interrupted"),
+            (PermissionError(13, "Permission denied"), EXIT_IO, "i/o error: [Errno 13] Permission denied"),
+        ],
+        ids=["interrupt", "os-error"],
+    )
+    def test_a_failed_rename_leaves_no_new_file(self, capsys, monkeypatch, tmp_path, error, code, line):
+        csv = tmp_path / "a.csv"
+        csv.write_text("kept\n")
+
+        def replace(source, target):
+            raise error
+
+        monkeypatch.setattr(os, "replace", replace)
+        argv = ["--csv", str(csv), "--svg", str(tmp_path / "b.svg")]
+        assert run(capsys, *self.SWEEP, *argv) == (code, "", line + "\n")
+        assert self.listing(tmp_path) == [("a.csv", "kept\n")]
+
+    @pytest.mark.parametrize("before", [[], [("a.csv", "kept\n")]], ids=["new", "existing"])
+    def test_a_new_file_that_cannot_be_made_is_reported_by_the_output_path(
+        self, capsys, monkeypatch, tmp_path, before
+    ):
+        def mkstemp(dir):
+            raise PermissionError(13, "Permission denied", os.path.join(dir, "tmp1234"))
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        csv = tmp_path / "a.csv"
+        for name, text in before:
+            (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, *self.SWEEP, "--csv", str(csv))
+        assert (code, out, err) == (EXIT_IO, "", f"i/o error: [Errno 13] Permission denied: '{csv}'\n")
+        assert self.listing(tmp_path) == before
+
+    def test_a_writable_file_in_a_directory_that_is_not_fails_the_run(self, capsys, tmp_path):
+        csv = tmp_path / "a.csv"
+        csv.write_text("kept\n")
+        tmp_path.chmod(0o500)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                pytest.skip("this process may write to any directory")
+            code, out, err = run(capsys, *self.SWEEP, "--csv", str(csv))
+        finally:
+            tmp_path.chmod(0o700)
+        assert (code, out, err) == (EXIT_IO, "", f"i/o error: [Errno 13] Permission denied: '{csv}'\n")
+        assert self.listing(tmp_path) == [("a.csv", "kept\n")]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_pipe_given_as_a_path_is_written_in_place(self, capsys):
+        _, text, _ = run(capsys, *self.SWEEP)
+        read, write = os.pipe()
+        try:
+            assert run(capsys, *self.SWEEP, "--csv", f"/dev/fd/{write}") == (EXIT_OK, "", "")
+        finally:
+            os.close(write)
+        with os.fdopen(read) as pipe:
+            assert pipe.read() == text
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_removed_file_given_by_its_descriptor_is_written_in_place(self, capsys, tmp_path):
+        # realpath names it "<path> (deleted)", a file that a rename would make.
+        _, text, _ = run(capsys, *self.SWEEP)
+        gone = tmp_path / "gone.csv"
+        with open(gone, "w+") as handle:
+            gone.unlink()
+            assert run(capsys, *self.SWEEP, "--csv", f"/dev/fd/{handle.fileno()}") == (EXIT_OK, "", "")
+            assert handle.read() == text
+        assert self.listing(tmp_path) == []
+
+    def test_a_symlinked_path_keeps_its_link(self, capsys, tmp_path):
+        _, text, _ = run(capsys, *self.SWEEP)
+        (tmp_path / "target.csv").write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("target.csv")
+        assert run(capsys, *self.SWEEP, "--csv", str(link)) == (EXIT_OK, "", "")
+        assert os.readlink(link) == "target.csv"
+        assert self.listing(tmp_path) == [("link.csv", text), ("target.csv", text)]
+
+    def test_a_new_file_gets_the_default_mode_and_a_replaced_file_keeps_its_own(self, capsys, tmp_path):
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        replaced = tmp_path / "replaced.csv"
+        replaced.write_text("old\n")
+        replaced.chmod(0o640)
+        new = tmp_path / "new.svg"
+        assert main([*self.SWEEP, "--csv", str(replaced), "--svg", str(new)]) == EXIT_OK
+        capsys.readouterr()
+
+        def mode(path):
+            return stat.S_IMODE(path.stat().st_mode)
+
+        assert (mode(new), mode(replaced)) == (mode(reference), 0o640)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["new.svg", "reference", "replaced.csv"]
 
 
 class TestMalformedCommandLine:

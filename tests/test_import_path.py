@@ -17,8 +17,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Modules that cost a bound-only run import time and that it does not need;
-# numpy imports inspect itself.
-WATCHED = ("dataclasses", "inspect", "numpy", "typing")
+# numpy imports inspect itself, and only an output file needs tempfile.
+WATCHED = ("dataclasses", "inspect", "numpy", "tempfile", "typing")
 
 SCRIPT = """
 import os
